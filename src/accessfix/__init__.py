@@ -12,20 +12,23 @@ The pipeline is parse -> validate -> verify -> repair:
 * `dslparser` and `cli` provide the textual formats and command line.
 """
 
-from .analysis import AnomalyReport, ImplementationSet, diff, implementation_set, verify
+from .analysis import (
+    AnomalyReport,
+    ImplementationSet,
+    diff,
+    enabling_by_zone,
+    implementation_set,
+    verify,
+)
 from .automata import (
     EPSILON,
     Automaton,
     ExtendedEvent,
-    PhyLabel,
     ReducedEvent,
     Session,
     SuperState,
-    build_access_automaton,
-    build_movement_automaton,
     build_super_automaton,
     build_user_automaton,
-    parallel_compose,
     reachable_reduced_events,
     to_dot,
 )
@@ -33,13 +36,11 @@ from .dslparser import ParseError, SourceSpan, parse_policy, parse_system, print
 from .enabling import (
     BoolExpr,
     Dnf,
-    EventExpr,
     enabling_function,
     enabling_functions,
     enabling_sets,
     evaluate,
     event_expr,
-    is_enabling_set,
     tokenize,
 )
 from .policy import (
@@ -76,8 +77,6 @@ from .sysmodel import (
     Link,
     LocAcc,
     Location,
-    MobilityEdge,
-    MobilityGraph,
     ModelError,
     OperationVariant,
     PhyAcc,
@@ -87,7 +86,6 @@ from .sysmodel import (
     User,
     Zone,
     external_zone,
-    mobility_graph,
     network_path,
     root_device,
     validate,

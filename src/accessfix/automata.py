@@ -60,15 +60,6 @@ class ExtendedEvent(NamedTuple):
         return f"({self.operation},{self.object},{self.credential or 'ε'})"
 
 
-class PhyLabel(NamedTuple):
-    """Physical-access marker used to synchronise the two factor automata."""
-
-    inner: ExtendedEvent
-
-    def __str__(self) -> str:
-        return f"phy:{self.inner}"
-
-
 class Session(NamedTuple):
     device: str
     groups: frozenset[str]
@@ -178,7 +169,7 @@ def _session_for_account(model: SystemModel, device_id: str, account: str) -> Se
 
 def _precondition_holds(model, dev, pre, zone, sessions) -> bool:
     if isinstance(pre, PhyAcc):
-        return zone is None or zone == dev.location.zone
+        return zone == dev.location.zone
     if isinstance(pre, LocAcc):
         return any(s.device == pre.device and pre.group in s.groups for s in sessions)
     if isinstance(pre, RemAcc):
@@ -255,120 +246,6 @@ def build_user_automaton(model: SystemModel, user: User | str) -> Automaton:
     return _reachability_automaton(model, user.initial_zone, frozenset(user.credentials))
 
 
-def build_movement_automaton(model: SystemModel) -> Automaton:
-    """Zone dynamics: door transitions plus physical-access markers.
-
-    Each phy_acc operation variant appears as a `phy:`-marked self-loop in
-    the zone hosting the device, so composing with the access automaton
-    gates those operations on being in the right room.
-    """
-    _require_valid(model)
-    start = external_zone(model)
-    edges = []
-    for rule in sorted(model.doors, key=lambda r: (r.door, r.src, r.dst)):
-        for cred in _cred_alternatives(rule.required, None):
-            edges.append((rule.src, ExtendedEvent("enter", rule.dst, cred), rule.dst))
-    for dev in sorted(model.devices.values(), key=lambda d: d.id):
-        if dev.switch:
-            continue
-        for op_name in sorted(dev.operations):
-            for variant in dev.operations[op_name]:
-                if not isinstance(variant.precondition, PhyAcc):
-                    continue
-                zone = dev.location.zone
-                for cred in _cred_alternatives(variant.required, None):
-                    label = PhyLabel(ExtendedEvent(op_name, dev.id, cred))
-                    edges.append((zone, label, zone))
-    return Automaton.from_edges(start, edges)
-
-
-def build_access_automaton(model: SystemModel) -> Automaton:
-    """Resource-access dynamics with location ignored.
-
-    States are session sets.  phy_acc variants are unconditionally enabled
-    here but carry the `phy:` marker so that the movement automaton decides
-    when they may actually fire.
-    """
-    _require_valid(model)
-    devices = sorted(
-        (d for d in model.devices.values() if not d.switch), key=lambda d: d.id
-    )
-    start: frozenset[Session] = frozenset()
-    table: dict[frozenset, dict] = {}
-    queue = deque([start])
-    while queue:
-        sessions = queue.popleft()
-        if sessions in table:
-            continue
-        row: dict = {}
-        table[sessions] = row
-        for dev in devices:
-            for op_name in sorted(dev.operations):
-                for variant in dev.operations[op_name]:
-                    physical = isinstance(variant.precondition, PhyAcc)
-                    if not physical and not _precondition_holds(
-                        model, dev, variant.precondition, None, sessions
-                    ):
-                        continue
-                    if variant.effect is None:
-                        target = sessions
-                    else:
-                        session = _session_for_account(model, variant.effect.device, variant.effect.account)
-                        target = sessions | {session}
-                    for cred in _cred_alternatives(variant.required, None):
-                        event = ExtendedEvent(op_name, dev.id, cred)
-                        label = PhyLabel(event) if physical else event
-                        if label in row and row[label] != target:
-                            raise ModelError(f"ambiguous transition {label}")
-                        row[label] = target
-                        if target not in table:
-                            queue.append(target)
-    return Automaton(start, table)
-
-
-def strip_phy(label):
-    return label.inner if isinstance(label, PhyLabel) else label
-
-
-def parallel_compose(a: Automaton, b: Automaton) -> Automaton:
-    """Synchronous product: shared labels synchronise, private ones interleave.
-
-    `phy:` markers synchronise like any other label and are stripped from
-    the result, so the composed automaton speaks plain events only.
-    """
-    shared = a.alphabet & b.alphabet
-    start = (a.initial, b.initial)
-    table: dict = {}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        if pair in table:
-            continue
-        row: dict = {}
-        table[pair] = row
-        qa, qb = pair
-
-        def add(label, target):
-            if label in row and row[label] != target:
-                raise ValueError(f"composition is ambiguous on {label}")
-            row[label] = target
-            if target not in table:
-                queue.append(target)
-
-        for ea in sorted(a.successors(qa), key=str):
-            ta = a.successors(qa)[ea]
-            if ea in shared:
-                tb = b.successors(qb).get(ea)
-                if tb is not None:
-                    add(strip_phy(ea), (ta, tb))
-            else:
-                add(strip_phy(ea), (ta, qb))
-        for eb in sorted(b.successors(qb), key=str):
-            if eb not in shared:
-                add(strip_phy(eb), (qa, b.successors(qb)[eb]))
-    return Automaton(start, table)
-
-
 def reachable_reduced_events(a: Automaton) -> frozenset[ReducedEvent]:
     """Labels of all transitions, with the credential dropped."""
     return frozenset(event.reduced() for event in a.alphabet)
@@ -377,8 +254,6 @@ def reachable_reduced_events(a: Automaton) -> frozenset[ReducedEvent]:
 def _state_label(state) -> str:
     if hasattr(state, "label"):
         return state.label()
-    if isinstance(state, frozenset):
-        return "{" + " ".join(sorted(str(x) for x in state)) + "}"
     return str(state)
 
 
@@ -387,7 +262,6 @@ def _dot_quote(text: str) -> str:
 
 
 def _edge_label(event) -> str:
-    event = strip_phy(event)
     if isinstance(event, ExtendedEvent):
         return f"({event.operation},{event.object})[{event.credential or 'ε'}]"
     return str(event)

@@ -167,9 +167,11 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_repair(config: RunConfig) -> int:
     model = _load_system(config)
     policy = _load_policy(config)
-    report = analysis.verify(model, policy)
+    # One enabling computation per start zone serves the verdict and the repairs.
+    sets, by_zone = analysis.prepare(model, policy)
+    report = analysis.anomalies(model, sets, by_zone)
     eligibility = _resolve_eligibility(config.eligibility)
-    results = repair_mod.repair_all(model, policy, eligibility, config.cap)
+    results = repair_mod.repair_users(model, sets, by_zone, eligibility, config.cap)
 
     anomalous_users = {t[0] for t in report.missing | report.forbidden}
     ok = all(results[uid].solutions for uid in anomalous_users if uid in results)

@@ -94,7 +94,6 @@ class Dnf:
 
 # Over credentials and over events the algebra is the same.
 BoolExpr = Dnf
-EventExpr = Dnf
 
 
 def evaluate(expr: BoolExpr, credentials: Iterable[str]) -> bool:
@@ -134,47 +133,7 @@ def enabling_sets(a: Automaton, e) -> frozenset[TokenSet]:
     return _minimal_sets(collected)
 
 
-def _some_run_with_tokens(a: Automaton, tokens: frozenset, e) -> bool:
-    """Whether an e-free run using exactly `tokens` reaches a state enabling e."""
-    start = (a.initial, frozenset())
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        state, used = queue.popleft()
-        if used == tokens and e in a.successors(state):
-            return True
-        for event, target in a.successors(state).items():
-            if event == e or event not in tokens:
-                continue
-            nxt = (target, used | {event})
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
-
-
-def is_enabling_set(a: Automaton, v: TokenSet, e) -> bool:
-    """Direct check of the definition: a witnessing run exists for `v` and
-    for no proper subset of it."""
-    v = frozenset(v)
-    if e in v:
-        raise ValueError("the target event may not occur in its own enabling set")
-    if not _some_run_with_tokens(a, v, e):
-        return False
-    stack = [v - {x} for x in v]
-    checked = set()
-    while stack:
-        w = stack.pop()
-        if w in checked:
-            continue
-        checked.add(w)
-        if _some_run_with_tokens(a, w, e):
-            return False
-        stack.extend(w - {x} for x in w)
-    return True
-
-
-def event_expr(a: Automaton, e) -> EventExpr:
+def event_expr(a: Automaton, e) -> Dnf:
     """Sum over enabling sets of the product of their events."""
     return Dnf(frozenset(enabling_sets(a, e)))
 

@@ -6,6 +6,10 @@ Negation only ever appears at this top level over monotone operands, so the
 CNF encoding stays small.  A built-in DPLL procedure enumerates all models
 over the eligible credentials via blocking clauses; every solution is
 re-verified through the user-automaton route before being returned.
+
+`repair_all` reads the enabling functions from `analysis.enabling_by_zone`,
+computed once per start zone and shared by every user starting there; the
+command line shares the same map with the verdict.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
+from .analysis import ZoneFunctions, enabling_by_zone
 from .automata import (
     ReducedEvent,
     build_user_automaton,
@@ -88,11 +93,11 @@ class RepairResult(NamedTuple):
 
 
 def build_constraint(
-    automaton, sets: SpecSets, user: User, eligible: Iterable[str]
+    functions: dict[ReducedEvent, BoolExpr], sets: SpecSets, user: User, eligible: Iterable[str]
 ) -> RepairConstraint:
+    """The user's constraint over the enabling functions of their start zone."""
     eligible = frozenset(eligible)
     plus, minus = user_spec_sets(sets, user.id)
-    functions = enabling_functions(automaton)
     conjuncts = []
     for perm in sorted(plus):
         event = ReducedEvent(*perm)
@@ -247,29 +252,17 @@ def _unsat_core(constraint: RepairConstraint) -> tuple[Triple, ...]:
     )
 
 
-def repair_user(
+def _repair(
     model: SystemModel,
-    policy: PolicySpec,
+    sets: SpecSets,
+    functions: dict[ReducedEvent, BoolExpr],
     user_id: str,
-    eligibility="all",
-    cap: int = 100,
-    *,
-    _sets: SpecSets | None = None,
-    _automaton=None,
+    eligibility,
+    cap: int,
 ) -> RepairResult:
-    """All credential assignments making the user policy-conformant.
-
-    Solutions are ranked smallest first (least privilege), then by distance
-    from the user's current credentials, then lexicographically.
-    """
-    _require_valid(model)
-    sets = _sets if _sets is not None else spec_sets(policy)
     user = model.users[user_id]
-    automaton = _automaton if _automaton is not None else _reachability_automaton(
-        model, user.initial_zone, None
-    )
     eligible = _resolve_eligible(model, user, eligibility)
-    constraint = build_constraint(automaton, sets, user, eligible)
+    constraint = build_constraint(functions, sets, user, eligible)
     result = solve_all(to_cnf(constraint), eligible, cap)
     if not result.assignments:
         return RepairResult((), result.truncated, _unsat_core(constraint))
@@ -291,19 +284,34 @@ def repair_user(
     return RepairResult(tuple(solutions), result.truncated, ())
 
 
+def repair_user(
+    model: SystemModel, policy: PolicySpec, user_id: str, eligibility="all", cap: int = 100
+) -> RepairResult:
+    """All credential assignments making the user policy-conformant.
+
+    Solutions are ranked smallest first (least privilege), then by distance
+    from the user's current credentials, then lexicographically.
+    """
+    _require_valid(model)
+    sets = spec_sets(policy)
+    zone = model.users[user_id].initial_zone
+    functions = enabling_functions(_reachability_automaton(model, zone, None))
+    return _repair(model, sets, functions, user_id, eligibility, cap)
+
+
+def repair_users(
+    model: SystemModel, sets: SpecSets, by_zone: ZoneFunctions, eligibility, cap: int
+) -> dict[str, RepairResult]:
+    """Independent per-user repair over precomputed enabling functions."""
+    return {
+        uid: _repair(model, sets, by_zone[model.users[uid].initial_zone], uid, eligibility, cap)
+        for uid in sorted(model.users)
+    }
+
+
 def repair_all(
     model: SystemModel, policy: PolicySpec, eligibility="all", cap: int = 100
 ) -> dict[str, RepairResult]:
     """Independent per-user repair for every user of the model."""
-    _require_valid(model)
-    sets = spec_sets(policy)
-    automata = {}
-    out = {}
-    for user_id in sorted(model.users):
-        zone = model.users[user_id].initial_zone
-        if zone not in automata:
-            automata[zone] = _reachability_automaton(model, zone, None)
-        out[user_id] = repair_user(
-            model, policy, user_id, eligibility, cap, _sets=sets, _automaton=automata[zone]
-        )
-    return out
+    by_zone = enabling_by_zone(model)
+    return repair_users(model, spec_sets(policy), by_zone, eligibility, cap)

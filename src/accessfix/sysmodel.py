@@ -350,27 +350,3 @@ def network_path(model: SystemModel, src: str, dst: str, protocol: str, port: in
                 visited.add(neighbor)
                 queue.append(neighbor)
     return False
-
-
-@dataclass(frozen=True)
-class MobilityEdge:
-    door: str
-    src: str
-    dst: str
-    required: frozenset[str]
-
-
-@dataclass(frozen=True)
-class MobilityGraph:
-    zones: frozenset[str]
-    edges: frozenset[MobilityEdge]
-
-
-def mobility_graph(model: SystemModel) -> MobilityGraph:
-    """Zone graph with one credential-labelled directed edge per door rule."""
-    return MobilityGraph(
-        zones=frozenset(model.zones),
-        edges=frozenset(
-            MobilityEdge(r.door, r.src, r.dst, r.required) for r in model.doors
-        ),
-    )

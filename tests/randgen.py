@@ -131,17 +131,35 @@ def random_model(rng: random.Random) -> SystemModel:
     )
 
 
-def random_policy(rng: random.Random) -> PolicySpec:
-    operations = ["run", "admin", "stop"]
-    objects = ["x0", "x1", "x2"]
-    perms = [Permission(op, ob) for op in operations for ob in objects]
+def model_actions(model: SystemModel) -> list[Permission]:
+    """Every (operation, object) action the model defines, sorted."""
+    actions = {Permission("enter", r.dst) for r in model.doors}
+    for dev in model.devices.values():
+        if not dev.switch:
+            actions.update(Permission(op, dev.id) for op in dev.operations)
+    return sorted(actions)
+
+
+def random_policy(rng: random.Random, model: SystemModel) -> PolicySpec:
+    """A consistent policy over the model's own users and actions.
+
+    The actions, plus now and then one the model does not define, are split
+    into an allow pool and a deny pool, so no hierarchy can make a user both
+    allowed and denied the same action.
+    """
+    actions = model_actions(model)
+    if rng.random() < 0.3:
+        actions.append(Permission("fly", f"x{rng.randint(0, 2)}"))
+    rng.shuffle(actions)
+    cut = rng.randint(0, len(actions))
+    allow_pool, deny_pool = actions[:cut], actions[cut:]
     roles = {}
     role_ids = [f"r{i}" for i in range(rng.randint(0, 3))]
     for rid in role_ids:
-        allowed = _subset(rng, perms, 3)
-        denied = _subset(rng, [p for p in perms if p not in allowed], 3)
-        members = _subset(rng, [f"u{i}" for i in range(3)], 2)
-        roles[rid] = Role(rid, frozenset(allowed), frozenset(denied), frozenset(members))
+        allowed = _subset(rng, allow_pool, 3)
+        denied = _subset(rng, deny_pool, 3)
+        members = _subset(rng, model.users, 2)
+        roles[rid] = Role(rid, allowed, denied, members)
     hierarchy = set()
     for i, lo in enumerate(role_ids):
         for hi in role_ids[i + 1 :]:

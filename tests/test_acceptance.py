@@ -116,15 +116,24 @@ def test_criterion_7_strategy_agreement_all_subsets(plant, plant_functions):
     with criterion(7, "automaton and enabling strategies agree on all 256 credential subsets"):
         for subset in powerset(UNIVERSE):
             model = plant.with_user_credentials("Tom", subset)
-            assert implementation_set(model, "Tom", "automaton") == implementation_set(
-                model, "Tom", "enabling", functions=plant_functions
-            ), subset
+            reachable = reachable_reduced_events(build_user_automaton(model, "Tom"))
+            by_automaton = frozenset(("Tom", r.operation, r.object) for r in reachable)
+            by_functions = frozenset(
+                ("Tom", r.operation, r.object)
+                for r, expr in plant_functions.items()
+                if expr.evaluate(subset)
+            )
+            assert by_automaton == by_functions, subset
+        assert implementation_set(plant, "Tom").triples == frozenset(
+            ("Tom", r.operation, r.object)
+            for r in reachable_reduced_events(build_user_automaton(plant, "Tom"))
+        )
 
 
-def test_criterion_8_repair_soundness_and_completeness(plant, plant_automaton):
+def test_criterion_8_repair_soundness_and_completeness(plant, plant_functions):
     with criterion(8, "solver equals subset enumeration and re-verifies on 50 random policies"):
         tom = plant.users["Tom"]
-        reduced = sorted({e.reduced() for e in plant_automaton.alphabet})
+        reduced = sorted(plant_functions)
         rng = random.Random(2024)
         accepted = 0
         while accepted < 50:
@@ -137,7 +146,7 @@ def test_criterion_8_repair_soundness_and_completeness(plant, plant_automaton):
                 s_plus=frozenset(("Tom", e.operation, e.object) for e in plus),
                 s_minus=frozenset(("Tom", e.operation, e.object) for e in minus),
             )
-            constraint = build_constraint(plant_automaton, sets, tom, UNIVERSE)
+            constraint = build_constraint(plant_functions, sets, tom, UNIVERSE)
             expected = {c for c in powerset(UNIVERSE) if constraint.satisfied_by(c)}
             result = solve_all(to_cnf(constraint), sorted(UNIVERSE), cap=300)
             got = {frozenset(v for v, val in m.items() if val) for m in result.assignments}
@@ -161,7 +170,7 @@ def test_criterion_9_parser_round_trips(plant, plant_policy):
             text = print_system(model)
             assert parse_system(text) == model, seed
             assert print_system(parse_system(text)) == text, seed
-            policy = random_policy(random.Random(seed))
+            policy = random_policy(random.Random(seed), model)
             ptext = print_policy(policy)
             assert parse_policy(ptext) == policy, seed
             assert print_policy(parse_policy(ptext)) == ptext, seed

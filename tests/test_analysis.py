@@ -1,15 +1,15 @@
 import random
 
-import pytest
-
 from accessfix import (
     ImplementationSet,
     PolicySpec,
     Role,
     Permission,
     SpecSets,
+    build_user_automaton,
     diff,
     implementation_set,
+    reachable_reduced_events,
     spec_sets,
     verify,
 )
@@ -41,20 +41,16 @@ def test_credential_less_user_reaches_nothing(plant):
     assert implementation_set(stripped, "Tom").triples == frozenset()
 
 
-def test_strategies_agree_on_samples(plant, plant_functions):
+def test_strategies_agree_on_samples(plant):
+    # the user-automaton route is the oracle for the enabling-function route
     rng = random.Random(5)
     creds = sorted(UNIVERSE)
     for _ in range(16):
         subset = frozenset(rng.sample(creds, rng.randint(0, 8)))
         model = plant.with_user_credentials("Amy", subset)
-        by_automaton = implementation_set(model, "Amy", "automaton")
-        by_functions = implementation_set(model, "Amy", "enabling", functions=plant_functions)
-        assert by_automaton == by_functions
-
-
-def test_unknown_strategy_rejected(plant):
-    with pytest.raises(ValueError):
-        implementation_set(plant, "Tom", "guesswork")
+        reachable = reachable_reduced_events(build_user_automaton(model, "Amy"))
+        by_automaton = frozenset(("Amy", r.operation, r.object) for r in reachable)
+        assert implementation_set(model, "Amy").triples == by_automaton
 
 
 def test_diff_sets(plant, plant_policy):

@@ -8,17 +8,19 @@ from accessfix import (
     ReducedEvent,
     SystemModel,
     Zone,
-    build_access_automaton,
-    build_movement_automaton,
     build_super_automaton,
     build_user_automaton,
     enabling_functions,
-    parallel_compose,
     reachable_reduced_events,
     to_dot,
 )
 from conftest import ALL_REDUCED, UNIVERSE
-from oracles import same_language
+from oracles import (
+    build_access_automaton,
+    build_movement_automaton,
+    parallel_compose,
+    same_language,
+)
 
 
 def test_super_automaton_reduced_labels(plant, plant_automaton):

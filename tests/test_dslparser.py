@@ -126,7 +126,8 @@ def test_random_model_round_trip(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_random_policy_round_trip(seed):
-    policy = random_policy(random.Random(1000 + seed))
+    rng = random.Random(1000 + seed)
+    policy = random_policy(rng, random_model(rng))
     text = print_policy(policy)
     assert parse_policy(text) == policy
     assert print_policy(parse_policy(text)) == text

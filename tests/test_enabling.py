@@ -10,12 +10,17 @@ from accessfix import (
     enabling_sets,
     evaluate,
     event_expr,
-    is_enabling_set,
     reachable_reduced_events,
     tokenize,
 )
 from conftest import C_AMY, C_TOM, UNIVERSE
-from oracles import PLANT_FORMULAS, brute_force_enabling_sets, expand_factored, powerset
+from oracles import (
+    PLANT_FORMULAS,
+    brute_force_enabling_sets,
+    expand_factored,
+    is_enabling_set,
+    powerset,
+)
 from randgen import random_automaton
 
 

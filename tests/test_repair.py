@@ -20,9 +20,9 @@ from conftest import AMY_FIX, AMY_FIX_MIN, C_TOM, TOM_FIX_LARGE, TOM_FIX_SMALL, 
 from oracles import powerset
 
 
-def test_tom_constraint_truth_table(plant, plant_automaton, plant_policy):
+def test_tom_constraint_truth_table(plant, plant_functions, plant_policy):
     sets = spec_sets(plant_policy)
-    constraint = build_constraint(plant_automaton, sets, plant.users["Tom"], C_TOM)
+    constraint = build_constraint(plant_functions, sets, plant.users["Tom"], C_TOM)
     models = {creds for creds in powerset(C_TOM) if constraint.satisfied_by(creds)}
     assert models == {TOM_FIX_SMALL, TOM_FIX_LARGE}
     for creds in models:
@@ -30,28 +30,28 @@ def test_tom_constraint_truth_table(plant, plant_automaton, plant_policy):
         assert "c_PLCusr" not in creds
 
 
-def test_constraint_without_requirements_is_trivially_true(plant, plant_automaton):
-    constraint = build_constraint(plant_automaton, SpecSets(), plant.users["Tom"], C_TOM)
+def test_constraint_without_requirements_is_trivially_true(plant, plant_functions):
+    constraint = build_constraint(plant_functions, SpecSets(), plant.users["Tom"], C_TOM)
     assert constraint.satisfied_by(frozenset())
     assert constraint.satisfied_by(C_TOM)
 
 
-def test_constraint_with_impossible_requirement_is_unsat(plant, plant_automaton):
+def test_constraint_with_impossible_requirement_is_unsat(plant, plant_functions):
     sets = SpecSets(s_plus=frozenset({("Tom", "fly", "PLC")}))
-    constraint = build_constraint(plant_automaton, sets, plant.users["Tom"], UNIVERSE)
+    constraint = build_constraint(plant_functions, sets, plant.users["Tom"], UNIVERSE)
     assert not any(constraint.satisfied_by(creds) for creds in powerset(UNIVERSE))
 
 
-def test_to_cnf_trivial_cases(plant, plant_automaton):
-    constraint = build_constraint(plant_automaton, SpecSets(), plant.users["Tom"], C_TOM)
+def test_to_cnf_trivial_cases(plant, plant_functions):
+    constraint = build_constraint(plant_functions, SpecSets(), plant.users["Tom"], C_TOM)
     assert to_cnf(constraint).clauses == ()
 
 
-def test_to_cnf_single_negation(plant, plant_automaton, plant_policy):
+def test_to_cnf_single_negation(plant, plant_functions, plant_policy):
     # denying one action encodes as exactly one all-negative clause per minterm
     sets = SpecSets(s_minus=frozenset({("Tom", "enter", "B")}))
     constraint = build_constraint(
-        plant_automaton, sets, plant.users["Tom"], frozenset({"K_OA", "K_AB"})
+        plant_functions, sets, plant.users["Tom"], frozenset({"K_OA", "K_AB"})
     )
     cnf = to_cnf(constraint)
     assert cnf.clauses == ((("K_AB", False), ("K_OA", False)),)
@@ -60,9 +60,9 @@ def test_to_cnf_single_negation(plant, plant_automaton, plant_policy):
     assert {"K_AB": True, "K_OA": True} not in models.assignments
 
 
-def test_tom_cnf_has_two_projected_models(plant, plant_automaton, plant_policy):
+def test_tom_cnf_has_two_projected_models(plant, plant_functions, plant_policy):
     sets = spec_sets(plant_policy)
-    constraint = build_constraint(plant_automaton, sets, plant.users["Tom"], C_TOM)
+    constraint = build_constraint(plant_functions, sets, plant.users["Tom"], C_TOM)
     result = solve_all(to_cnf(constraint), sorted(C_TOM), cap=50)
     assert len(result.assignments) == 2
     assert not result.truncated
@@ -179,9 +179,9 @@ def test_minimal_flag_matches_brute_force(plant, plant_policy):
         assert sol.minimal == (not proper_subsets_solving)
 
 
-def test_randomized_solver_equals_brute_force(plant, plant_automaton, plant_policy):
+def test_randomized_solver_equals_brute_force(plant, plant_functions, plant_policy):
     tom = plant.users["Tom"]
-    reduced = sorted({e.reduced() for e in plant_automaton.alphabet})
+    reduced = sorted(plant_functions)
     rng = random.Random(99)
     done = 0
     while done < 15:
@@ -194,7 +194,7 @@ def test_randomized_solver_equals_brute_force(plant, plant_automaton, plant_poli
             s_plus=frozenset(("Tom", e.operation, e.object) for e in plus),
             s_minus=frozenset(("Tom", e.operation, e.object) for e in minus),
         )
-        constraint = build_constraint(plant_automaton, sets, tom, UNIVERSE)
+        constraint = build_constraint(plant_functions, sets, tom, UNIVERSE)
         expected = {c for c in powerset(UNIVERSE) if constraint.satisfied_by(c)}
         result = solve_all(to_cnf(constraint), sorted(UNIVERSE), cap=300)
         got = {

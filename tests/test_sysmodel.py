@@ -5,9 +5,7 @@ import pytest
 
 from accessfix import (
     DoorRule,
-    SystemModel,
     Zone,
-    mobility_graph,
     network_path,
     parse_system,
     validate,
@@ -83,29 +81,6 @@ def test_network_path_needs_switch_in_the_middle(plant):
     devices["SW"] = replace(devices["SW"], switch=False)
     blocked = replace(plant, devices=devices)
     assert not network_path(blocked, "PC", "PLC", "tcp", 22)
-
-
-def test_mobility_graph_of_the_plant(plant):
-    graph = mobility_graph(plant)
-    assert graph.zones == frozenset("OAB")
-    labelled = {(e.src, e.dst): e.required for e in graph.edges}
-    assert labelled[("O", "A")] == frozenset({"K_OA"})
-    assert labelled[("A", "O")] == frozenset()
-    assert labelled[("A", "B")] == labelled[("B", "A")] == frozenset({"K_AB"})
-    assert len(graph.edges) == len(plant.doors)
-
-
-def test_mobility_graph_trivial_cases():
-    no_doors = SystemModel(zones={"z": Zone("z", external=True)})
-    assert mobility_graph(no_doors).edges == frozenset()
-
-    two = SystemModel(
-        zones={"a": Zone("a", external=True), "b": Zone("b")},
-        doors=frozenset({DoorRule("d", "a", "b"), DoorRule("d", "b", "a")}),
-    )
-    graph = mobility_graph(two)
-    assert len(graph.edges) == 2
-    assert all(e.required == frozenset() for e in graph.edges)
 
 
 def test_random_models_validate_deterministically():
