@@ -167,7 +167,7 @@ def _session_for_account(model: SystemModel, device_id: str, account: str) -> Se
     return Session(device_id, groups)
 
 
-def _precondition_holds(model, dev, pre, zone, sessions) -> bool:
+def _precondition_holds(model, dev, pre, zone, sessions, connected) -> bool:
     if isinstance(pre, PhyAcc):
         return zone == dev.location.zone
     if isinstance(pre, LocAcc):
@@ -175,7 +175,7 @@ def _precondition_holds(model, dev, pre, zone, sessions) -> bool:
     if isinstance(pre, RemAcc):
         target = root_device(model, dev.id).id
         return any(
-            network_path(model, root_device(model, s.device).id, target, pre.protocol, pre.port)
+            connected(root_device(model, s.device).id, target, pre.protocol, pre.port)
             for s in sessions
         )
     raise TypeError(f"unknown precondition {pre!r}")
@@ -192,6 +192,14 @@ def _reachability_automaton(model: SystemModel, initial_zone: str, creds: frozen
     devices = sorted(
         (d for d in model.devices.values() if not d.switch), key=lambda d: d.id
     )
+    paths: dict[tuple, bool] = {}
+
+    def connected(*key) -> bool:
+        # The link graph is fixed, so one build asks each question once.
+        if key not in paths:
+            paths[key] = network_path(model, *key)
+        return paths[key]
+
     start = SuperState(initial_zone, frozenset())
     table: dict[SuperState, dict[ExtendedEvent, SuperState]] = {}
     queue = deque([start])
@@ -218,7 +226,9 @@ def _reachability_automaton(model: SystemModel, initial_zone: str, creds: frozen
         for dev in devices:
             for op_name in sorted(dev.operations):
                 for variant in dev.operations[op_name]:
-                    if not _precondition_holds(model, dev, variant.precondition, state.zone, state.sessions):
+                    if not _precondition_holds(
+                        model, dev, variant.precondition, state.zone, state.sessions, connected
+                    ):
                         continue
                     if variant.effect is None:
                         target = state

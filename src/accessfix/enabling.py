@@ -6,6 +6,12 @@ e can fire.  Summing over enabling sets and multiplying credentials inside
 each yields a monotone DNF over credential variables: the enabling function
 of the credential-free event.  Evaluating it on a user's credential set
 tells whether the user can ever perform the action.
+
+`enabling_sets` and `event_expr` are that event-level definition.  The
+enabling functions come from one forward pass instead, which keeps for each
+state the minimal credential sets of the runs reaching it.  That is exact:
+a run reaching a state where e is enabled has a prefix avoiding e that also
+ends where e is enabled, and its credentials are a subset of the run's.
 """
 
 from __future__ import annotations
@@ -138,25 +144,58 @@ def event_expr(a: Automaton, e) -> Dnf:
     return Dnf(frozenset(enabling_sets(a, e)))
 
 
-def enabling_function(a: Automaton, reduced: ReducedEvent) -> BoolExpr:
-    """Credential formula for a reduced event.
-
-    Epsilon contributes nothing to a product, so an action feasible with no
-    credentials at all yields the constant true.
-    """
-    reduced = ReducedEvent(*reduced)
-    minterms = set()
-    for event in a.alphabet:
-        if event.reduced() != reduced:
-            continue
-        own = frozenset() if event.credential == EPSILON else frozenset([event.credential])
-        for v in enabling_sets(a, event):
-            creds = frozenset(x.credential for x in v if x.credential != EPSILON)
-            minterms.add(creds | own)
-    return Dnf(frozenset(minterms))
+def _absorb(antichain: set[int], creds: int) -> bool:
+    """Add a credential bitmask to an antichain of minimal bitmasks, unless
+    it or a subset of it is there already; report whether it was added."""
+    if creds in antichain:
+        return False
+    for kept in antichain:
+        if kept & creds == kept:
+            return False
+    antichain.difference_update([kept for kept in antichain if kept & creds == creds])
+    antichain.add(creds)
+    return True
 
 
 def enabling_functions(a: Automaton) -> dict[ReducedEvent, BoolExpr]:
-    """Enabling function of every reduced event in the alphabet, sorted."""
-    reduced = sorted({event.reduced() for event in a.alphabet})
-    return {r: enabling_function(a, r) for r in reduced}
+    """Enabling function of every reduced event in the alphabet, sorted.
+
+    A minterm is the credentials of a run reaching a state where an extended
+    event is enabled, plus that event's own credential; epsilon contributes
+    nothing, so an action feasible with no credentials is the constant true.
+    Credential sets are bitmasks over the sorted credentials of the alphabet.
+    """
+    credentials = sorted({event.credential for event in a.alphabet} - {EPSILON})
+    bit = {c: 1 << i for i, c in enumerate(credentials)}
+    own = {event: bit.get(event.credential, 0) for event in a.alphabet}
+
+    # Per state, the minimal credential sets of the runs reaching it.
+    reach: dict = {state: set() for state in a.states}
+    reach[a.initial].add(0)
+    queue = deque([(a.initial, 0)])
+    while queue:
+        state, creds = queue.popleft()
+        if creds not in reach[state]:  # absorbed since being queued
+            continue
+        for event, target in a.successors(state).items():
+            grown = creds | own[event]
+            if _absorb(reach[target], grown):
+                queue.append((target, grown))
+
+    minterms: dict[ReducedEvent, set[int]] = {}
+    for state in a.states:
+        for event in a.successors(state):
+            antichain = minterms.setdefault(event.reduced(), set())
+            for creds in reach[state]:
+                _absorb(antichain, creds | own[event])
+    return {
+        r: Dnf(frozenset(
+            frozenset(c for c in credentials if bit[c] & creds) for creds in minterms[r]
+        ))
+        for r in sorted(minterms)
+    }
+
+
+def enabling_function(a: Automaton, reduced: ReducedEvent) -> BoolExpr:
+    """Credential formula for a reduced event: false when no transition has it."""
+    return enabling_functions(a).get(ReducedEvent(*reduced), Dnf.false())

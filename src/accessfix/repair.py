@@ -20,7 +20,6 @@ from typing import Iterable, NamedTuple
 from .analysis import ZoneFunctions, enabling_by_zone
 from .automata import (
     ReducedEvent,
-    build_user_automaton,
     reachable_reduced_events,
     _reachability_automaton,
     _require_valid,
@@ -226,9 +225,15 @@ def _resolve_eligible(model: SystemModel, user: User, eligibility) -> frozenset[
 
 
 def _sound_for_user(model: SystemModel, user_id: str, credentials: frozenset[str], sets: SpecSets) -> bool:
-    """Independent re-check through the user-automaton route."""
-    candidate = model.with_user_credentials(user_id, credentials)
-    reachable = reachable_reduced_events(build_user_automaton(candidate, user_id))
+    """Independent re-check through the user-automaton route.
+
+    The model is validated already and the candidate differs from it only in
+    the user's credentials, so those need only be credentials of the model.
+    """
+    if not credentials <= model.credentials:
+        return False
+    zone = model.users[user_id].initial_zone
+    reachable = reachable_reduced_events(_reachability_automaton(model, zone, credentials))
     plus, minus = user_spec_sets(sets, user_id)
     return all(ReducedEvent(*p) in reachable for p in plus) and not any(
         ReducedEvent(*p) in reachable for p in minus

@@ -8,6 +8,11 @@ The all-credential automaton also has a second construction here, the
 paper's product route: a movement automaton over zones composed with a
 location-blind access automaton over session sets.  The library builds it
 directly; the tests hold the two constructions to the same language.
+
+The enabling functions have a second derivation here too: composed from the
+paper's per-event enabling sets (`enabling_sets`, which the tests hold to
+the brute-force definition), where the library reads them off one forward
+pass over credential sets.
 """
 
 from collections import deque
@@ -17,12 +22,14 @@ from typing import NamedTuple
 from accessfix import (
     EPSILON,
     Automaton,
+    Dnf,
     ExtendedEvent,
     LocAcc,
     ModelError,
     PhyAcc,
     RemAcc,
     Session,
+    enabling_sets,
     external_zone,
     network_path,
     root_device,
@@ -76,6 +83,19 @@ def is_enabling_set(automaton, tokens, event) -> bool:
         for k in range(len(tokens))
         for subset in combinations(tokens, k)
     )
+
+
+def enabling_functions_from_sets(automaton) -> dict:
+    """Enabling functions from the event-level definition: for each extended
+    event, the credentials of each enabling set plus the event's own
+    credential, summed per reduced event."""
+    minterms: dict = {}
+    for event in automaton.alphabet:
+        own = frozenset([event.credential]) - {EPSILON}
+        for tokens in enabling_sets(automaton, event):
+            creds = frozenset(x.credential for x in tokens) - {EPSILON}
+            minterms.setdefault(event.reduced(), set()).add(creds | own)
+    return {r: Dnf(frozenset(minterms[r])) for r in sorted(minterms)}
 
 
 def same_language(a, b) -> bool:

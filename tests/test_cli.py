@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import accessfix
 from accessfix.cli import main
 from conftest import FIXTURES
 
@@ -188,3 +195,22 @@ def test_semantically_broken_model_exits_3(tmp_path, capsys):
     bad.write_text("zone A;\n")  # no external zone
     code, _, err = run(capsys, "verify", "--system", str(bad), "--policy", POLICY)
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "command", [["enabling"], ["verify", "--policy", POLICY]], ids=["enabling", "verify"]
+)
+def test_output_does_not_depend_on_the_hash_seed(command):
+    src = str(Path(accessfix.__file__).resolve().parent.parent)
+    results = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "accessfix.cli", *command, "--system", PLANT, "--format", "json"],
+            capture_output=True, env=env, timeout=60,
+        )
+        results.add((done.returncode, done.stdout))
+    assert len(results) == 1
+    code, out = results.pop()
+    assert code in (0, 1) and json.loads(out)

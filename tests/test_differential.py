@@ -19,6 +19,7 @@ from accessfix import (
     ReducedEvent,
     build_super_automaton,
     build_user_automaton,
+    enabling_functions,
     implementation_set,
     reachable_reduced_events,
     repair_all,
@@ -26,7 +27,14 @@ from accessfix import (
     validate,
     verify,
 )
-from oracles import build_access_automaton, build_movement_automaton, parallel_compose, same_language
+from accessfix.automata import _reachability_automaton
+from oracles import (
+    build_access_automaton,
+    build_movement_automaton,
+    enabling_functions_from_sets,
+    parallel_compose,
+    same_language,
+)
 from randgen import random_model, random_policy
 
 SEEDS = range(300)
@@ -124,3 +132,22 @@ def test_routes_agree_on_random_models():
     assert counts["ambiguous on both routes"] >= 1
     assert counts["ambiguous from a start zone"] >= 1
     assert counts["missing"] and counts["forbidden"] and counts["dangling"]
+
+
+def test_enabling_functions_equal_the_event_level_definition(plant_automaton):
+    """The forward pass against the functions composed from `enabling_sets`,
+    on every start zone of every random model `validate` accepts."""
+    automata = [("plant", plant_automaton)]
+    for seed in SEEDS:
+        model = random_model(random.Random(seed))
+        if any(d.severity == "error" for d in validate(model)):
+            continue
+        for zone in sorted(model.zones):
+            automaton = _outcome(lambda: _reachability_automaton(model, zone, None))
+            if not isinstance(automaton, ModelError):
+                automata.append((f"randgen seed {seed}, zone {zone}", automaton))
+    for where, automaton in automata:
+        functions = enabling_functions(automaton)
+        assert functions == enabling_functions_from_sets(automaton), where
+        assert list(functions) == sorted(functions), where
+    assert len(automata) >= 500

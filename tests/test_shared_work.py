@@ -1,7 +1,8 @@
 """Work counts of one command-line call.
 
 Verification and repair share one enabling computation per distinct start
-zone of the model's users, and a verify call validates the model once.
+zone of the model's users, a verify or repair call validates the model once,
+and an automaton build asks for each network path once.
 """
 
 import sys
@@ -42,16 +43,16 @@ def case(request, tmp_path):
     return str(ins), str(rbac), ["A", "O"]
 
 
-def _count(monkeypatch, name) -> list:
-    """Record the first argument of every call of `name`, wherever a module
-    of the package looks it up."""
+def _count(monkeypatch, name, record=lambda args: args[0]) -> list:
+    """Record `record(args)` for every call of `name`, wherever a module of
+    the package looks it up."""
     calls = []
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("accessfix.") and callable(getattr(module, name, None)):
             original = getattr(module, name)
 
             def counted(*args, _original=original, **kwargs):
-                calls.append(args[0])
+                calls.append(record(args))
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
@@ -67,9 +68,20 @@ def test_one_enabling_computation_per_start_zone(monkeypatch, capsys, case, comm
     assert sorted(automaton.initial.zone for automaton in calls) == zones
 
 
-def test_verify_validates_the_model_once(monkeypatch, capsys, case):
+@pytest.mark.parametrize("command", ["verify", "repair"])
+def test_one_call_validates_the_model_once(monkeypatch, capsys, case, command):
     system, policy, _ = case
     calls = _count(monkeypatch, "validate")
-    code = main(["verify", "--system", system, "--policy", policy])
+    code = main([command, "--system", system, "--policy", policy])
     assert code in (0, 1), capsys.readouterr().err
     assert len(calls) == 1
+
+
+def test_one_build_asks_each_network_path_once(monkeypatch, capsys):
+    builds = _count(monkeypatch, "_reachability_automaton")
+    paths = _count(monkeypatch, "network_path", lambda args: args[1:])
+    code = main(["verify", "--system", str(FIXTURES / "plant.ins"),
+                 "--policy", str(FIXTURES / "plant.rbac")])
+    assert code == 1, capsys.readouterr().err
+    assert len(builds) == 1
+    assert paths and len(paths) == len(set(paths))
