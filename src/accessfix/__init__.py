@@ -58,16 +58,12 @@ from .policy import (
     validate_policy,
 )
 from .repair import (
-    CnfFormula,
     RepairConstraint,
     RepairResult,
     RepairSolution,
-    SolveResult,
     build_constraint,
     repair_all,
     repair_user,
-    solve_all,
-    to_cnf,
 )
 from .sysmodel import (
     BecomesAccount,

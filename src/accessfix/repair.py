@@ -2,10 +2,22 @@
 
 For each user the constraint conjoins the enabling function of every allowed
 action and the negation of the enabling function of every denied action.
-Negation only ever appears at this top level over monotone operands, so the
-CNF encoding stays small.  A built-in DPLL procedure enumerates all models
-over the eligible credentials via blocking clauses; every solution is
-re-verified through the user-automaton route before being returned.
+The allowed conjuncts are monotone and the denied ones antitone, so the
+search reads the repairs off that structure, keeping credential sets as
+bitmasks over the sorted eligible pool:
+
+* the minimal repairs are the antichain product of the allowed conjuncts'
+  minterms that lie inside the pool, less every set covering a minterm of a
+  denied conjunct;
+* a repair of size k+1 is either minimal or a repair of size k plus one
+  credential, and a set covering a denied minterm is pruned together with
+  all its supersets, so one walk up by size reaches every repair.
+
+Each size level is sorted by distance from the user's current credentials,
+then by name, and the walk stops once `cap` repairs are listed.  The list is
+therefore in rank order, and a capped list is the best prefix of the full
+one.  Every reported solution is re-verified through the user-automaton
+route before being returned.
 
 `repair_all` reads the enabling functions from `analysis.enabling_by_zone`,
 computed once per start zone and shared by every user starting there; the
@@ -14,6 +26,7 @@ command line shares the same map with the verdict.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
@@ -24,11 +37,9 @@ from .automata import (
     _reachability_automaton,
     _require_valid,
 )
-from .enabling import BoolExpr, Dnf, enabling_functions
+from .enabling import BoolExpr, Dnf, _absorb, enabling_functions
 from .policy import PolicySpec, SpecSets, Triple, spec_sets, user_spec_sets
 from .sysmodel import SystemModel, User
-
-Lit = tuple[str, bool]
 
 ELIGIBILITY_MODES = ("current", "all")
 
@@ -44,38 +55,18 @@ class Conjunct:
 class RepairConstraint:
     """Per-user satisfiability problem over credential variables.
 
-    Variables outside `eligible` are fixed to false before solving, which
-    keeps repairs inside the allowed credential pool (e.g. nobody may be
-    granted another person's password).
+    Credentials outside `eligible` are false in every repair, which keeps
+    repairs inside the allowed credential pool (e.g. nobody may be granted
+    another person's password).
     """
 
     user: str
     conjuncts: tuple[Conjunct, ...]
     eligible: frozenset[str]
-    frozen_false: frozenset[str]
 
     def satisfied_by(self, credentials: Iterable[str]) -> bool:
         creds = frozenset(credentials)
         return all(c.expr.evaluate(creds) != c.negated for c in self.conjuncts)
-
-
-@dataclass(frozen=True)
-class CnfFormula:
-    """Clauses over credential variables plus selector auxiliaries."""
-
-    clauses: tuple[tuple[Lit, ...], ...]
-    credential_vars: tuple[str, ...]
-
-    def variables(self) -> tuple[str, ...]:
-        seen = set(self.credential_vars)
-        for clause in self.clauses:
-            seen.update(var for var, _ in clause)
-        return tuple(sorted(seen))
-
-
-class SolveResult(NamedTuple):
-    assignments: tuple[dict, ...]
-    truncated: bool
 
 
 @dataclass(frozen=True)
@@ -95,7 +86,6 @@ def build_constraint(
     functions: dict[ReducedEvent, BoolExpr], sets: SpecSets, user: User, eligible: Iterable[str]
 ) -> RepairConstraint:
     """The user's constraint over the enabling functions of their start zone."""
-    eligible = frozenset(eligible)
     plus, minus = user_spec_sets(sets, user.id)
     conjuncts = []
     for perm in sorted(plus):
@@ -104,110 +94,68 @@ def build_constraint(
     for perm in sorted(minus):
         event = ReducedEvent(*perm)
         conjuncts.append(Conjunct(event, functions.get(event, Dnf.false()), True))
-    mentioned = frozenset(x for c in conjuncts for x in c.expr.variables())
-    return RepairConstraint(
-        user=user.id,
-        conjuncts=tuple(conjuncts),
-        eligible=eligible,
-        frozen_false=mentioned - eligible,
-    )
+    return RepairConstraint(user=user.id, conjuncts=tuple(conjuncts), eligible=frozenset(eligible))
 
 
-def _substitute_false(expr: BoolExpr, frozen: frozenset[str]) -> BoolExpr:
-    return Dnf(frozenset(m for m in expr.minterms if not m & frozen))
+def _pool_bits(pool: frozenset[str]) -> dict[str, int]:
+    """One bit per pool credential.  The first name in sorted order gets the
+    highest bit, so of two sets of one size the one first by name is the
+    larger bitmask."""
+    names = sorted(pool)
+    return {c: 1 << (len(names) - 1 - i) for i, c in enumerate(names)}
 
 
-def to_cnf(constraint: RepairConstraint) -> CnfFormula:
-    """Equisatisfiable clauses whose models, projected onto the credential
-    variables, are exactly the models of the constraint."""
-    clauses: list[tuple[Lit, ...]] = []
-    for i, conjunct in enumerate(constraint.conjuncts):
-        expr = _substitute_false(conjunct.expr, constraint.frozen_false)
-        minterms = sorted(tuple(sorted(m)) for m in expr.minterms)
-        if conjunct.negated:
-            # ¬(m1 + m2 + ...) distributes to one clause per minterm.
-            for m in minterms:
-                clauses.append(tuple((var, False) for var in m))
-        else:
-            if not minterms:
-                clauses.append(())  # constant false
-            elif () in minterms:
-                continue  # constant true
-            elif len(minterms) == 1:
-                clauses.extend(((var, True),) for var in minterms[0])
-            else:
-                selectors = [f"|{i}.{j}" for j in range(len(minterms))]
-                clauses.append(tuple((s, True) for s in selectors))
-                for s, m in zip(selectors, minterms):
-                    clauses.extend(((s, False), (var, True)) for var in m)
-    return CnfFormula(tuple(clauses), tuple(sorted(constraint.eligible)))
+def _masks(expr: BoolExpr, bit: dict[str, int]) -> list[int]:
+    """The minterms of `expr` that lie inside the pool, as bitmasks."""
+    return [sum(bit[c] for c in m) for m in expr.minterms if all(c in bit for c in m)]
 
 
-def _unit_propagate(clauses, assign):
-    assign = dict(assign)
-    changed = True
-    while changed:
-        changed = False
-        for clause in clauses:
-            unassigned = []
-            satisfied = False
-            for var, positive in clause:
-                if var in assign:
-                    if assign[var] == positive:
-                        satisfied = True
-                        break
-                else:
-                    unassigned.append((var, positive))
-            if satisfied:
-                continue
-            if not unassigned:
-                return None
-            if len(unassigned) == 1:
-                var, positive = unassigned[0]
-                assign[var] = positive
-                changed = True
-    return assign
+def _covers_any(creds: int, minterms: list[int]) -> bool:
+    return any(m & creds == m for m in minterms)
 
 
-def _dpll(clauses, order, assign):
-    assign = _unit_propagate(clauses, assign)
-    if assign is None:
-        return None
-    var = next((v for v in order if v not in assign), None)
-    if var is None:
-        return assign
-    for value in (False, True):
-        result = _dpll(clauses, order, {**assign, var: value})
-        if result is not None:
-            return result
-    return None
+def _minimal_repairs(constraint: RepairConstraint, bit: dict[str, int]) -> tuple[set[int], list[int]]:
+    """The minimal repairs, empty when the constraint is unsatisfiable within
+    the pool, and the denied minterms inside the pool."""
+    denied = [m for c in constraint.conjuncts if c.negated for m in _masks(c.expr, bit)]
+    minimal = {0}
+    for conjunct in constraint.conjuncts:
+        if not conjunct.negated:
+            product: set[int] = set()
+            for m in _masks(conjunct.expr, bit):
+                for s in minimal:
+                    _absorb(product, s | m)
+            minimal = product
+    return {s for s in minimal if not _covers_any(s, denied)}, denied
 
 
-def solve_all(cnf: CnfFormula, projection: Iterable[str], cap: int) -> SolveResult:
-    """Enumerate models projected onto `projection` via blocking clauses.
+def _ranked(
+    minimal: set[int], denied: list[int], width: int, current: int, cap: int
+) -> tuple[list[int], bool]:
+    """The first `cap` repairs in rank order, and whether another exists.
 
-    The enumeration is complete up to `cap`; the flag reports whether more
-    models exist beyond it.
+    Rank is size, then distance from `current`, then name.  `minimal` must
+    not be empty.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least one")
-    projection = tuple(sorted(projection))
-    order = tuple(sorted(set(cnf.variables()) | set(projection)))
-    clauses = list(cnf.clauses)
-    found: list[dict] = []
-    truncated = False
-    while True:
-        model = _dpll(clauses, order, {})
-        if model is None:
-            break
-        if len(found) == cap:
-            truncated = True
-            break
-        assignment = {var: model[var] for var in projection}
-        found.append(assignment)
-        clauses.append(tuple((var, not value) for var, value in sorted(assignment.items())))
-    found.sort(key=lambda m: tuple(m[var] for var in projection))
-    return SolveResult(tuple(found), truncated)
+    by_size: dict[int, set[int]] = defaultdict(set)
+    for s in minimal:
+        by_size[s.bit_count()].add(s)
+    singles = [1 << i for i in range(width)]
+    size, largest = min(by_size), max(by_size)
+    level: set[int] = set()
+    ranked: list[int] = []
+    while level or size <= largest:
+        level |= by_size.get(size, set())
+        for s in sorted(level, key=lambda s: ((s ^ current).bit_count(), -s)):
+            if len(ranked) == cap:
+                return ranked, True
+            ranked.append(s)
+        level = {
+            s | b for s in level for b in singles
+            if not s & b and not _covers_any(s | b, denied)
+        }
+        size += 1
+    return ranked, False
 
 
 def _resolve_eligible(model: SystemModel, user: User, eligibility) -> frozenset[str]:
@@ -240,17 +188,12 @@ def _sound_for_user(model: SystemModel, user_id: str, credentials: frozenset[str
     )
 
 
-def _unsat_core(constraint: RepairConstraint) -> tuple[Triple, ...]:
+def _unsat_core(constraint: RepairConstraint, bit: dict[str, int]) -> tuple[Triple, ...]:
     """Deletion-based minimal subset of conjuncts that is already unsatisfiable."""
-
-    def unsat(conjuncts) -> bool:
-        sub = replace(constraint, conjuncts=tuple(conjuncts))
-        return not solve_all(to_cnf(sub), sub.eligible, 1).assignments
-
     core = list(constraint.conjuncts)
     for conjunct in list(core):
         rest = [c for c in core if c is not conjunct]
-        if unsat(rest):
+        if not _minimal_repairs(replace(constraint, conjuncts=tuple(rest)), bit)[0]:
             core = rest
     return tuple(
         sorted((constraint.user, c.event.operation, c.event.object) for c in core)
@@ -267,35 +210,35 @@ def _repair(
 ) -> RepairResult:
     user = model.users[user_id]
     eligible = _resolve_eligible(model, user, eligibility)
+    if cap < 1:
+        raise ValueError("cap must be at least one")
     constraint = build_constraint(functions, sets, user, eligible)
-    result = solve_all(to_cnf(constraint), eligible, cap)
-    if not result.assignments:
-        return RepairResult((), result.truncated, _unsat_core(constraint))
+    bit = _pool_bits(eligible)
+    minimal, denied = _minimal_repairs(constraint, bit)
+    if not minimal:
+        return RepairResult((), False, _unsat_core(constraint, bit))
 
+    current = sum(bit[c] for c in user.credentials if c in bit)
+    ranked, truncated = _ranked(minimal, denied, len(bit), current, cap)
     solutions = []
-    for assignment in result.assignments:
-        creds = frozenset(var for var, value in assignment.items() if value)
+    for mask in ranked:
+        creds = frozenset(c for c, b in bit.items() if mask & b)
         if not _sound_for_user(model, user_id, creds, sets):
             raise RuntimeError(
-                f"solver returned an unsound repair for {user_id}: {sorted(creds)}"
+                f"search returned an unsound repair for {user_id}: {sorted(creds)}"
             )
-        # The negated conjuncts stay satisfied on any subset (monotone
-        # operands), so subset minimality reduces to single removals.
-        minimal = all(not constraint.satisfied_by(creds - {c}) for c in creds)
-        solutions.append(
-            RepairSolution(creds, minimal, len(creds ^ user.credentials))
-        )
-    solutions.sort(key=lambda s: (len(s.credentials), s.distance, tuple(sorted(s.credentials))))
-    return RepairResult(tuple(solutions), result.truncated, ())
+        solutions.append(RepairSolution(creds, mask in minimal, len(creds ^ user.credentials)))
+    return RepairResult(tuple(solutions), truncated, ())
 
 
 def repair_user(
     model: SystemModel, policy: PolicySpec, user_id: str, eligibility="all", cap: int = 100
 ) -> RepairResult:
-    """All credential assignments making the user policy-conformant.
+    """The first `cap` credential assignments making the user policy-conformant.
 
     Solutions are ranked smallest first (least privilege), then by distance
-    from the user's current credentials, then lexicographically.
+    from the user's current credentials, then lexicographically; a capped
+    list is the best prefix of the full one.
     """
     _require_valid(model)
     sets = spec_sets(policy)

@@ -13,9 +13,14 @@ The enabling functions have a second derivation here too: composed from the
 paper's per-event enabling sets (`enabling_sets`, which the tests hold to
 the brute-force definition), where the library reads them off one forward
 pass over credential sets.
+
+Repair has a second route here as well: the constraint encoded as CNF and
+its models enumerated by DPLL with blocking clauses (`to_cnf`, `solve_all`),
+plus a ranking by brute force over the pool's powerset.
 """
 
 from collections import deque
+from dataclasses import dataclass, replace
 from itertools import chain, combinations, product
 from typing import NamedTuple
 
@@ -306,3 +311,156 @@ def powerset(items):
         frozenset(c)
         for c in chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
     )
+
+
+# The clause route of repair.  The library reads repairs off the constraint's
+# monotone structure instead; the tests hold the two to the same solutions
+# and the same unsatisfiable cores.
+
+Lit = tuple[str, bool]
+
+
+@dataclass(frozen=True)
+class CnfFormula:
+    """Clauses over credential variables plus selector auxiliaries."""
+
+    clauses: tuple[tuple[Lit, ...], ...]
+    credential_vars: tuple[str, ...]
+
+    def variables(self) -> tuple[str, ...]:
+        seen = set(self.credential_vars)
+        for clause in self.clauses:
+            seen.update(var for var, _ in clause)
+        return tuple(sorted(seen))
+
+
+class SolveResult(NamedTuple):
+    assignments: tuple[dict, ...]
+    truncated: bool
+
+
+def to_cnf(constraint) -> CnfFormula:
+    """Equisatisfiable clauses whose models, projected onto the credential
+    variables, are exactly the models of the constraint within its pool."""
+    mentioned = frozenset(x for c in constraint.conjuncts for x in c.expr.variables())
+    frozen = mentioned - constraint.eligible  # fixed to false
+    clauses: list[tuple[Lit, ...]] = []
+    for i, conjunct in enumerate(constraint.conjuncts):
+        minterms = sorted(tuple(sorted(m)) for m in conjunct.expr.minterms if not m & frozen)
+        if conjunct.negated:
+            # ¬(m1 + m2 + ...) distributes to one clause per minterm.
+            for m in minterms:
+                clauses.append(tuple((var, False) for var in m))
+        else:
+            if not minterms:
+                clauses.append(())  # constant false
+            elif () in minterms:
+                continue  # constant true
+            elif len(minterms) == 1:
+                clauses.extend(((var, True),) for var in minterms[0])
+            else:
+                selectors = [f"|{i}.{j}" for j in range(len(minterms))]
+                clauses.append(tuple((s, True) for s in selectors))
+                for s, m in zip(selectors, minterms):
+                    clauses.extend(((s, False), (var, True)) for var in m)
+    return CnfFormula(tuple(clauses), tuple(sorted(constraint.eligible)))
+
+
+def _unit_propagate(clauses, assign):
+    assign = dict(assign)
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            unassigned = []
+            satisfied = False
+            for var, positive in clause:
+                if var in assign:
+                    if assign[var] == positive:
+                        satisfied = True
+                        break
+                else:
+                    unassigned.append((var, positive))
+            if satisfied:
+                continue
+            if not unassigned:
+                return None
+            if len(unassigned) == 1:
+                var, positive = unassigned[0]
+                assign[var] = positive
+                changed = True
+    return assign
+
+
+def _dpll(clauses, order, assign):
+    assign = _unit_propagate(clauses, assign)
+    if assign is None:
+        return None
+    var = next((v for v in order if v not in assign), None)
+    if var is None:
+        return assign
+    for value in (False, True):
+        result = _dpll(clauses, order, {**assign, var: value})
+        if result is not None:
+            return result
+    return None
+
+
+def solve_all(cnf: CnfFormula, projection, cap: int) -> SolveResult:
+    """Enumerate models projected onto `projection` via blocking clauses.
+
+    The enumeration is complete up to `cap`; the flag reports whether more
+    models exist beyond it.
+    """
+    if cap < 1:
+        raise ValueError("cap must be at least one")
+    projection = tuple(sorted(projection))
+    order = tuple(sorted(set(cnf.variables()) | set(projection)))
+    clauses = list(cnf.clauses)
+    found: list[dict] = []
+    truncated = False
+    while True:
+        model = _dpll(clauses, order, {})
+        if model is None:
+            break
+        if len(found) == cap:
+            truncated = True
+            break
+        assignment = {var: model[var] for var in projection}
+        found.append(assignment)
+        clauses.append(tuple((var, not value) for var, value in sorted(assignment.items())))
+    found.sort(key=lambda m: tuple(m[var] for var in projection))
+    return SolveResult(tuple(found), truncated)
+
+
+def dpll_models(constraint) -> frozenset:
+    """Every credential set the clause route finds for the constraint."""
+    cnf = to_cnf(constraint)
+    result = solve_all(cnf, constraint.eligible, 2 ** len(constraint.eligible))
+    return frozenset(
+        frozenset(var for var, value in m.items() if value) for m in result.assignments
+    )
+
+
+def dpll_unsat_core(constraint) -> tuple:
+    """Deletion-based minimal unsatisfiable subset of conjuncts, each subset
+    tested for satisfiability by DPLL."""
+
+    def unsat(conjuncts) -> bool:
+        sub = replace(constraint, conjuncts=tuple(conjuncts))
+        return not solve_all(to_cnf(sub), sub.eligible, 1).assignments
+
+    core = list(constraint.conjuncts)
+    for conjunct in list(core):
+        rest = [c for c in core if c is not conjunct]
+        if unsat(rest):
+            core = rest
+    return tuple(sorted((constraint.user, c.event.operation, c.event.object) for c in core))
+
+
+def brute_force_repairs(constraint, current) -> list:
+    """(credentials, minimal) of every subset of the pool that satisfies the
+    constraint, ranked by size, distance from `current`, then names."""
+    found = [c for c in powerset(constraint.eligible) if constraint.satisfied_by(c)]
+    found.sort(key=lambda c: (len(c), len(c ^ current), tuple(sorted(c))))
+    return [(c, not any(other < c for other in found)) for c in found]

@@ -22,8 +22,6 @@ from accessfix import (
     print_system,
     reachable_reduced_events,
     repair_user,
-    solve_all,
-    to_cnf,
     tokenize,
     verify,
     SpecSets,
@@ -35,7 +33,14 @@ from conftest import (
     UNIVERSE,
     make_toy_automaton,
 )
-from oracles import PLANT_FORMULAS, brute_force_enabling_sets, expand_factored, powerset
+from oracles import (
+    PLANT_FORMULAS,
+    brute_force_enabling_sets,
+    expand_factored,
+    powerset,
+    solve_all,
+    to_cnf,
+)
 from randgen import random_automaton, random_model, random_policy
 
 

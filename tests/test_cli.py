@@ -150,6 +150,25 @@ def test_repair_rejects_bad_eligibility(capsys):
     assert "eligibility" in err
 
 
+def test_repair_cap_zero_is_an_error(capsys):
+    code, _, err = run(capsys, "repair", "--system", PLANT, "--policy", POLICY, "--cap", "0")
+    assert code == 3
+    assert "cap must be at least one" in err
+
+
+def test_repair_cap_one_lists_the_best_repair(capsys):
+    code, out, _ = run(
+        capsys, "repair", "--system", PLANT, "--policy", POLICY,
+        "--eligibility", "all", "--cap", "1",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    amy = lines.index("user Amy: 1 solution(s) (truncated)")
+    assert lines[amy + 1] == (
+        "  [1] {K_AB, K_OA, c_IGSadm, c_IGSusr, c_MBSLadm, c_PLCusr}  distance=3 minimal=yes"
+    )
+
+
 def test_automaton_dot_output(tmp_path, capsys):
     out_path = tmp_path / "plant.dot"
     code, _, _ = run(
@@ -198,7 +217,13 @@ def test_semantically_broken_model_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command", [["enabling"], ["verify", "--policy", POLICY]], ids=["enabling", "verify"]
+    "command",
+    [
+        ["enabling"],
+        ["verify", "--policy", POLICY],
+        ["repair", "--policy", POLICY, "--eligibility", "all", "--cap", "3"],
+    ],
+    ids=["enabling", "verify", "repair"],
 )
 def test_output_does_not_depend_on_the_hash_seed(command):
     src = str(Path(accessfix.__file__).resolve().parent.parent)

@@ -3,10 +3,12 @@
 Every model `validate` accepts goes through every route the library and the
 oracles offer, and the routes must agree exactly: the direct all-credential
 automaton against the product route, the enabling-function implementation
-sets against the users' own automata, and `verify` against a report built
-from those automata.  Models on which an automaton is ambiguous (two variants
-of one operation with one label but different sessions, a known fault) are
-kept: every route must then reject them with the same `ModelError`.
+sets against the users' own automata, `verify` against a report built
+from those automata, and the ranked repairs against a brute force over the
+credential pool and against the DPLL route.  Models on which an automaton
+is ambiguous (two variants of one operation with one label but different
+sessions, a known fault) are kept: every route must then reject them with
+the same `ModelError`.
 """
 
 import random
@@ -17,8 +19,10 @@ import pytest
 from accessfix import (
     ModelError,
     ReducedEvent,
+    build_constraint,
     build_super_automaton,
     build_user_automaton,
+    enabling_by_zone,
     enabling_functions,
     implementation_set,
     reachable_reduced_events,
@@ -28,9 +32,13 @@ from accessfix import (
     verify,
 )
 from accessfix.automata import _reachability_automaton
+from accessfix.repair import repair_users
 from oracles import (
+    brute_force_repairs,
     build_access_automaton,
     build_movement_automaton,
+    dpll_models,
+    dpll_unsat_core,
     enabling_functions_from_sets,
     parallel_compose,
     same_language,
@@ -151,3 +159,42 @@ def test_enabling_functions_equal_the_event_level_definition(plant_automaton):
         assert functions == enabling_functions_from_sets(automaton), where
         assert list(functions) == sorted(functions), where
     assert len(automata) >= 500
+
+
+def test_repair_equals_brute_force_and_the_clause_route():
+    """Every user's full repair list against the pool's powerset ranked by
+    (size, distance, names), its set against the DPLL route's models, a list
+    capped at 3 against the full one's prefix, and the blocking triples
+    against the core the DPLL route's satisfiability test yields."""
+    counts = Counter()
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        model = random_model(rng)
+        if any(d.severity == "error" for d in validate(model)):
+            continue
+        policy = random_policy(rng, model)
+        by_zone = _outcome(lambda: enabling_by_zone(model))
+        if isinstance(by_zone, ModelError):
+            continue
+        sets = spec_sets(policy)
+        for eligibility in ("all", "current"):
+            full = repair_users(model, sets, by_zone, eligibility, 2 ** len(model.credentials))
+            capped = repair_users(model, sets, by_zone, eligibility, 3)
+            for uid, user in sorted(model.users.items()):
+                where = f"randgen seed {seed}, user {uid}, eligibility {eligibility}"
+                pool = model.credentials if eligibility == "all" else user.credentials
+                constraint = build_constraint(by_zone[user.initial_zone], sets, user, pool)
+                ranked = [(s.credentials, s.minimal) for s in full[uid].solutions]
+                assert ranked == brute_force_repairs(constraint, user.credentials), where
+                assert not full[uid].truncated, where
+                assert {creds for creds, _ in ranked} == dpll_models(constraint), where
+                assert capped[uid].solutions == full[uid].solutions[:3], where
+                assert capped[uid].truncated == (len(ranked) > 3), where
+                if ranked:
+                    assert full[uid].blocking == (), where
+                else:
+                    assert full[uid].blocking == dpll_unsat_core(constraint), where
+                counts["unsatisfiable" if not ranked else
+                       "truncated at 3" if capped[uid].truncated else "complete at 3"] += 1
+    print(dict(counts))
+    assert counts["unsatisfiable"] and counts["truncated at 3"] and counts["complete at 3"]

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from accessfix import (
-    CnfFormula,
     Permission,
     PolicySpec,
     Role,
@@ -11,13 +10,11 @@ from accessfix import (
     build_constraint,
     repair_all,
     repair_user,
-    solve_all,
     spec_sets,
-    to_cnf,
     verify,
 )
 from conftest import AMY_FIX, AMY_FIX_MIN, C_TOM, TOM_FIX_LARGE, TOM_FIX_SMALL, UNIVERSE
-from oracles import powerset
+from oracles import CnfFormula, powerset, solve_all, to_cnf
 
 
 def test_tom_constraint_truth_table(plant, plant_functions, plant_policy):
@@ -101,6 +98,16 @@ def test_repair_amy_all_credentials(plant, plant_policy):
     for sol in result.solutions:
         if sol.minimal:
             assert mandatory <= sol.credentials
+
+
+def test_capped_list_is_the_best_prefix(plant, plant_policy):
+    for uid in sorted(plant.users):
+        full = repair_user(plant, plant_policy, uid, eligibility="all", cap=2 ** len(UNIVERSE))
+        assert not full.truncated
+        for k in range(1, len(full.solutions) + 1):
+            capped = repair_user(plant, plant_policy, uid, eligibility="all", cap=k)
+            assert capped.solutions == full.solutions[:k], (uid, k)
+            assert capped.truncated == (k < len(full.solutions)), (uid, k)
 
 
 def test_repair_solutions_reverify(plant, plant_policy):
