@@ -5,8 +5,12 @@ The pipeline is parse -> validate -> verify -> repair:
 * `sysmodel` holds the concrete system (rooms, doors, devices, links, users);
 * `policy` holds the RBAC specification and flattens it to allowed/denied
   action triples;
-* `automata` builds credential-labelled reachability automata;
-* `enabling` turns them into monotone credential formulas per action;
+* `facts` compiles the system into single-premise rules over zone, session
+  and network-class facts and saturates them into one monotone credential
+  formula per action, its enabling function;
+* `enabling` holds those formulas and the forward pass that computes them;
+* `automata` builds the paper's credential-labelled reachability automata,
+  which repair uses to re-check each solution independently;
 * `analysis` compares specification against implementation;
 * `repair` searches credential assignments that remove every anomaly;
 * `dslparser` and `cli` provide the textual formats and command line.
@@ -33,16 +37,8 @@ from .automata import (
     to_dot,
 )
 from .dslparser import ParseError, SourceSpan, parse_policy, parse_system, print_policy, print_system
-from .enabling import (
-    BoolExpr,
-    Dnf,
-    enabling_function,
-    enabling_functions,
-    enabling_sets,
-    evaluate,
-    event_expr,
-    tokenize,
-)
+from .enabling import BoolExpr, Dnf, enabling_functions, evaluate
+from .facts import compile_rules, may_be_ambiguous, saturate, zone_functions
 from .policy import (
     Permission,
     PolicyError,
@@ -82,6 +78,7 @@ from .sysmodel import (
     User,
     Zone,
     external_zone,
+    lan_classes,
     network_path,
     root_device,
     validate,

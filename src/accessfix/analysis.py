@@ -1,11 +1,12 @@
 """Policy implementation verification.
 
-Verification and repair both read the enabling functions of the
-all-credential automaton.  `enabling_by_zone` validates the model once and
-computes those functions once per distinct start zone of its users; `verify`,
-the repair search and the command line all read that one map.  A user's
-implemented actions are the events whose function holds under the user's
-credentials.
+Verification and repair both read the enabling functions of a user who
+holds every credential.  `enabling_by_zone` validates the model once and
+computes those functions once per distinct start zone of its users, by
+saturating the model's fact rules (`facts`) rather than building the
+reachability automaton; `verify`, the repair search and the command line
+all read that one map.  A user's implemented actions are the events whose
+function holds under the user's credentials.
 
 `missing` are allowed actions the system does not enable, `forbidden` are
 denied actions the system enables anyway.  A policy triple whose action no
@@ -18,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import ReducedEvent, _reachability_automaton, _require_valid
-from .enabling import BoolExpr, enabling_functions
+from .automata import ReducedEvent, _require_valid
+from .enabling import BoolExpr
+from .facts import ZoneFunctions, zone_functions
 from .policy import PolicyError, PolicySpec, SpecSets, Triple, spec_sets, validate_policy
 from .sysmodel import SystemModel, User
-
-ZoneFunctions = dict[str, dict[ReducedEvent, BoolExpr]]
 
 
 @dataclass(frozen=True)
@@ -44,19 +44,12 @@ class AnomalyReport:
         return "correct" if not self.missing and not self.forbidden else "anomalous"
 
 
-def _zone_functions(model: SystemModel, zone: str) -> dict[ReducedEvent, BoolExpr]:
-    return enabling_functions(_reachability_automaton(model, zone, None))
-
-
 def enabling_by_zone(model: SystemModel) -> ZoneFunctions:
     """Validate the model once, then map each distinct start zone of its
-    users to the enabling functions of that zone's all-credential automaton."""
+    users, in user order, to the enabling functions from that zone."""
     _require_valid(model)
-    by_zone: ZoneFunctions = {}
-    for user in sorted(model.users.values(), key=lambda u: u.id):
-        if user.initial_zone not in by_zone:
-            by_zone[user.initial_zone] = _zone_functions(model, user.initial_zone)
-    return by_zone
+    zones = dict.fromkeys(u.initial_zone for u in sorted(model.users.values(), key=lambda u: u.id))
+    return zone_functions(model, list(zones))
 
 
 def _implemented(user: User, functions: dict[ReducedEvent, BoolExpr]) -> frozenset[Triple]:
@@ -73,7 +66,8 @@ def implementation_set(model: SystemModel, user: User | str) -> ImplementationSe
     _require_valid(model)
     if isinstance(user, str):
         user = model.users[user]
-    return ImplementationSet(_implemented(user, _zone_functions(model, user.initial_zone)))
+    functions = zone_functions(model, [user.initial_zone])[user.initial_zone]
+    return ImplementationSet(_implemented(user, functions))
 
 
 def diff(spec: SpecSets, impl: ImplementationSet) -> AnomalyReport:

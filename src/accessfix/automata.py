@@ -32,7 +32,7 @@ from .sysmodel import (
     SystemModel,
     User,
     external_zone,
-    network_path,
+    lan_classes,
     root_device,
     validate,
 )
@@ -167,15 +167,15 @@ def _session_for_account(model: SystemModel, device_id: str, account: str) -> Se
     return Session(device_id, groups)
 
 
-def _precondition_holds(model, dev, pre, zone, sessions, connected) -> bool:
+def _precondition_holds(model, dev, pre, zone, sessions, classes) -> bool:
     if isinstance(pre, PhyAcc):
         return zone == dev.location.zone
     if isinstance(pre, LocAcc):
         return any(s.device == pre.device and pre.group in s.groups for s in sessions)
     if isinstance(pre, RemAcc):
-        target = root_device(model, dev.id).id
+        target = classes.get(root_device(model, dev.id).id, frozenset())
         return any(
-            connected(root_device(model, s.device).id, target, pre.protocol, pre.port)
+            not target.isdisjoint(classes.get(root_device(model, s.device).id, ()))
             for s in sessions
         )
     raise TypeError(f"unknown precondition {pre!r}")
@@ -192,13 +192,7 @@ def _reachability_automaton(model: SystemModel, initial_zone: str, creds: frozen
     devices = sorted(
         (d for d in model.devices.values() if not d.switch), key=lambda d: d.id
     )
-    paths: dict[tuple, bool] = {}
-
-    def connected(*key) -> bool:
-        # The link graph is fixed, so one build asks each question once.
-        if key not in paths:
-            paths[key] = network_path(model, *key)
-        return paths[key]
+    classes = lan_classes(model)  # the link graph is fixed, so once per build
 
     start = SuperState(initial_zone, frozenset())
     table: dict[SuperState, dict[ExtendedEvent, SuperState]] = {}
@@ -227,7 +221,7 @@ def _reachability_automaton(model: SystemModel, initial_zone: str, creds: frozen
             for op_name in sorted(dev.operations):
                 for variant in dev.operations[op_name]:
                     if not _precondition_holds(
-                        model, dev, variant.precondition, state.zone, state.sessions, connected
+                        model, dev, variant.precondition, state.zone, state.sessions, classes
                     ):
                         continue
                     if variant.effect is None:

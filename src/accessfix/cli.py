@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import analysis, repair as repair_mod
-from .automata import build_super_automaton, to_dot
+from .automata import _require_valid, build_super_automaton, to_dot
 from .dslparser import ParseError, parse_policy, parse_system
-from .enabling import enabling_functions
+from .facts import zone_functions
 from .policy import PolicyError, PolicyInconsistent, spec_sets, validate_policy
-from .sysmodel import ModelError, validate
+from .sysmodel import ModelError, external_zone, validate
 
 EXIT_OK = 0
 EXIT_ANOMALOUS = 1
@@ -214,7 +214,9 @@ def cmd_automaton(config: RunConfig) -> int:
 
 def cmd_enabling(config: RunConfig) -> int:
     model = _load_system(config)
-    functions = enabling_functions(build_super_automaton(model))
+    _require_valid(model)
+    zone = external_zone(model)
+    functions = zone_functions(model, [zone])[zone]
     if config.fmt == "json":
         payload = {"functions": {str(ev): str(expr) for ev, expr in functions.items()}}
         _emit(config, _dump_json(payload))

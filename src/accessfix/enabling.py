@@ -1,33 +1,30 @@
-"""Enabling analysis: which prior events, and hence credentials, unlock an action.
+"""Enabling functions: which credentials unlock an action.
 
-An enabling set for event e is a minimal set of events V such that some run
-avoiding e, whose events are exactly V, puts the automaton in a state where
-e can fire.  Summing over enabling sets and multiplying credentials inside
-each yields a monotone DNF over credential variables: the enabling function
-of the credential-free event.  Evaluating it on a user's credential set
-tells whether the user can ever perform the action.
+The enabling function of an action is a monotone DNF over credential
+variables whose minterms are the minimal credential sets under which some
+run reaches a point where the action can fire, the action's own credential
+included.  Evaluating it on a user's credential set tells whether the user
+can ever perform the action.
 
-`enabling_sets` and `event_expr` are that event-level definition.  The
-enabling functions come from one forward pass instead, which keeps for each
-state the minimal credential sets of the runs reaching it.  That is exact:
-a run reaching a state where e is enabled has a prefix avoiding e that also
-ends where e is enabled, and its credentials are a subset of the run's.
+`_propagate` reads the functions off any graph whose edges carry
+credentials, in one forward pass that keeps for each node the minimal
+credential sets of the paths reaching it.  The library runs it over a
+model's fact rules (`facts`).  `enabling_functions` runs it over a
+reachability automaton, the paper's construction; it stays public for
+cross-checks and for the benchmark's per-stage figures.  On an automaton
+the pass is exact: a run reaching a state where e is enabled has a prefix
+avoiding e that also ends where e is enabled, and its credentials are a
+subset of the run's.  The paper's per-event enabling sets, from which the
+tests derive the same functions, live with the test oracles.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable
 
 from .automata import EPSILON, Automaton, ReducedEvent
-
-TokenSet = frozenset
-
-
-def tokenize(events: Iterable) -> TokenSet:
-    """Distinct events occurring in the sequence (order and multiplicity erased)."""
-    return frozenset(events)
 
 
 def _minimal_sets(sets: Iterable[frozenset]) -> frozenset[frozenset]:
@@ -107,43 +104,6 @@ def evaluate(expr: BoolExpr, credentials: Iterable[str]) -> bool:
     return expr.evaluate(credentials)
 
 
-def enabling_sets(a: Automaton, e) -> frozenset[TokenSet]:
-    """All enabling sets of `e`: the empty antichain when `e` labels no
-    transition, and {∅} when `e` is enabled in the initial state."""
-    enabled_at = {q for q in a.states if e in a.successors(q)}
-    if not enabled_at:
-        return frozenset()
-    # Fixed point over (state, token set) pairs of e-free runs; per state we
-    # only keep inclusion-minimal token sets, which is sound because a
-    # dominated set can never seed a minimal one downstream.
-    table: dict = {a.initial: {frozenset()}}
-    queue = deque([(a.initial, frozenset())])
-    while queue:
-        state, tokens = queue.popleft()
-        if tokens not in table.get(state, ()):  # pruned since being queued
-            continue
-        for event, target in a.successors(state).items():
-            if event == e:
-                continue
-            grown = tokens | {event}
-            kept = table.setdefault(target, set())
-            if any(existing <= grown for existing in kept):
-                continue
-            for existing in [x for x in kept if grown < x]:
-                kept.discard(existing)
-            kept.add(grown)
-            queue.append((target, grown))
-    collected = set()
-    for q in enabled_at:
-        collected |= table.get(q, set())
-    return _minimal_sets(collected)
-
-
-def event_expr(a: Automaton, e) -> Dnf:
-    """Sum over enabling sets of the product of their events."""
-    return Dnf(frozenset(enabling_sets(a, e)))
-
-
 def _absorb(antichain: set[int], creds: int) -> bool:
     """Add a credential bitmask to an antichain of minimal bitmasks, unless
     it or a subset of it is there already; report whether it was added."""
@@ -157,6 +117,50 @@ def _absorb(antichain: set[int], creds: int) -> bool:
     return True
 
 
+def _propagate(start, steps, enables, credentials) -> dict[ReducedEvent, BoolExpr]:
+    """Enabling functions read off a graph whose edges carry credentials.
+
+    One worklist pass keeps, for every node reached from `start`, the
+    antichain of minimal credential bitmasks of the paths reaching it;
+    `steps(node)` yields (successor, own credential mask).  Then every
+    action in `enables(node)`, a (reduced event, own credential mask) pair,
+    absorbs each of the node's masks with its own.  Bit i of a mask is
+    `credentials[i]`.
+    """
+    reach: dict = defaultdict(set)
+    reach[start].add(0)
+    queue = deque([(start, 0)])
+    while queue:
+        node, creds = queue.popleft()
+        if creds not in reach[node]:  # absorbed since being queued
+            continue
+        for target, own in steps(node):
+            grown = creds | own
+            if _absorb(reach[target], grown):
+                queue.append((target, grown))
+
+    minterms: dict[ReducedEvent, set[int]] = {}
+    for node, antichain in reach.items():
+        for event, own in enables(node):
+            kept = minterms.setdefault(event, set())
+            for creds in antichain:
+                _absorb(kept, creds | own)
+    return {
+        r: Dnf(frozenset(_names(creds, credentials) for creds in minterms[r]))
+        for r in sorted(minterms)
+    }
+
+
+def _names(creds: int, credentials) -> frozenset[str]:
+    """The credentials whose bits are set in `creds`."""
+    names = []
+    while creds:
+        low = creds & -creds
+        names.append(credentials[low.bit_length() - 1])
+        creds ^= low
+    return frozenset(names)
+
+
 def enabling_functions(a: Automaton) -> dict[ReducedEvent, BoolExpr]:
     """Enabling function of every reduced event in the alphabet, sorted.
 
@@ -168,34 +172,9 @@ def enabling_functions(a: Automaton) -> dict[ReducedEvent, BoolExpr]:
     credentials = sorted({event.credential for event in a.alphabet} - {EPSILON})
     bit = {c: 1 << i for i, c in enumerate(credentials)}
     own = {event: bit.get(event.credential, 0) for event in a.alphabet}
-
-    # Per state, the minimal credential sets of the runs reaching it.
-    reach: dict = {state: set() for state in a.states}
-    reach[a.initial].add(0)
-    queue = deque([(a.initial, 0)])
-    while queue:
-        state, creds = queue.popleft()
-        if creds not in reach[state]:  # absorbed since being queued
-            continue
-        for event, target in a.successors(state).items():
-            grown = creds | own[event]
-            if _absorb(reach[target], grown):
-                queue.append((target, grown))
-
-    minterms: dict[ReducedEvent, set[int]] = {}
-    for state in a.states:
-        for event in a.successors(state):
-            antichain = minterms.setdefault(event.reduced(), set())
-            for creds in reach[state]:
-                _absorb(antichain, creds | own[event])
-    return {
-        r: Dnf(frozenset(
-            frozenset(c for c in credentials if bit[c] & creds) for creds in minterms[r]
-        ))
-        for r in sorted(minterms)
-    }
-
-
-def enabling_function(a: Automaton, reduced: ReducedEvent) -> BoolExpr:
-    """Credential formula for a reduced event: false when no transition has it."""
-    return enabling_functions(a).get(ReducedEvent(*reduced), Dnf.false())
+    return _propagate(
+        a.initial,
+        lambda state: [(target, own[event]) for event, target in a.successors(state).items()],
+        lambda state: [(event.reduced(), own[event]) for event in a.successors(state)],
+        credentials,
+    )

@@ -1,0 +1,164 @@
+"""Enabling functions by saturating single-premise rules over facts.
+
+Every rule of a model has one premise: a door needs the user in one zone,
+`phy_acc` one zone, `loc_acc` one held session and `rem_acc` one held
+session on a host in the target's network class; and sessions are never
+lost.  So reachability is linear Datalog over three kinds of fact:
+
+  * ("zone", z): the user can stand in zone z;
+  * ("session", s): the user can hold session s (the automaton's `Session`);
+  * ("lan", i): the user holds a session on a device of network class i
+    (see `sysmodel.lan_classes`).
+
+A derivation is a chain of rules from the start zone, and the credentials
+it uses are its rules' own credentials.  Keeping per fact the antichain of
+minimal credential sets of its derivations (the PosBool provenance of the
+fact) and letting every action absorb its premise's sets, each with the
+action's own credential, yields the same enabling functions the reachability
+automaton gives, without building the product of zones and session sets.
+It is exact because a run enabling an action contains the one chain of
+steps that derives the action's premise, and that chain is itself a run.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+from typing import NamedTuple
+
+from .automata import (
+    EPSILON,
+    ReducedEvent,
+    _cred_alternatives,
+    _reachability_automaton,
+    _session_for_account,
+)
+from .enabling import BoolExpr, _propagate
+from .sysmodel import LocAcc, PhyAcc, RemAcc, SystemModel, lan_classes, root_device
+
+ZoneFunctions = dict[str, dict[ReducedEvent, BoolExpr]]
+Fact = tuple  # ("zone", zone id), ("session", Session) or ("lan", class index)
+
+
+class Rules(NamedTuple):
+    """A model compiled to rules; credential bit i is `credentials[i]`."""
+
+    credentials: tuple[str, ...]
+    derive: dict[Fact, list[tuple[Fact, int]]]  # premise -> (fact, own credential)
+    enable: dict[Fact, list[tuple[ReducedEvent, int]]]  # premise -> (action, own credential)
+
+
+def compile_rules(model: SystemModel) -> Rules:
+    """One rule per premise and credential alternative of every door and
+    operation variant, plus a credential-free rule from each session to
+    each network class of its root device."""
+    credentials = tuple(sorted(model.credentials))
+    bit = {c: 1 << i for i, c in enumerate(credentials)}
+    bit[EPSILON] = 0
+    derive: dict[Fact, list] = defaultdict(list)
+    enable: dict[Fact, list] = defaultdict(list)
+
+    def rule(premises, fact, event, required):
+        for premise in premises:
+            for cred in _cred_alternatives(required, None):
+                enable[premise].append((event, bit[cred]))
+                if fact is not None:
+                    derive[premise].append((fact, bit[cred]))
+
+    for door in sorted(model.doors, key=lambda r: (r.door, r.src, r.dst)):
+        rule([("zone", door.src)], ("zone", door.dst), ReducedEvent("enter", door.dst), door.required)
+
+    devices = sorted((d for d in model.devices.values() if not d.switch), key=lambda d: d.id)
+    variants = [
+        (dev, op_name, variant)
+        for dev in devices
+        for op_name in sorted(dev.operations)
+        for variant in dev.operations[op_name]
+    ]
+    sessions = sorted(
+        {
+            _session_for_account(model, v.effect.device, v.effect.account)
+            for _, _, v in variants
+            if v.effect is not None
+        },
+        key=lambda s: (s.device, sorted(s.groups)),
+    )
+    classes = lan_classes(model)
+
+    def lans(device_id: str) -> list[Fact]:
+        return [("lan", i) for i in sorted(classes.get(root_device(model, device_id).id, ()))]
+
+    for session in sessions:
+        derive[("session", session)].extend((lan, 0) for lan in lans(session.device))
+    for dev, op_name, variant in variants:
+        pre = variant.precondition
+        if isinstance(pre, PhyAcc):
+            premises = [("zone", dev.location.zone)]
+        elif isinstance(pre, LocAcc):
+            premises = [
+                ("session", s) for s in sessions if s.device == pre.device and pre.group in s.groups
+            ]
+        elif isinstance(pre, RemAcc):
+            premises = lans(dev.id)
+        else:
+            raise TypeError(f"unknown precondition {pre!r}")
+        effect = variant.effect
+        fact = None if effect is None else (
+            "session", _session_for_account(model, effect.device, effect.account)
+        )
+        rule(premises, fact, ReducedEvent(op_name, dev.id), variant.required)
+    return Rules(credentials, dict(derive), dict(enable))
+
+
+def saturate(rules: Rules, zone: str) -> dict[ReducedEvent, BoolExpr]:
+    """Enabling function of every action derivable from `zone`, sorted."""
+    return _propagate(
+        ("zone", zone),
+        lambda fact: rules.derive.get(fact, ()),
+        lambda fact: rules.enable.get(fact, ()),
+        rules.credentials,
+    )
+
+
+def may_be_ambiguous(model: SystemModel) -> bool:
+    """Static necessary condition for an automaton with an ambiguous transition.
+
+    True when two variants of one operation on one device share a credential
+    alternative (or both need none) but open different sessions, no effect
+    counting as a session of its own, or when an `enter` operation of a
+    device shares a label with a door into the zone of the same name.
+    """
+    for dev in model.devices.values():
+        if dev.switch:
+            continue
+        for op_name, variants in dev.operations.items():
+            opens: dict[str, object] = {}  # credential alternative -> session opened
+            for variant in variants:
+                effect = variant.effect
+                session = None if effect is None else _session_for_account(
+                    model, effect.device, effect.account
+                )
+                for cred in _cred_alternatives(variant.required, None):
+                    if opens.setdefault(cred, session) != session:
+                        return True
+            if op_name == "enter" and any(
+                cred in opens
+                for door in model.doors
+                if door.dst == dev.id
+                for cred in _cred_alternatives(door.required, None)
+            ):
+                return True
+    return False
+
+
+def zone_functions(model: SystemModel, zones: list[str]) -> ZoneFunctions:
+    """Enabling functions from each of `zones`, for a model validated already.
+
+    The model is compiled once.  A model `may_be_ambiguous` flags first
+    builds each zone's reachability automaton, in order, only so that an
+    ambiguous transition raises the automaton's `ModelError`.
+    """
+    if may_be_ambiguous(model):
+        for zone in zones:
+            _reachability_automaton(model, zone, None)
+    rules = compile_rules(model)
+    return {zone: saturate(rules, zone) for zone in zones}

@@ -37,7 +37,8 @@ from .automata import (
     _reachability_automaton,
     _require_valid,
 )
-from .enabling import BoolExpr, Dnf, _absorb, enabling_functions
+from .enabling import BoolExpr, Dnf, _absorb
+from .facts import zone_functions
 from .policy import PolicySpec, SpecSets, Triple, spec_sets, user_spec_sets
 from .sysmodel import SystemModel, User
 
@@ -243,7 +244,7 @@ def repair_user(
     _require_valid(model)
     sets = spec_sets(policy)
     zone = model.users[user_id].initial_zone
-    functions = enabling_functions(_reachability_automaton(model, zone, None))
+    functions = zone_functions(model, [zone])[zone]
     return _repair(model, sets, functions, user_id, eligibility, cap)
 
 

@@ -7,7 +7,6 @@ raising so that every issue can be surfaced in one pass.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Union
 
@@ -315,6 +314,56 @@ def validate(model: SystemModel) -> list[Diagnostic]:
     return out
 
 
+def lan_classes(model: SystemModel) -> dict[str, frozenset[int]]:
+    """The network classes of the link graph, as the class numbers of each
+    device that belongs to one.
+
+    Two root devices have a network path through switches only exactly when
+    they share a class: one class per connected set of switches with every
+    device cabled to it, one per direct link between two non-switch devices,
+    and one per root device with ports, which reaches itself.  Classes are
+    numbered in the order of their sorted members.
+    """
+    owner = {pid: dev.id for dev in model.devices.values() for pid in dev.ports}
+    cables = []
+    for link in model.links:
+        ends = [owner.get(pid) for pid in link.endpoints]
+        if None not in ends and len(ends) == 2:
+            cables.append(ends)
+
+    # Union-find over the switches, so each switch-to-switch cable joins two sets.
+    parent: dict[str, str] = {}
+
+    def find(dev_id: str) -> str:
+        parent.setdefault(dev_id, dev_id)
+        while parent[dev_id] != dev_id:
+            parent[dev_id] = parent[parent[dev_id]]
+            dev_id = parent[dev_id]
+        return dev_id
+
+    def is_switch(dev_id: str) -> bool:
+        return model.devices[dev_id].switch
+
+    for a, b in cables:
+        if is_switch(a) and is_switch(b):
+            parent[find(a)] = find(b)
+    by_switches: dict[str, set[str]] = {}
+    classes = {frozenset([d.id]) for d in model.devices.values() if d.ports and not d.location.hosts}
+    for a, b in cables:
+        switches = [x for x in (a, b) if is_switch(x)]
+        if not switches:
+            classes.add(frozenset((a, b)))
+        for x in switches:
+            by_switches.setdefault(find(x), set()).update((a, b))
+    classes.update(frozenset(members) for members in by_switches.values())
+
+    numbers: dict[str, set[int]] = {}
+    for number, members in enumerate(sorted(classes, key=sorted)):
+        for dev_id in members:
+            numbers.setdefault(dev_id, set()).add(number)
+    return {dev_id: frozenset(found) for dev_id, found in numbers.items()}
+
+
 def network_path(model: SystemModel, src: str, dst: str, protocol: str, port: int) -> bool:
     """True when the link graph connects the two root devices through switches only.
 
@@ -326,27 +375,5 @@ def network_path(model: SystemModel, src: str, dst: str, protocol: str, port: in
             raise KeyError(f"unknown device '{dev_id}'")
         if model.devices[dev_id].location.hosts:
             raise ValueError(f"'{dev_id}' is a hosted object, not a root device")
-    if src == dst:
-        return bool(model.devices[src].ports)
-
-    owner = {pid: dev.id for dev in model.devices.values() for pid in dev.ports}
-    adjacency: dict[str, set[str]] = {}
-    for link in model.links:
-        ends = [owner.get(pid) for pid in link.endpoints]
-        if None in ends or len(link.endpoints) != 2:
-            continue
-        a, b = ends
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
-
-    visited = {src}
-    queue = deque([src])
-    while queue:
-        here = queue.popleft()
-        for neighbor in adjacency.get(here, ()):
-            if neighbor == dst:
-                return True
-            if neighbor not in visited and model.devices[neighbor].switch:
-                visited.add(neighbor)
-                queue.append(neighbor)
-    return False
+    classes = lan_classes(model)
+    return not classes.get(src, frozenset()).isdisjoint(classes.get(dst, ()))

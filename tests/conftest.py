@@ -1,9 +1,19 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from accessfix import (
     Automaton,
+    BecomesAccount,
+    Link,
+    LocAcc,
+    Location,
+    Permission,
+    PolicySpec,
+    Port,
+    Role,
+    SystemModel,
     build_super_automaton,
     enabling_functions,
     parse_policy,
@@ -72,6 +82,71 @@ def plant_automaton(plant):
 @pytest.fixture(scope="session")
 def plant_functions(plant_automaton):
     return enabling_functions(plant_automaton)
+
+
+def plant_cells(cells: int) -> tuple[SystemModel, PolicySpec]:
+    """The plant fixture and its policy copied into `cells` cells.
+
+    Every name except the external zone O gets the cell number as suffix
+    (Tom0, PLC0, K_OA0, ...), so each cell has its own zones, devices,
+    credentials, users and roles; all cells share O, and each cell's switch
+    is cabled to the next cell's through two extra ports.
+    """
+    plant = parse_system((FIXTURES / "plant.ins").read_text())
+    policy = parse_policy((FIXTURES / "plant.rbac").read_text())
+    credentials, zones, doors, devices, links, users = set(), {}, set(), {}, set(), {}
+    roles, hierarchy = {}, set()
+    for i in range(cells):
+
+        def n(name):
+            return name if name == "O" else f"{name}{i}"
+
+        def names(items):
+            return frozenset(n(x) for x in items)
+
+        credentials |= names(plant.credentials)
+        zones.update({n(z.id): replace(z, id=n(z.id)) for z in plant.zones.values()})
+        doors |= {replace(r, door=n(r.door), src=n(r.src), dst=n(r.dst), required=names(r.required))
+                  for r in plant.doors}
+        for dev in plant.devices.values():
+            ports = {n(p.id): Port(n(p.id), n(p.mac), n(p.ip), n(dev.id)) for p in dev.ports.values()}
+            if dev.switch:
+                for end in ("up", "down"):
+                    pid = f"{dev.id}_{end}{i}"
+                    ports[pid] = Port(pid, f"MAC_{pid}", f"IP_{pid}", n(dev.id))
+                if i:
+                    links.add(Link.between(f"{dev.id}_up{i - 1}", f"{dev.id}_down{i}"))
+            operations = {}
+            for op_name, variants in dev.operations.items():
+                operations[op_name] = tuple(
+                    replace(
+                        v,
+                        precondition=replace(v.precondition, device=n(v.precondition.device))
+                        if isinstance(v.precondition, LocAcc) else v.precondition,
+                        required=names(v.required),
+                        effect=v.effect and BecomesAccount(n(v.effect.device), v.effect.account),
+                    )
+                    for v in variants
+                )
+            location = Location(n(dev.location.zone), tuple(n(h) for h in dev.location.hosts))
+            devices[n(dev.id)] = replace(
+                dev, id=n(dev.id), location=location, ports=ports, operations=operations
+            )
+        links |= {Link(names(link.endpoints)) for link in plant.links}
+        users.update({
+            n(u.id): replace(u, id=n(u.id), initial_zone=n(u.initial_zone), credentials=names(u.credentials))
+            for u in plant.users.values()
+        })
+        for role in policy.roles.values():
+            roles[n(role.id)] = Role(
+                n(role.id),
+                frozenset(Permission(p.operation, n(p.object)) for p in role.allowed),
+                frozenset(Permission(p.operation, n(p.object)) for p in role.denied),
+                names(role.users),
+            )
+        hierarchy |= {(n(lo), n(hi)) for lo, hi in policy.hierarchy}
+    model = SystemModel(frozenset(credentials), zones, frozenset(doors), devices, frozenset(links), users)
+    return model, PolicySpec(roles, frozenset(hierarchy))
 
 
 def make_toy_automaton() -> Automaton:

@@ -1,18 +1,23 @@
 """Independent oracles the tests check the library against.
 
-Nothing here reuses the library's enabling-set algorithm: candidate sets are
-checked one by one against the definition, and the expected plant formulas
-are expanded from their factored shape with plain itertools.
+The paper's event-level definition lives here: the enabling sets of an
+event (`enabling_sets`, `event_expr`), which the tests also check one
+candidate set at a time against the definition, and the expected plant
+formulas, expanded from their factored shape with plain itertools.
 
 The all-credential automaton also has a second construction here, the
 paper's product route: a movement automaton over zones composed with a
 location-blind access automaton over session sets.  The library builds it
 directly; the tests hold the two constructions to the same language.
 
-The enabling functions have a second derivation here too: composed from the
-paper's per-event enabling sets (`enabling_sets`, which the tests hold to
-the brute-force definition), where the library reads them off one forward
-pass over credential sets.
+The enabling functions have two more derivations here: read off the
+all-credential automaton (the library's `enabling_functions`, which
+`enabling_function` wraps for one event), and composed from the per-event
+enabling sets, where the library saturates the model's fact rules instead.
+
+Network connectivity has its first definition here: a breadth-first search
+over the link graph (`bfs_network_path`), where the library reads paths
+off the model's network classes.
 
 Repair has a second route here as well: the constraint encoded as CNF and
 its models enumerated by DPLL with blocking clauses (`to_cnf`, `solve_all`),
@@ -33,12 +38,102 @@ from accessfix import (
     ModelError,
     PhyAcc,
     RemAcc,
+    ReducedEvent,
     Session,
-    enabling_sets,
+    enabling_functions,
     external_zone,
-    network_path,
     root_device,
 )
+
+TokenSet = frozenset
+
+
+def tokenize(events) -> TokenSet:
+    """Distinct events occurring in the sequence (order and multiplicity erased)."""
+    return frozenset(events)
+
+
+def _minimal(sets) -> frozenset:
+    pool = set(sets)
+    return frozenset(v for v in pool if not any(w < v for w in pool))
+
+
+def enabling_sets(a: Automaton, e) -> frozenset:
+    """All enabling sets of `e`: minimal sets V of events such that some run
+    avoiding `e`, whose events are exactly V, reaches a state where `e` is
+    enabled.  The empty antichain when `e` labels no transition, and {∅}
+    when `e` is enabled in the initial state."""
+    enabled_at = {q for q in a.states if e in a.successors(q)}
+    if not enabled_at:
+        return frozenset()
+    # Fixed point over (state, token set) pairs of e-free runs; per state we
+    # only keep inclusion-minimal token sets, which is sound because a
+    # dominated set can never seed a minimal one downstream.
+    table: dict = {a.initial: {frozenset()}}
+    queue = deque([(a.initial, frozenset())])
+    while queue:
+        state, tokens = queue.popleft()
+        if tokens not in table.get(state, ()):  # pruned since being queued
+            continue
+        for event, target in a.successors(state).items():
+            if event == e:
+                continue
+            grown = tokens | {event}
+            kept = table.setdefault(target, set())
+            if any(existing <= grown for existing in kept):
+                continue
+            for existing in [x for x in kept if grown < x]:
+                kept.discard(existing)
+            kept.add(grown)
+            queue.append((target, grown))
+    collected = set()
+    for q in enabled_at:
+        collected |= table.get(q, set())
+    return _minimal(collected)
+
+
+def event_expr(a: Automaton, e) -> Dnf:
+    """Sum over enabling sets of the product of their events."""
+    return Dnf(frozenset(enabling_sets(a, e)))
+
+
+def enabling_function(a: Automaton, reduced) -> Dnf:
+    """Credential formula for a reduced event: false when no transition has it."""
+    return enabling_functions(a).get(ReducedEvent(*reduced), Dnf.false())
+
+
+def bfs_network_path(model, src, dst, protocol, port) -> bool:
+    """Breadth-first search of the link graph from `src` for `dst`, passing
+    through switches only; a root device reaches itself when it has ports."""
+    for dev_id in (src, dst):
+        if dev_id not in model.devices:
+            raise KeyError(f"unknown device '{dev_id}'")
+        if model.devices[dev_id].location.hosts:
+            raise ValueError(f"'{dev_id}' is a hosted object, not a root device")
+    if src == dst:
+        return bool(model.devices[src].ports)
+
+    owner = {pid: dev.id for dev in model.devices.values() for pid in dev.ports}
+    adjacency: dict = {}
+    for link in model.links:
+        ends = [owner.get(pid) for pid in link.endpoints]
+        if None in ends or len(link.endpoints) != 2:
+            continue
+        a, b = ends
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+
+    visited = {src}
+    queue = deque([src])
+    while queue:
+        here = queue.popleft()
+        for neighbor in adjacency.get(here, ()):
+            if neighbor == dst:
+                return True
+            if neighbor not in visited and model.devices[neighbor].switch:
+                visited.add(neighbor)
+                queue.append(neighbor)
+    return False
 
 
 def exists_run_with_tokens(automaton, tokens, event) -> bool:
@@ -176,7 +271,7 @@ def _session_precondition(model, dev, pre, sessions) -> bool:
     if isinstance(pre, RemAcc):
         target = root_device(model, dev.id).id
         return any(
-            network_path(model, root_device(model, s.device).id, target, pre.protocol, pre.port)
+            bfs_network_path(model, root_device(model, s.device).id, target, pre.protocol, pre.port)
             for s in sessions
         )
     raise TypeError(f"unknown precondition {pre!r}")

@@ -13,8 +13,6 @@ from accessfix import (
     ReducedEvent,
     build_constraint,
     build_user_automaton,
-    enabling_sets,
-    event_expr,
     implementation_set,
     parse_policy,
     parse_system,
@@ -22,7 +20,6 @@ from accessfix import (
     print_system,
     reachable_reduced_events,
     repair_user,
-    tokenize,
     verify,
     SpecSets,
 )
@@ -36,10 +33,13 @@ from conftest import (
 from oracles import (
     PLANT_FORMULAS,
     brute_force_enabling_sets,
+    enabling_sets,
+    event_expr,
     expand_factored,
     powerset,
     solve_all,
     to_cnf,
+    tokenize,
 )
 from randgen import random_automaton, random_model, random_policy
 

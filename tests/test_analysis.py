@@ -13,7 +13,7 @@ from accessfix import (
     spec_sets,
     verify,
 )
-from conftest import AMY_FIX, TOM_FIX_SMALL, UNIVERSE
+from conftest import AMY_FIX, TOM_FIX_SMALL, UNIVERSE, plant_cells
 
 
 def test_tom_can_admin_plc(plant):
@@ -126,3 +126,17 @@ def test_policy_action_unknown_to_the_system_is_dangling(plant):
     assert report.dangling == frozenset({("Tom", "fly", "PLC")})
     assert report.missing == frozenset()
     assert report.verdict == "correct"
+
+
+def test_verify_gives_the_papers_verdict_in_eight_cells():
+    # The automaton has (1 + 2n)·4^n states for n cells, 1 114 112 at eight;
+    # the fact route never builds it.
+    model, policy = plant_cells(8)
+    report = verify(model, policy)
+    assert report.forbidden == frozenset((f"Tom{i}", "admin", f"PLC{i}") for i in range(8))
+    assert report.missing == frozenset(
+        (f"Amy{i}", op, ob + str(i))
+        for i in range(8)
+        for op, ob in [("admin", "IGS"), ("admin", "PLC"), ("run", "IGS")]
+    )
+    assert report.dangling == frozenset()

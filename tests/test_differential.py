@@ -2,37 +2,55 @@
 
 Every model `validate` accepts goes through every route the library and the
 oracles offer, and the routes must agree exactly: the direct all-credential
-automaton against the product route, the enabling-function implementation
-sets against the users' own automata, `verify` against a report built
-from those automata, and the ranked repairs against a brute force over the
-credential pool and against the DPLL route.  Models on which an automaton
-is ambiguous (two variants of one operation with one label but different
-sessions, a known fault) are kept: every route must then reject them with
-the same `ModelError`.
+automaton against the product route, the fact route's enabling functions
+against the automaton's and against those composed from enabling sets, the
+enabling-function implementation sets against the users' own automata,
+`verify` against a report built from those automata, and the ranked
+repairs against a brute force over the credential pool and against the
+DPLL route.  Models on which an automaton is ambiguous (two variants of one
+operation with one label but different sessions, a known fault) are kept:
+every route must then reject them with the same `ModelError`, and the
+static check `may_be_ambiguous` must flag them.
 """
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from accessfix import (
+    Device,
+    DoorRule,
+    Location,
     ModelError,
+    OperationVariant,
+    PhyAcc,
     ReducedEvent,
+    SystemModel,
+    Zone,
     build_constraint,
     build_super_automaton,
     build_user_automaton,
+    compile_rules,
     enabling_by_zone,
     enabling_functions,
     implementation_set,
+    may_be_ambiguous,
+    parse_system,
+    print_policy,
+    print_system,
     reachable_reduced_events,
     repair_all,
+    saturate,
     spec_sets,
     validate,
     verify,
 )
 from accessfix.automata import _reachability_automaton
+from accessfix.cli import main
 from accessfix.repair import repair_users
+from conftest import plant_cells
 from oracles import (
     brute_force_repairs,
     build_access_automaton,
@@ -142,10 +160,17 @@ def test_routes_agree_on_random_models():
     assert counts["missing"] and counts["forbidden"] and counts["dangling"]
 
 
-def test_enabling_functions_equal_the_event_level_definition(plant_automaton):
-    """The forward pass against the functions composed from `enabling_sets`,
-    on every start zone of every random model `validate` accepts."""
-    automata = [("plant", plant_automaton)]
+def test_enabling_functions_equal_the_event_level_definition(plant, plant_automaton):
+    """The fact route against the automaton's forward pass and against the
+    functions composed from `enabling_sets`, on the plant in one to four
+    cells and on every start zone of every random model `validate` accepts
+    whose automaton from that zone is not ambiguous.  The composition from
+    enabling sets is left out at four cells, where it alone takes about
+    half a minute."""
+    cases = [("plant", plant, "O", plant_automaton, True)]
+    for cells in range(1, 5):
+        model, _ = plant_cells(cells)
+        cases.append((f"plant in {cells} cells", model, "O", build_super_automaton(model), cells < 4))
     for seed in SEEDS:
         model = random_model(random.Random(seed))
         if any(d.severity == "error" for d in validate(model)):
@@ -153,12 +178,102 @@ def test_enabling_functions_equal_the_event_level_definition(plant_automaton):
         for zone in sorted(model.zones):
             automaton = _outcome(lambda: _reachability_automaton(model, zone, None))
             if not isinstance(automaton, ModelError):
-                automata.append((f"randgen seed {seed}, zone {zone}", automaton))
-    for where, automaton in automata:
-        functions = enabling_functions(automaton)
-        assert functions == enabling_functions_from_sets(automaton), where
+                cases.append((f"randgen seed {seed}, zone {zone}", model, zone, automaton, True))
+    for where, model, zone, automaton, by_sets in cases:
+        functions = saturate(compile_rules(model), zone)
+        assert functions == enabling_functions(automaton), where
+        if by_sets:
+            assert functions == enabling_functions_from_sets(automaton), where
         assert list(functions) == sorted(functions), where
-    assert len(automata) >= 500
+    assert len(cases) >= 500
+
+
+FLAGGED_BUT_UNAMBIGUOUS = """
+credential c;
+zone O external;
+device D in O {
+    group g { acct }
+    operation login {
+        when phy_acc requires {c} becomes acct;
+        when loc_acc(g) requires {c};
+    }
+}
+user u at O credentials {c};
+"""
+
+
+def _cli(tmp_path, command, system_text, policy_text):
+    ins, rbac = tmp_path / "m.ins", tmp_path / "m.rbac"
+    ins.write_text(system_text)
+    rbac.write_text(policy_text)
+    return main([command, "--system", str(ins), "--policy", str(rbac), "--eligibility", "all"])
+
+
+def test_the_static_check_flags_every_ambiguous_model(tmp_path, capsys):
+    """Every model whose automaton from some zone is ambiguous is flagged,
+    and on the command line a model that validates either verifies and
+    repairs (exit 0 or 1) or, only when flagged, exits 3 with the
+    ambiguous-transition error."""
+    counts = Counter()
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        model = random_model(rng)
+        if any(d.severity == "error" for d in validate(model)):
+            continue
+        policy = random_policy(rng, model)
+        flagged = may_be_ambiguous(model)
+        raises = any(
+            isinstance(_outcome(lambda: _reachability_automaton(model, zone, None)), ModelError)
+            for zone in model.zones
+        )
+        assert flagged or not raises, f"randgen seed {seed}"
+        counts["flagged" if flagged else "not flagged"] += 1
+        counts["ambiguous"] += raises
+        for command in ("verify", "repair"):
+            capsys.readouterr()
+            code = _cli(tmp_path, command, print_system(model), print_policy(policy))
+            err = capsys.readouterr().err
+            if code == 3:
+                assert flagged and "ambiguous transition" in err, f"randgen seed {seed} {command}"
+                counts["exit 3"] += 1
+            else:
+                assert code in (0, 1), f"randgen seed {seed} {command}: {err}"
+    print(dict(counts))
+    assert counts["ambiguous"] and counts["exit 3"]
+    assert counts["flagged"] > counts["ambiguous"]
+
+
+def test_a_flagged_model_without_ambiguity_verifies(tmp_path, capsys):
+    """Both login variants need c and open different sessions (none and
+    acct), but the one without effect needs acct held already, so no state
+    has two targets for one label."""
+    rbac = "role r { allow (login, D); users { u } }\n"
+    model = parse_system(FLAGGED_BUT_UNAMBIGUOUS)
+    assert may_be_ambiguous(model)
+    build_super_automaton(model)
+    for command in ("verify", "repair"):
+        assert _cli(tmp_path, command, FLAGGED_BUT_UNAMBIGUOUS, rbac) == 0, capsys.readouterr().err
+    assert "verdict: correct" in capsys.readouterr().out
+
+
+def test_an_enter_operation_sharing_a_door_label_is_flagged():
+    """Device A's `enter` operation and the door into zone A both label
+    their step (enter, A, ε) but lead to different states."""
+    door = DoorRule("d", "O", "A")
+    device = Device("A", Location("O"), operations={"enter": (OperationVariant(PhyAcc()),)})
+    model = SystemModel(
+        credentials=frozenset({"k"}),
+        zones={"O": Zone("O", external=True), "A": Zone("A")},
+        doors=frozenset({door}),
+        devices={"A": device},
+    )
+    assert validate(model) == []
+    with pytest.raises(ModelError, match="ambiguous transition"):
+        build_super_automaton(model)
+    assert may_be_ambiguous(model)
+    keyed = replace(model, doors=frozenset({replace(door, required=frozenset({"k"}))}))
+    build_super_automaton(keyed)
+    assert not may_be_ambiguous(keyed)
 
 
 def test_repair_equals_brute_force_and_the_clause_route():

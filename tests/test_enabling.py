@@ -6,20 +6,20 @@ from accessfix import (
     Dnf,
     ReducedEvent,
     build_user_automaton,
-    enabling_function,
-    enabling_sets,
     evaluate,
-    event_expr,
     reachable_reduced_events,
-    tokenize,
 )
 from conftest import C_AMY, C_TOM, UNIVERSE
 from oracles import (
     PLANT_FORMULAS,
     brute_force_enabling_sets,
+    enabling_function,
+    enabling_sets,
+    event_expr,
     expand_factored,
     is_enabling_set,
     powerset,
+    tokenize,
 )
 from randgen import random_automaton
 

@@ -1,8 +1,10 @@
 """Work counts of one command-line call.
 
-Verification and repair share one enabling computation per distinct start
-zone of the model's users, a verify or repair call validates the model once,
-and an automaton build asks for each network path once.
+Verification and repair share one fact saturation per distinct start zone
+of the model's users, a verify or repair call validates the model once,
+verify builds no automaton and computes the network classes once, and each
+automaton that repair builds to re-check a solution computes them once and
+asks for each network path at most once.
 """
 
 import sys
@@ -62,10 +64,10 @@ def _count(monkeypatch, name, record=lambda args: args[0]) -> list:
 @pytest.mark.parametrize("command", ["verify", "repair"])
 def test_one_enabling_computation_per_start_zone(monkeypatch, capsys, case, command):
     system, policy, zones = case
-    calls = _count(monkeypatch, "enabling_functions")
+    calls = _count(monkeypatch, "saturate", lambda args: args[1])
     code = main([command, "--system", system, "--policy", policy, "--eligibility", "current"])
     assert code in (0, 1), capsys.readouterr().err
-    assert sorted(automaton.initial.zone for automaton in calls) == zones
+    assert sorted(calls) == zones
 
 
 @pytest.mark.parametrize("command", ["verify", "repair"])
@@ -77,11 +79,28 @@ def test_one_call_validates_the_model_once(monkeypatch, capsys, case, command):
     assert len(calls) == 1
 
 
-def test_one_build_asks_each_network_path_once(monkeypatch, capsys):
+PLANT = ["--system", str(FIXTURES / "plant.ins"), "--policy", str(FIXTURES / "plant.rbac")]
+
+
+def test_verify_builds_no_automaton_and_one_set_of_network_classes(monkeypatch, capsys):
     builds = _count(monkeypatch, "_reachability_automaton")
-    paths = _count(monkeypatch, "network_path", lambda args: args[1:])
-    code = main(["verify", "--system", str(FIXTURES / "plant.ins"),
-                 "--policy", str(FIXTURES / "plant.rbac")])
+    classes = _count(monkeypatch, "lan_classes")
+    code = main(["verify", *PLANT])
     assert code == 1, capsys.readouterr().err
-    assert len(builds) == 1
-    assert paths and len(paths) == len(set(paths))
+    assert builds == []
+    assert len(classes) == 1
+
+
+def test_one_build_asks_each_network_path_once(monkeypatch, capsys):
+    """Repair compiles the facts once and builds a user automaton per
+    re-checked solution; each computes the network classes once and asks
+    no path question twice."""
+    builds = _count(monkeypatch, "_reachability_automaton")
+    # Builds run one after another, so the count so far names the current one.
+    classes = _count(monkeypatch, "lan_classes", lambda args: len(builds))
+    paths = _count(monkeypatch, "network_path", lambda args: (len(builds), args[1:]))
+    code = main(["repair", *PLANT, "--eligibility", "current"])
+    assert code == 1, capsys.readouterr().err
+    assert builds
+    assert classes == list(range(len(builds) + 1))
+    assert len(paths) == len(set(paths))

@@ -10,6 +10,7 @@ from accessfix import (
     parse_system,
     validate,
 )
+from oracles import bfs_network_path
 from randgen import random_model
 
 
@@ -87,3 +88,18 @@ def test_random_models_validate_deterministically():
     for seed in range(25):
         model = random_model(random.Random(seed))
         assert validate(model) == validate(model)
+
+
+def test_network_path_equals_the_breadth_first_search(plant):
+    models = [("plant", plant)]
+    models += [(f"randgen seed {seed}", random_model(random.Random(seed))) for seed in range(300)]
+    pairs = connected = 0
+    for where, model in models:
+        roots = sorted(d.id for d in model.devices.values() if not d.location.hosts)
+        for src in roots:
+            for dst in roots:
+                expected = bfs_network_path(model, src, dst, "tcp", 22)
+                assert network_path(model, src, dst, "tcp", 22) == expected, (where, src, dst)
+                pairs += 1
+                connected += expected
+    assert connected and pairs - connected
