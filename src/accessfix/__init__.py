@@ -7,10 +7,13 @@ The pipeline is parse -> validate -> verify -> repair:
   action triples;
 * `facts` compiles the system into single-premise rules over zone, session
   and network-class facts and saturates them into one monotone credential
-  formula per action, its enabling function;
+  formula per action, its enabling function; under one fixed credential set
+  the same rules give the reachable actions, which repair uses to re-check
+  each solution;
 * `enabling` holds those formulas and the forward pass that computes them;
 * `automata` builds the paper's credential-labelled reachability automata,
-  which repair uses to re-check each solution independently;
+  which `accessfix automaton` prints and the tests use as the independent
+  route that holds the compiled rules to the paper's semantics;
 * `analysis` compares specification against implementation;
 * `repair` searches credential assignments that remove every anomaly;
 * `dslparser` and `cli` provide the textual formats and command line.
@@ -38,7 +41,7 @@ from .automata import (
 )
 from .dslparser import ParseError, SourceSpan, parse_policy, parse_system, print_policy, print_system
 from .enabling import BoolExpr, Dnf, enabling_functions, evaluate
-from .facts import compile_rules, may_be_ambiguous, saturate, zone_functions
+from .facts import compile_rules, may_be_ambiguous, reachable, saturate, zone_functions
 from .policy import (
     Permission,
     PolicyError,

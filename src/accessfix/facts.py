@@ -18,6 +18,8 @@ action's own credential, yields the same enabling functions the reachability
 automaton gives, without building the product of zones and session sets.
 It is exact because a run enabling an action contains the one chain of
 steps that derives the action's premise, and that chain is itself a run.
+For one fixed credential set the same rules reduce to plain reachability
+(`reachable`), which repair uses to re-check each solution.
 """
 
 from __future__ import annotations
@@ -117,6 +119,26 @@ def saturate(rules: Rules, zone: str) -> dict[ReducedEvent, BoolExpr]:
         lambda fact: rules.enable.get(fact, ()),
         rules.credentials,
     )
+
+
+def reachable(rules: Rules, zone: str, held: frozenset[str]) -> frozenset[ReducedEvent]:
+    """Actions derivable from `zone` by a user holding exactly `held`.
+
+    With the credentials fixed there is nothing to keep per fact: a rule
+    fires when its own credential (none, or one bit) is held, so this is a
+    plain reachability walk.
+    """
+    mask = sum(1 << i for i, c in enumerate(rules.credentials) if c in held)
+    start: Fact = ("zone", zone)
+    seen, stack, actions = {start}, [start], set()
+    while stack:
+        fact = stack.pop()
+        actions.update(event for event, own in rules.enable.get(fact, ()) if own & mask == own)
+        for derived, own in rules.derive.get(fact, ()):
+            if own & mask == own and derived not in seen:
+                seen.add(derived)
+                stack.append(derived)
+    return frozenset(actions)
 
 
 def may_be_ambiguous(model: SystemModel) -> bool:

@@ -16,8 +16,13 @@ bitmasks over the sorted eligible pool:
 Each size level is sorted by distance from the user's current credentials,
 then by name, and the walk stops once `cap` repairs are listed.  The list is
 therefore in rank order, and a capped list is the best prefix of the full
-one.  Every reported solution is re-verified through the user-automaton
-route before being returned.
+one.  Every reported solution is re-checked before being returned: a plain
+reachability walk over the model's compiled fact rules (`facts.reachable`)
+under exactly the solution's credentials must reach every allowed action of
+the user and no denied one.  The walk shares the rule compiler with the
+enabling functions, so it guards the provenance algebra and the search, not
+the compilation; `tests/test_differential.py` holds the compiled rules to
+the users' own automata.
 
 `repair_all` reads the enabling functions from `analysis.enabling_by_zone`,
 computed once per start zone and shared by every user starting there; the
@@ -31,14 +36,9 @@ from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 from .analysis import ZoneFunctions, enabling_by_zone
-from .automata import (
-    ReducedEvent,
-    reachable_reduced_events,
-    _reachability_automaton,
-    _require_valid,
-)
+from .automata import ReducedEvent, _require_valid
 from .enabling import BoolExpr, Dnf, _absorb
-from .facts import zone_functions
+from .facts import Rules, compile_rules, reachable, zone_functions
 from .policy import PolicySpec, SpecSets, Triple, spec_sets, user_spec_sets
 from .sysmodel import SystemModel, User
 
@@ -173,20 +173,23 @@ def _resolve_eligible(model: SystemModel, user: User, eligibility) -> frozenset[
     return explicit
 
 
-def _sound_for_user(model: SystemModel, user_id: str, credentials: frozenset[str], sets: SpecSets) -> bool:
-    """Independent re-check through the user-automaton route.
+def _sound_for_user(
+    rules: Rules,
+    zone: str,
+    plus: frozenset[ReducedEvent],
+    minus: frozenset[ReducedEvent],
+    credentials: frozenset[str],
+) -> bool:
+    """Re-check of one solution: a user holding exactly `credentials` from
+    `zone` reaches every action of `plus` and none of `minus`.
 
-    The model is validated already and the candidate differs from it only in
-    the user's credentials, so those need only be credentials of the model.
+    It walks the rules with the credentials fixed, without the provenance
+    algebra or the search, so it guards those, not the rule compiler.
     """
-    if not credentials <= model.credentials:
+    if not credentials.issubset(rules.credentials):
         return False
-    zone = model.users[user_id].initial_zone
-    reachable = reachable_reduced_events(_reachability_automaton(model, zone, credentials))
-    plus, minus = user_spec_sets(sets, user_id)
-    return all(ReducedEvent(*p) in reachable for p in plus) and not any(
-        ReducedEvent(*p) in reachable for p in minus
-    )
+    reached = reachable(rules, zone, credentials)
+    return plus <= reached and not minus & reached
 
 
 def _unsat_core(constraint: RepairConstraint, bit: dict[str, int]) -> tuple[Triple, ...]:
@@ -205,6 +208,7 @@ def _repair(
     model: SystemModel,
     sets: SpecSets,
     functions: dict[ReducedEvent, BoolExpr],
+    rules: Rules,
     user_id: str,
     eligibility,
     cap: int,
@@ -221,10 +225,11 @@ def _repair(
 
     current = sum(bit[c] for c in user.credentials if c in bit)
     ranked, truncated = _ranked(minimal, denied, len(bit), current, cap)
+    plus, minus = (frozenset(ReducedEvent(*p) for p in ps) for ps in user_spec_sets(sets, user_id))
     solutions = []
     for mask in ranked:
         creds = frozenset(c for c, b in bit.items() if mask & b)
-        if not _sound_for_user(model, user_id, creds, sets):
+        if not _sound_for_user(rules, user.initial_zone, plus, minus, creds):
             raise RuntimeError(
                 f"search returned an unsound repair for {user_id}: {sorted(creds)}"
             )
@@ -245,15 +250,19 @@ def repair_user(
     sets = spec_sets(policy)
     zone = model.users[user_id].initial_zone
     functions = zone_functions(model, [zone])[zone]
-    return _repair(model, sets, functions, user_id, eligibility, cap)
+    return _repair(model, sets, functions, compile_rules(model), user_id, eligibility, cap)
 
 
 def repair_users(
     model: SystemModel, sets: SpecSets, by_zone: ZoneFunctions, eligibility, cap: int
 ) -> dict[str, RepairResult]:
-    """Independent per-user repair over precomputed enabling functions."""
+    """Independent per-user repair over precomputed enabling functions.
+
+    The rules that re-check the solutions are compiled once for all users.
+    """
+    rules = compile_rules(model)
     return {
-        uid: _repair(model, sets, by_zone[model.users[uid].initial_zone], uid, eligibility, cap)
+        uid: _repair(model, sets, by_zone[model.users[uid].initial_zone], rules, uid, eligibility, cap)
         for uid in sorted(model.users)
     }
 

@@ -5,9 +5,11 @@ oracles offer, and the routes must agree exactly: the direct all-credential
 automaton against the product route, the fact route's enabling functions
 against the automaton's and against those composed from enabling sets, the
 enabling-function implementation sets against the users' own automata,
-`verify` against a report built from those automata, and the ranked
-repairs against a brute force over the credential pool and against the
-DPLL route.  Models on which an automaton is ambiguous (two variants of one
+the fact walk under one credential set (repair's re-check) against the
+user's own automaton under that set, `verify` against a report built from
+those automata, every listed repair against the user's own automaton under
+the repaired credentials, and the ranked repairs against a brute force
+over the credential pool and against the DPLL route.  Models on which an automaton is ambiguous (two variants of one
 operation with one label but different sessions, a known fault) are kept:
 every route must then reject them with the same `ModelError`, and the
 static check `may_be_ambiguous` must flag them.
@@ -40,6 +42,7 @@ from accessfix import (
     parse_system,
     print_policy,
     print_system,
+    reachable,
     reachable_reduced_events,
     repair_all,
     saturate,
@@ -134,9 +137,15 @@ def _check_verify(model, policy, counts: Counter) -> None:
     counts["missing"] += len(report.missing)
     counts["forbidden"] += len(report.forbidden)
     counts["dangling"] += len(report.dangling)
-    # Repair re-checks each solution through the user's automaton and
-    # raises on an unsound one.
-    repair_all(model, policy, "all", 8)
+    # The library re-checks repairs on the same compiled rules its enabling
+    # functions come from; the user's own automaton checks them independently.
+    for uid, result in repair_all(model, policy, "all", 8).items():
+        for solution in result.solutions:
+            fixed = build_user_automaton(model.with_user_credentials(uid, solution.credentials), uid)
+            reached = _user_triples(uid, fixed)
+            assert {t for t in sets.s_plus if t[0] == uid} <= reached, (uid, solution)
+            assert not sets.s_minus & reached, (uid, solution)
+            counts["repairs checked"] += 1
 
 
 def test_routes_agree_on_random_models():
@@ -158,6 +167,7 @@ def test_routes_agree_on_random_models():
     assert counts["ambiguous on both routes"] >= 1
     assert counts["ambiguous from a start zone"] >= 1
     assert counts["missing"] and counts["forbidden"] and counts["dangling"]
+    assert counts["repairs checked"] >= 1000
 
 
 def test_enabling_functions_equal_the_event_level_definition(plant, plant_automaton):
@@ -186,6 +196,38 @@ def test_enabling_functions_equal_the_event_level_definition(plant, plant_automa
             assert functions == enabling_functions_from_sets(automaton), where
         assert list(functions) == sorted(functions), where
     assert len(cases) >= 500
+
+
+def test_the_fact_walk_equals_the_users_automaton():
+    """`reachable` over the compiled rules against the reachable actions of
+    the user's own automaton, for every user under their own credentials and
+    under four seeded random subsets of the model's, on the plant in one to
+    three cells and on every random model `validate` accepts; a credential
+    set under which the automaton is ambiguous is skipped."""
+    models = [(f"plant in {cells} cells", plant_cells(cells)[0]) for cells in range(1, 4)]
+    for seed in SEEDS:
+        model = random_model(random.Random(seed))
+        if not any(d.severity == "error" for d in validate(model)):
+            models.append((f"randgen seed {seed}", model))
+    rng = random.Random(2017)
+    counts = Counter()
+    for where, model in models:
+        rules = compile_rules(model)
+        pool = sorted(model.credentials)
+        for uid, user in sorted(model.users.items()):
+            subsets = [frozenset(c for c in pool if rng.random() < 0.5) for _ in range(4)]
+            for creds in [user.credentials, *subsets]:
+                automaton = _outcome(
+                    lambda: build_user_automaton(model.with_user_credentials(uid, creds), uid)
+                )
+                if isinstance(automaton, ModelError):
+                    counts["ambiguous"] += 1
+                    continue
+                walked = reachable(rules, user.initial_zone, creds)
+                assert walked == reachable_reduced_events(automaton), (where, uid, sorted(creds))
+                counts["equal"] += 1
+    print(dict(counts))
+    assert counts["equal"] >= 2000 and counts["ambiguous"]
 
 
 FLAGGED_BUT_UNAMBIGUOUS = """

@@ -8,6 +8,7 @@ from accessfix import (
     Role,
     SpecSets,
     build_constraint,
+    repair,
     repair_all,
     repair_user,
     spec_sets,
@@ -116,6 +117,20 @@ def test_repair_solutions_reverify(plant, plant_policy):
         for sol in result.solutions:
             report = verify(plant.with_user_credentials(uid, sol.credentials), plant_policy)
             assert not [t for t in report.missing | report.forbidden if t[0] == uid]
+
+
+def test_recheck_rejects_a_set_covering_a_denied_minterm(monkeypatch, plant, plant_policy):
+    """A search that lists one set enabling a denied action is caught by the
+    re-check, not printed."""
+    original = repair._ranked
+
+    def ranked_with_a_denied_set(minimal, denied, width, current, cap):
+        listed, truncated = original(minimal, denied, width, current, cap)
+        return [*listed, denied[0]], truncated
+
+    monkeypatch.setattr(repair, "_ranked", ranked_with_a_denied_set)
+    with pytest.raises(RuntimeError, match="search returned an unsound repair for Tom"):
+        repair_user(plant, plant_policy, "Tom", eligibility="all")
 
 
 def test_repair_of_conformant_user_returns_current_set_first(plant, plant_policy):

@@ -2,15 +2,17 @@
 
 Verification and repair share one fact saturation per distinct start zone
 of the model's users, a verify or repair call validates the model once,
-verify builds no automaton and computes the network classes once, and each
-automaton that repair builds to re-check a solution computes them once and
-asks for each network path at most once.
+neither builds an automaton, verify computes the network classes once, and
+repair re-checks every listed solution on one more compilation of the fact
+rules, shared by all users.
 """
 
+import json
 import sys
 
 import pytest
 
+from accessfix import facts, repair
 from accessfix.cli import main
 from conftest import FIXTURES
 
@@ -91,16 +93,29 @@ def test_verify_builds_no_automaton_and_one_set_of_network_classes(monkeypatch, 
     assert len(classes) == 1
 
 
-def test_one_build_asks_each_network_path_once(monkeypatch, capsys):
-    """Repair compiles the facts once and builds a user automaton per
-    re-checked solution; each computes the network classes once and asks
-    no path question twice."""
-    builds = _count(monkeypatch, "_reachability_automaton")
-    # Builds run one after another, so the count so far names the current one.
-    classes = _count(monkeypatch, "lan_classes", lambda args: len(builds))
-    paths = _count(monkeypatch, "network_path", lambda args: (len(builds), args[1:]))
-    code = main(["repair", *PLANT, "--eligibility", "current"])
-    assert code == 1, capsys.readouterr().err
-    assert builds
-    assert classes == list(range(len(builds) + 1))
-    assert len(paths) == len(set(paths))
+def test_repair_builds_no_automaton_and_compiles_once_for_its_rechecks(monkeypatch, capsys):
+    """Repair compiles the rules once for the enabling functions and once
+    for the re-checks; every listed solution of every user is re-checked on
+    that second compilation, and no network classes are computed again."""
+    # With every credential eligible, Amy's missing actions become repairable.
+    for eligibility, exit_code in (("current", 1), ("all", 0)):
+        builds = _count(monkeypatch, "_reachability_automaton")
+        classes = _count(monkeypatch, "lan_classes")
+        compiled = []
+        original = facts.compile_rules
+
+        def compile_rules(model):
+            compiled.append(original(model))
+            return compiled[-1]
+
+        monkeypatch.setattr(facts, "compile_rules", compile_rules)
+        monkeypatch.setattr(repair, "compile_rules", compile_rules)
+        rechecks = _count(monkeypatch, "reachable", lambda args: args[0])
+        code = main(["repair", *PLANT, "--eligibility", eligibility, "--format", "json"])
+        assert code == exit_code, capsys.readouterr().err
+        listed = json.loads(capsys.readouterr().out)["repairs"]
+        assert builds == [], eligibility
+        assert len(compiled) == len(classes) == 2, eligibility
+        assert len(rechecks) == sum(map(len, listed.values())) > 0, eligibility
+        assert all(rules is compiled[1] for rules in rechecks), eligibility
+        monkeypatch.undo()
