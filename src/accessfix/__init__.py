@@ -7,10 +7,13 @@ The pipeline is parse -> validate -> verify -> repair:
   action triples;
 * `facts` compiles the system into single-premise rules over zone, session
   and network-class facts and saturates them into one monotone credential
-  formula per action, its enabling function; under one fixed credential set
-  the same rules give the reachable actions, which repair uses to re-check
-  each solution;
-* `enabling` holds those formulas and the forward pass that computes them;
+  formula per action, its enabling function, kept as an antichain of
+  credential bitmasks over the rules' one credential index; under one fixed
+  credential set the same rules give the reachable actions, which repair
+  uses to re-check each solution;
+* `enabling` holds the forward pass that computes those antichains, the
+  index's encoder and its one decoder (`credential_names`), and `Dnf`, the
+  formulas over names that are printed;
 * `automata` builds the paper's credential-labelled reachability automata,
   which `accessfix automaton` prints and the tests use as the independent
   route that holds the compiled rules to the paper's semantics;
@@ -40,7 +43,7 @@ from .automata import (
     to_dot,
 )
 from .dslparser import ParseError, SourceSpan, parse_policy, parse_system, print_policy, print_system
-from .enabling import BoolExpr, Dnf, enabling_functions, evaluate
+from .enabling import Dnf, credential_mask, credential_names, enabling_functions, evaluate
 from .facts import compile_rules, may_be_ambiguous, reachable, saturate, zone_functions
 from .policy import (
     Permission,
@@ -56,14 +59,7 @@ from .policy import (
     user_spec_sets,
     validate_policy,
 )
-from .repair import (
-    RepairConstraint,
-    RepairResult,
-    RepairSolution,
-    build_constraint,
-    repair_all,
-    repair_user,
-)
+from .repair import RepairResult, RepairSolution, repair_all, repair_user
 from .sysmodel import (
     BecomesAccount,
     Device,

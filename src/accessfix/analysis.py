@@ -1,12 +1,13 @@
 """Policy implementation verification.
 
 Verification and repair both read the enabling functions of a user who
-holds every credential.  `enabling_by_zone` validates the model once and
-computes those functions once per distinct start zone of its users, by
-saturating the model's fact rules (`facts`) rather than building the
-reachability automaton; `verify`, the repair search and the command line
-all read that one map.  A user's implemented actions are the events whose
-function holds under the user's credentials.
+holds every credential.  `enabling_by_zone` validates the model once,
+compiles its fact rules (`facts`) once and saturates them once per distinct
+start zone of its users, rather than building the reachability automaton;
+`verify`, the repair search and the command line all read that one map and
+the rules whose credential index its bitmask antichains use.  A user's
+implemented actions are the events whose function has a minterm inside the
+user's credential mask.
 
 `missing` are allowed actions the system does not enable, `forbidden` are
 denied actions the system enables anyway.  A policy triple whose action no
@@ -20,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import ReducedEvent, _require_valid
-from .enabling import BoolExpr
-from .facts import ZoneFunctions, zone_functions
+from .enabling import covers_any, credential_mask
+from .facts import Functions, Rules, ZoneFunctions, zone_functions
 from .policy import PolicyError, PolicySpec, SpecSets, Triple, spec_sets, validate_policy
 from .sysmodel import SystemModel, User
 
@@ -44,19 +45,21 @@ class AnomalyReport:
         return "correct" if not self.missing and not self.forbidden else "anomalous"
 
 
-def enabling_by_zone(model: SystemModel) -> ZoneFunctions:
-    """Validate the model once, then map each distinct start zone of its
-    users, in user order, to the enabling functions from that zone."""
+def enabling_by_zone(model: SystemModel) -> tuple[Rules, ZoneFunctions]:
+    """Validate the model once, compile its rules, and map each distinct
+    start zone of its users, in user order, to the enabling functions from
+    that zone."""
     _require_valid(model)
     zones = dict.fromkeys(u.initial_zone for u in sorted(model.users.values(), key=lambda u: u.id))
     return zone_functions(model, list(zones))
 
 
-def _implemented(user: User, functions: dict[ReducedEvent, BoolExpr]) -> frozenset[Triple]:
+def _implemented(user: User, rules: Rules, functions: Functions) -> frozenset[Triple]:
+    held = credential_mask(user.credentials, rules.credentials)
     return frozenset(
         (user.id, r.operation, r.object)
-        for r, expr in functions.items()
-        if expr.evaluate(user.credentials)
+        for r, function in functions.items()
+        if covers_any(held, function)
     )
 
 
@@ -66,8 +69,8 @@ def implementation_set(model: SystemModel, user: User | str) -> ImplementationSe
     _require_valid(model)
     if isinstance(user, str):
         user = model.users[user]
-    functions = zone_functions(model, [user.initial_zone])[user.initial_zone]
-    return ImplementationSet(_implemented(user, functions))
+    rules, by_zone = zone_functions(model, [user.initial_zone])
+    return ImplementationSet(_implemented(user, rules, by_zone[user.initial_zone]))
 
 
 def diff(spec: SpecSets, impl: ImplementationSet) -> AnomalyReport:
@@ -78,20 +81,23 @@ def diff(spec: SpecSets, impl: ImplementationSet) -> AnomalyReport:
     )
 
 
-def prepare(model: SystemModel, policy: PolicySpec) -> tuple[SpecSets, ZoneFunctions]:
-    """Validate the policy and the model, flatten the policy and compute the
-    enabling functions per start zone: the work verify and repair share."""
+def prepare(model: SystemModel, policy: PolicySpec) -> tuple[SpecSets, Rules, ZoneFunctions]:
+    """Validate the policy and the model, flatten the policy, compile the
+    rules and compute the enabling functions per start zone: the work verify
+    and repair share."""
     problems = [d for d in validate_policy(policy) if d.severity == "error"]
     if problems:
         raise PolicyError("policy does not validate: " + "; ".join(str(d) for d in problems))
-    by_zone = enabling_by_zone(model)
-    return spec_sets(policy), by_zone
+    rules, by_zone = enabling_by_zone(model)
+    return spec_sets(policy), rules, by_zone
 
 
-def anomalies(model: SystemModel, sets: SpecSets, by_zone: ZoneFunctions) -> AnomalyReport:
+def anomalies(
+    model: SystemModel, sets: SpecSets, rules: Rules, by_zone: ZoneFunctions
+) -> AnomalyReport:
     """Compare every user's implemented actions with the flattened policy."""
     triples = frozenset().union(
-        *(_implemented(u, by_zone[u.initial_zone]) for u in model.users.values())
+        *(_implemented(u, rules, by_zone[u.initial_zone]) for u in model.users.values())
     )
     report = diff(sets, ImplementationSet(triples))
     # The keys of a zone's functions are exactly its reachable reduced events.
@@ -110,5 +116,4 @@ def anomalies(model: SystemModel, sets: SpecSets, by_zone: ZoneFunctions) -> Ano
 
 def verify(model: SystemModel, policy: PolicySpec) -> AnomalyReport:
     """Full pipeline: flatten the policy, compute every user's actions, compare."""
-    sets, by_zone = prepare(model, policy)
-    return anomalies(model, sets, by_zone)
+    return anomalies(model, *prepare(model, policy))

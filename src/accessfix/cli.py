@@ -15,6 +15,7 @@ from pathlib import Path
 from . import analysis, repair as repair_mod
 from .automata import _require_valid, build_super_automaton, to_dot
 from .dslparser import ParseError, parse_policy, parse_system
+from .enabling import Dnf, credential_names
 from .facts import zone_functions
 from .policy import PolicyError, PolicyInconsistent, spec_sets, validate_policy
 from .sysmodel import ModelError, external_zone, validate
@@ -167,11 +168,12 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_repair(config: RunConfig) -> int:
     model = _load_system(config)
     policy = _load_policy(config)
-    # One enabling computation per start zone serves the verdict and the repairs.
-    sets, by_zone = analysis.prepare(model, policy)
-    report = analysis.anomalies(model, sets, by_zone)
+    # One rule compilation, and one enabling computation per start zone,
+    # serve the verdict, the repairs and their re-checks.
+    sets, rules, by_zone = analysis.prepare(model, policy)
+    report = analysis.anomalies(model, sets, rules, by_zone)
     eligibility = _resolve_eligibility(config.eligibility)
-    results = repair_mod.repair_users(model, sets, by_zone, eligibility, config.cap)
+    results = repair_mod.repair_users(model, sets, rules, by_zone, eligibility, config.cap)
 
     anomalous_users = {t[0] for t in report.missing | report.forbidden}
     ok = all(results[uid].solutions for uid in anomalous_users if uid in results)
@@ -216,7 +218,11 @@ def cmd_enabling(config: RunConfig) -> int:
     model = _load_system(config)
     _require_valid(model)
     zone = external_zone(model)
-    functions = zone_functions(model, [zone])[zone]
+    rules, by_zone = zone_functions(model, [zone])
+    functions = {
+        ev: Dnf.of(credential_names(m, rules.credentials) for m in function)
+        for ev, function in by_zone[zone].items()
+    }
     if config.fmt == "json":
         payload = {"functions": {str(ev): str(expr) for ev, expr in functions.items()}}
         _emit(config, _dump_json(payload))

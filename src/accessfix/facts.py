@@ -20,6 +20,12 @@ It is exact because a run enabling an action contains the one chain of
 steps that derives the action's premise, and that chain is itself a run.
 For one fixed credential set the same rules reduce to plain reachability
 (`reachable`), which repair uses to re-check each solution.
+
+`compile_rules` fixes the library's one credential index: the model's sorted
+credentials, the first name at the highest bit (see `enabling`).  Every
+function `saturate` and `zone_functions` return is an antichain of masks
+over that index, and verification and repair read the masks directly, so a
+command compiles the rules once and decodes names only for its output.
 """
 
 from __future__ import annotations
@@ -28,21 +34,21 @@ from collections import defaultdict
 from typing import NamedTuple
 
 from .automata import (
-    EPSILON,
     ReducedEvent,
     _cred_alternatives,
     _reachability_automaton,
     _session_for_account,
 )
-from .enabling import BoolExpr, _propagate
+from .enabling import _propagate, credential_mask
 from .sysmodel import LocAcc, PhyAcc, RemAcc, SystemModel, lan_classes, root_device
 
-ZoneFunctions = dict[str, dict[ReducedEvent, BoolExpr]]
+Functions = dict[ReducedEvent, frozenset[int]]  # action -> antichain of credential masks
+ZoneFunctions = dict[str, Functions]
 Fact = tuple  # ("zone", zone id), ("session", Session) or ("lan", class index)
 
 
 class Rules(NamedTuple):
-    """A model compiled to rules; credential bit i is `credentials[i]`."""
+    """A model compiled to rules over the credential index `credentials`."""
 
     credentials: tuple[str, ...]
     derive: dict[Fact, list[tuple[Fact, int]]]  # premise -> (fact, own credential)
@@ -54,17 +60,16 @@ def compile_rules(model: SystemModel) -> Rules:
     operation variant, plus a credential-free rule from each session to
     each network class of its root device."""
     credentials = tuple(sorted(model.credentials))
-    bit = {c: 1 << i for i, c in enumerate(credentials)}
-    bit[EPSILON] = 0
     derive: dict[Fact, list] = defaultdict(list)
     enable: dict[Fact, list] = defaultdict(list)
 
     def rule(premises, fact, event, required):
         for premise in premises:
             for cred in _cred_alternatives(required, None):
-                enable[premise].append((event, bit[cred]))
+                own = credential_mask((cred,), credentials)  # EPSILON is outside the index: mask 0
+                enable[premise].append((event, own))
                 if fact is not None:
-                    derive[premise].append((fact, bit[cred]))
+                    derive[premise].append((fact, own))
 
     for door in sorted(model.doors, key=lambda r: (r.door, r.src, r.dst)):
         rule([("zone", door.src)], ("zone", door.dst), ReducedEvent("enter", door.dst), door.required)
@@ -111,24 +116,23 @@ def compile_rules(model: SystemModel) -> Rules:
     return Rules(credentials, dict(derive), dict(enable))
 
 
-def saturate(rules: Rules, zone: str) -> dict[ReducedEvent, BoolExpr]:
+def saturate(rules: Rules, zone: str) -> Functions:
     """Enabling function of every action derivable from `zone`, sorted."""
     return _propagate(
         ("zone", zone),
         lambda fact: rules.derive.get(fact, ()),
         lambda fact: rules.enable.get(fact, ()),
-        rules.credentials,
     )
 
 
-def reachable(rules: Rules, zone: str, held: frozenset[str]) -> frozenset[ReducedEvent]:
-    """Actions derivable from `zone` by a user holding exactly `held`.
+def reachable(rules: Rules, zone: str, mask: int) -> frozenset[ReducedEvent]:
+    """Actions derivable from `zone` by a user holding exactly the credentials
+    of `mask`.
 
     With the credentials fixed there is nothing to keep per fact: a rule
     fires when its own credential (none, or one bit) is held, so this is a
     plain reachability walk.
     """
-    mask = sum(1 << i for i, c in enumerate(rules.credentials) if c in held)
     start: Fact = ("zone", zone)
     seen, stack, actions = {start}, [start], set()
     while stack:
@@ -172,8 +176,9 @@ def may_be_ambiguous(model: SystemModel) -> bool:
     return False
 
 
-def zone_functions(model: SystemModel, zones: list[str]) -> ZoneFunctions:
-    """Enabling functions from each of `zones`, for a model validated already.
+def zone_functions(model: SystemModel, zones: list[str]) -> tuple[Rules, ZoneFunctions]:
+    """The compiled rules and the enabling functions from each of `zones`,
+    for a model validated already.
 
     The model is compiled once.  A model `may_be_ambiguous` flags first
     builds each zone's reachability automaton, in order, only so that an
@@ -183,4 +188,4 @@ def zone_functions(model: SystemModel, zones: list[str]) -> ZoneFunctions:
         for zone in zones:
             _reachability_automaton(model, zone, None)
     rules = compile_rules(model)
-    return {zone: saturate(rules, zone) for zone in zones}
+    return rules, {zone: saturate(rules, zone) for zone in zones}

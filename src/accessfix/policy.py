@@ -141,21 +141,19 @@ def closure_users(policy: PolicySpec, role_id: str) -> frozenset[str]:
     return frozenset(out)
 
 
-def spec_sets(policy: PolicySpec, *, literal_user_closure: bool = False) -> SpecSets:
+def spec_sets(policy: PolicySpec) -> SpecSets:
     """Flatten the policy into disjoint allowed/denied triples.
 
-    By default a user picks up the closed permission sets of the roles they
-    are assigned directly.  With `literal_user_closure` the user closure is
-    applied as well (users of a senior role also count as users of its
-    juniors); under that reading a hierarchy whose junior denies what a
-    senior allows becomes inconsistent, which is reported rather than
-    silently resolved.
+    A user picks up the closed permission sets of the roles they are
+    assigned directly; users of a senior role do not also count as users of
+    its juniors, a reading under which a junior's denials would clash with
+    a senior's allowances.  A triple both allowed and denied is reported
+    rather than silently resolved.
     """
     plus: set[Triple] = set()
     minus: set[Triple] = set()
     for rid, role in policy.roles.items():
-        members = closure_users(policy, rid) if literal_user_closure else role.users
-        for user in members:
+        for user in role.users:
             for perm in closure_allowed(policy, rid):
                 plus.add((user, perm.operation, perm.object))
             for perm in closure_denied(policy, rid):

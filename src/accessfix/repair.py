@@ -3,71 +3,53 @@
 For each user the constraint conjoins the enabling function of every allowed
 action and the negation of the enabling function of every denied action.
 The allowed conjuncts are monotone and the denied ones antitone, so the
-search reads the repairs off that structure, keeping credential sets as
-bitmasks over the sorted eligible pool:
+search reads the repairs off that structure.  It keeps credential sets as
+bitmasks over the credential index of the compiled rules (`facts`), the
+same masks the enabling functions are made of, and names a set only to
+report it:
 
 * the minimal repairs are the antichain product of the allowed conjuncts'
-  minterms that lie inside the pool, less every set covering a minterm of a
-  denied conjunct;
+  minterms that lie inside the eligible pool, less every set covering a
+  minterm of a denied conjunct;
 * a repair of size k+1 is either minimal or a repair of size k plus one
   credential, and a set covering a denied minterm is pruned together with
   all its supersets, so one walk up by size reaches every repair.
 
 Each size level is sorted by distance from the user's current credentials,
-then by name, and the walk stops once `cap` repairs are listed.  The list is
-therefore in rank order, and a capped list is the best prefix of the full
-one.  Every reported solution is re-checked before being returned: a plain
-reachability walk over the model's compiled fact rules (`facts.reachable`)
-under exactly the solution's credentials must reach every allowed action of
-the user and no denied one.  The walk shares the rule compiler with the
-enabling functions, so it guards the provenance algebra and the search, not
-the compilation; `tests/test_differential.py` holds the compiled rules to
-the users' own automata.
+then by name (the index puts the first name at the highest bit), and the
+walk stops once `cap` repairs are listed.  The list is therefore in rank
+order, and a capped list is the best prefix of the full one.  Every reported
+solution is re-checked before being returned: a plain reachability walk
+over the same compiled rules (`facts.reachable`) under exactly the
+solution's credentials must reach every allowed action of the user and no
+denied one.  The walk guards the provenance algebra and the search, not the
+compilation; `tests/test_differential.py` holds the compiled rules to the
+users' own automata.
 
-`repair_all` reads the enabling functions from `analysis.enabling_by_zone`,
-computed once per start zone and shared by every user starting there; the
-command line shares the same map with the verdict.
+`repair_all` reads the rules and the enabling functions from
+`analysis.enabling_by_zone`, computed once per start zone and shared by
+every user starting there; the command line shares the same rules and map
+with the verdict.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from .analysis import ZoneFunctions, enabling_by_zone
+from .analysis import enabling_by_zone
 from .automata import ReducedEvent, _require_valid
-from .enabling import BoolExpr, Dnf, _absorb
-from .facts import Rules, compile_rules, reachable, zone_functions
-from .policy import PolicySpec, SpecSets, Triple, spec_sets, user_spec_sets
+from .enabling import _absorb, covers_any, credential_mask, credential_names
+from .facts import Functions, Rules, ZoneFunctions, reachable, zone_functions
+from .policy import Permission, PolicySpec, SpecSets, Triple, spec_sets, user_spec_sets
 from .sysmodel import SystemModel, User
 
 ELIGIBILITY_MODES = ("current", "all")
 
-
-@dataclass(frozen=True)
-class Conjunct:
-    event: ReducedEvent
-    expr: BoolExpr
-    negated: bool
-
-
-@dataclass(frozen=True)
-class RepairConstraint:
-    """Per-user satisfiability problem over credential variables.
-
-    Credentials outside `eligible` are false in every repair, which keeps
-    repairs inside the allowed credential pool (e.g. nobody may be granted
-    another person's password).
-    """
-
-    user: str
-    conjuncts: tuple[Conjunct, ...]
-    eligible: frozenset[str]
-
-    def satisfied_by(self, credentials: Iterable[str]) -> bool:
-        creds = frozenset(credentials)
-        return all(c.expr.evaluate(creds) != c.negated for c in self.conjuncts)
+# One allowed (negated false) or denied (negated true) action of a user,
+# with the minterms of its enabling function that lie inside the pool.
+Conjunct = tuple[Permission, list[int], bool]
 
 
 @dataclass(frozen=True)
@@ -83,57 +65,36 @@ class RepairResult(NamedTuple):
     blocking: tuple[Triple, ...]  # spec triples behind an unsatisfiable constraint
 
 
-def build_constraint(
-    functions: dict[ReducedEvent, BoolExpr], sets: SpecSets, user: User, eligible: Iterable[str]
-) -> RepairConstraint:
-    """The user's constraint over the enabling functions of their start zone."""
-    plus, minus = user_spec_sets(sets, user.id)
-    conjuncts = []
-    for perm in sorted(plus):
-        event = ReducedEvent(*perm)
-        conjuncts.append(Conjunct(event, functions.get(event, Dnf.false()), False))
-    for perm in sorted(minus):
-        event = ReducedEvent(*perm)
-        conjuncts.append(Conjunct(event, functions.get(event, Dnf.false()), True))
-    return RepairConstraint(user=user.id, conjuncts=tuple(conjuncts), eligible=frozenset(eligible))
+def _conjuncts(functions: Functions, sets: SpecSets, user_id: str, pool: int) -> list[Conjunct]:
+    """The user's allowed actions, then the denied ones, each in sorted order."""
+    plus, minus = user_spec_sets(sets, user_id)
+    return [
+        (perm, [m for m in functions.get(ReducedEvent(*perm), ()) if m & pool == m], negated)
+        for perms, negated in ((plus, False), (minus, True))
+        for perm in sorted(perms)
+    ]
 
 
-def _pool_bits(pool: frozenset[str]) -> dict[str, int]:
-    """One bit per pool credential.  The first name in sorted order gets the
-    highest bit, so of two sets of one size the one first by name is the
-    larger bitmask."""
-    names = sorted(pool)
-    return {c: 1 << (len(names) - 1 - i) for i, c in enumerate(names)}
-
-
-def _masks(expr: BoolExpr, bit: dict[str, int]) -> list[int]:
-    """The minterms of `expr` that lie inside the pool, as bitmasks."""
-    return [sum(bit[c] for c in m) for m in expr.minterms if all(c in bit for c in m)]
-
-
-def _covers_any(creds: int, minterms: list[int]) -> bool:
-    return any(m & creds == m for m in minterms)
-
-
-def _minimal_repairs(constraint: RepairConstraint, bit: dict[str, int]) -> tuple[set[int], list[int]]:
-    """The minimal repairs, empty when the constraint is unsatisfiable within
+def _minimal_repairs(conjuncts: list[Conjunct]) -> tuple[set[int], list[int]]:
+    """The minimal repairs, empty when the conjuncts are unsatisfiable within
     the pool, and the denied minterms inside the pool."""
-    denied = [m for c in constraint.conjuncts if c.negated for m in _masks(c.expr, bit)]
+    denied = [m for _, minterms, negated in conjuncts if negated for m in minterms]
     minimal = {0}
-    for conjunct in constraint.conjuncts:
-        if not conjunct.negated:
+    for _, minterms, negated in conjuncts:
+        if not negated:
             product: set[int] = set()
-            for m in _masks(conjunct.expr, bit):
+            for m in minterms:
                 for s in minimal:
                     _absorb(product, s | m)
             minimal = product
-    return {s for s in minimal if not _covers_any(s, denied)}, denied
+    return {s for s in minimal if not covers_any(s, denied)}, denied
 
 
 def _ranked(
-    minimal: set[int], denied: list[int], width: int, current: int, cap: int
+    minimal: set[int], denied: list[int], pool: int, current: int, cap: int
 ) -> tuple[list[int], bool]:
-    """The first `cap` repairs in rank order, and whether another exists.
+    """The first `cap` repairs inside `pool` in rank order, and whether
+    another exists.
 
     Rank is size, then distance from `current`, then name.  `minimal` must
     not be empty.
@@ -141,7 +102,7 @@ def _ranked(
     by_size: dict[int, set[int]] = defaultdict(set)
     for s in minimal:
         by_size[s.bit_count()].add(s)
-    singles = [1 << i for i in range(width)]
+    singles = [1 << i for i in range(pool.bit_length()) if pool >> i & 1]
     size, largest = min(by_size), max(by_size)
     level: set[int] = set()
     ranked: list[int] = []
@@ -153,7 +114,7 @@ def _ranked(
             ranked.append(s)
         level = {
             s | b for s in level for b in singles
-            if not s & b and not _covers_any(s | b, denied)
+            if not s & b and not covers_any(s | b, denied)
         }
         size += 1
     return ranked, False
@@ -178,37 +139,33 @@ def _sound_for_user(
     zone: str,
     plus: frozenset[ReducedEvent],
     minus: frozenset[ReducedEvent],
-    credentials: frozenset[str],
+    mask: int,
 ) -> bool:
-    """Re-check of one solution: a user holding exactly `credentials` from
-    `zone` reaches every action of `plus` and none of `minus`.
+    """Re-check of one solution: a user holding exactly the credentials of
+    `mask` from `zone` reaches every action of `plus` and none of `minus`.
 
     It walks the rules with the credentials fixed, without the provenance
     algebra or the search, so it guards those, not the rule compiler.
     """
-    if not credentials.issubset(rules.credentials):
-        return False
-    reached = reachable(rules, zone, credentials)
+    reached = reachable(rules, zone, mask)
     return plus <= reached and not minus & reached
 
 
-def _unsat_core(constraint: RepairConstraint, bit: dict[str, int]) -> tuple[Triple, ...]:
+def _unsat_core(user_id: str, conjuncts: list[Conjunct]) -> tuple[Triple, ...]:
     """Deletion-based minimal subset of conjuncts that is already unsatisfiable."""
-    core = list(constraint.conjuncts)
+    core = list(conjuncts)
     for conjunct in list(core):
         rest = [c for c in core if c is not conjunct]
-        if not _minimal_repairs(replace(constraint, conjuncts=tuple(rest)), bit)[0]:
+        if not _minimal_repairs(rest)[0]:
             core = rest
-    return tuple(
-        sorted((constraint.user, c.event.operation, c.event.object) for c in core)
-    )
+    return tuple(sorted((user_id, perm.operation, perm.object) for perm, _, _ in core))
 
 
 def _repair(
     model: SystemModel,
     sets: SpecSets,
-    functions: dict[ReducedEvent, BoolExpr],
     rules: Rules,
+    functions: Functions,
     user_id: str,
     eligibility,
     cap: int,
@@ -217,23 +174,23 @@ def _repair(
     eligible = _resolve_eligible(model, user, eligibility)
     if cap < 1:
         raise ValueError("cap must be at least one")
-    constraint = build_constraint(functions, sets, user, eligible)
-    bit = _pool_bits(eligible)
-    minimal, denied = _minimal_repairs(constraint, bit)
+    pool = credential_mask(eligible, rules.credentials)
+    conjuncts = _conjuncts(functions, sets, user_id, pool)
+    minimal, denied = _minimal_repairs(conjuncts)
     if not minimal:
-        return RepairResult((), False, _unsat_core(constraint, bit))
+        return RepairResult((), False, _unsat_core(user_id, conjuncts))
 
-    current = sum(bit[c] for c in user.credentials if c in bit)
-    ranked, truncated = _ranked(minimal, denied, len(bit), current, cap)
+    current = credential_mask(user.credentials, rules.credentials)
+    ranked, truncated = _ranked(minimal, denied, pool, current, cap)
     plus, minus = (frozenset(ReducedEvent(*p) for p in ps) for ps in user_spec_sets(sets, user_id))
     solutions = []
     for mask in ranked:
-        creds = frozenset(c for c, b in bit.items() if mask & b)
-        if not _sound_for_user(rules, user.initial_zone, plus, minus, creds):
+        creds = credential_names(mask, rules.credentials)
+        if not _sound_for_user(rules, user.initial_zone, plus, minus, mask):
             raise RuntimeError(
                 f"search returned an unsound repair for {user_id}: {sorted(creds)}"
             )
-        solutions.append(RepairSolution(creds, mask in minimal, len(creds ^ user.credentials)))
+        solutions.append(RepairSolution(creds, mask in minimal, (mask ^ current).bit_count()))
     return RepairResult(tuple(solutions), truncated, ())
 
 
@@ -249,20 +206,22 @@ def repair_user(
     _require_valid(model)
     sets = spec_sets(policy)
     zone = model.users[user_id].initial_zone
-    functions = zone_functions(model, [zone])[zone]
-    return _repair(model, sets, functions, compile_rules(model), user_id, eligibility, cap)
+    rules, by_zone = zone_functions(model, [zone])
+    return _repair(model, sets, rules, by_zone[zone], user_id, eligibility, cap)
 
 
 def repair_users(
-    model: SystemModel, sets: SpecSets, by_zone: ZoneFunctions, eligibility, cap: int
+    model: SystemModel,
+    sets: SpecSets,
+    rules: Rules,
+    by_zone: ZoneFunctions,
+    eligibility,
+    cap: int,
 ) -> dict[str, RepairResult]:
-    """Independent per-user repair over precomputed enabling functions.
-
-    The rules that re-check the solutions are compiled once for all users.
-    """
-    rules = compile_rules(model)
+    """Independent per-user repair over precomputed enabling functions; the
+    rules they were saturated from re-check every user's solutions."""
     return {
-        uid: _repair(model, sets, by_zone[model.users[uid].initial_zone], rules, uid, eligibility, cap)
+        uid: _repair(model, sets, rules, by_zone[model.users[uid].initial_zone], uid, eligibility, cap)
         for uid in sorted(model.users)
     }
 
@@ -271,5 +230,5 @@ def repair_all(
     model: SystemModel, policy: PolicySpec, eligibility="all", cap: int = 100
 ) -> dict[str, RepairResult]:
     """Independent per-user repair for every user of the model."""
-    by_zone = enabling_by_zone(model)
-    return repair_users(model, spec_sets(policy), by_zone, eligibility, cap)
+    rules, by_zone = enabling_by_zone(model)
+    return repair_users(model, spec_sets(policy), rules, by_zone, eligibility, cap)

@@ -19,15 +19,17 @@ Network connectivity has its first definition here: a breadth-first search
 over the link graph (`bfs_network_path`), where the library reads paths
 off the model's network classes.
 
-Repair has a second route here as well: the constraint encoded as CNF and
-its models enumerated by DPLL with blocking clauses (`to_cnf`, `solve_all`),
-plus a ranking by brute force over the pool's powerset.
+Repair has a second route here as well: the per-user constraint over the
+enabling functions as formulas over names (`build_constraint`), encoded as
+CNF and its models enumerated by DPLL with blocking clauses (`to_cnf`,
+`solve_all`), plus a ranking by brute force over the pool's powerset.  The
+library searches bitmask antichains over its credential index instead.
 """
 
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain, combinations, product
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from accessfix import (
     EPSILON,
@@ -40,9 +42,13 @@ from accessfix import (
     RemAcc,
     ReducedEvent,
     Session,
+    SpecSets,
+    User,
+    credential_names,
     enabling_functions,
     external_zone,
     root_device,
+    user_spec_sets,
 )
 
 TokenSet = frozenset
@@ -408,9 +414,58 @@ def powerset(items):
     )
 
 
-# The clause route of repair.  The library reads repairs off the constraint's
-# monotone structure instead; the tests hold the two to the same solutions
-# and the same unsatisfiable cores.
+def decoded(functions, credentials) -> dict:
+    """Bitmask antichains over the index `credentials` as `Dnf`s over names."""
+    return {
+        r: Dnf.of(credential_names(m, credentials) for m in function)
+        for r, function in functions.items()
+    }
+
+
+# The repair constraint over names, and its clause route.  The library reads
+# repairs off the constraint's monotone structure instead; the tests hold the
+# two to the same solutions and the same unsatisfiable cores.
+
+
+@dataclass(frozen=True)
+class Conjunct:
+    event: ReducedEvent
+    expr: Dnf
+    negated: bool
+
+
+@dataclass(frozen=True)
+class RepairConstraint:
+    """Per-user satisfiability problem over credential variables.
+
+    Credentials outside `eligible` are false in every repair, which keeps
+    repairs inside the allowed credential pool (e.g. nobody may be granted
+    another person's password).
+    """
+
+    user: str
+    conjuncts: tuple[Conjunct, ...]
+    eligible: frozenset[str]
+
+    def satisfied_by(self, credentials: Iterable[str]) -> bool:
+        creds = frozenset(credentials)
+        return all(c.expr.evaluate(creds) != c.negated for c in self.conjuncts)
+
+
+def build_constraint(
+    functions: dict[ReducedEvent, Dnf], sets: SpecSets, user: User, eligible: Iterable[str]
+) -> RepairConstraint:
+    """The user's constraint over the enabling functions of their start zone."""
+    plus, minus = user_spec_sets(sets, user.id)
+    conjuncts = []
+    for perm in sorted(plus):
+        event = ReducedEvent(*perm)
+        conjuncts.append(Conjunct(event, functions.get(event, Dnf.false()), False))
+    for perm in sorted(minus):
+        event = ReducedEvent(*perm)
+        conjuncts.append(Conjunct(event, functions.get(event, Dnf.false()), True))
+    return RepairConstraint(user=user.id, conjuncts=tuple(conjuncts), eligible=frozenset(eligible))
+
 
 Lit = tuple[str, bool]
 

@@ -11,7 +11,6 @@ from contextlib import contextmanager
 
 from accessfix import (
     ReducedEvent,
-    build_constraint,
     build_user_automaton,
     implementation_set,
     parse_policy,
@@ -33,6 +32,7 @@ from conftest import (
 from oracles import (
     PLANT_FORMULAS,
     brute_force_enabling_sets,
+    build_constraint,
     enabling_sets,
     event_expr,
     expand_factored,

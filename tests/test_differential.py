@@ -31,10 +31,10 @@ from accessfix import (
     ReducedEvent,
     SystemModel,
     Zone,
-    build_constraint,
     build_super_automaton,
     build_user_automaton,
     compile_rules,
+    credential_mask,
     enabling_by_zone,
     enabling_functions,
     implementation_set,
@@ -57,7 +57,9 @@ from conftest import plant_cells
 from oracles import (
     brute_force_repairs,
     build_access_automaton,
+    build_constraint,
     build_movement_automaton,
+    decoded,
     dpll_models,
     dpll_unsat_core,
     enabling_functions_from_sets,
@@ -190,7 +192,8 @@ def test_enabling_functions_equal_the_event_level_definition(plant, plant_automa
             if not isinstance(automaton, ModelError):
                 cases.append((f"randgen seed {seed}, zone {zone}", model, zone, automaton, True))
     for where, model, zone, automaton, by_sets in cases:
-        functions = saturate(compile_rules(model), zone)
+        rules = compile_rules(model)
+        functions = decoded(saturate(rules, zone), rules.credentials)
         assert functions == enabling_functions(automaton), where
         if by_sets:
             assert functions == enabling_functions_from_sets(automaton), where
@@ -223,7 +226,7 @@ def test_the_fact_walk_equals_the_users_automaton():
                 if isinstance(automaton, ModelError):
                     counts["ambiguous"] += 1
                     continue
-                walked = reachable(rules, user.initial_zone, creds)
+                walked = reachable(rules, user.initial_zone, credential_mask(creds, rules.credentials))
                 assert walked == reachable_reduced_events(automaton), (where, uid, sorted(creds))
                 counts["equal"] += 1
     print(dict(counts))
@@ -330,17 +333,19 @@ def test_repair_equals_brute_force_and_the_clause_route():
         if any(d.severity == "error" for d in validate(model)):
             continue
         policy = random_policy(rng, model)
-        by_zone = _outcome(lambda: enabling_by_zone(model))
-        if isinstance(by_zone, ModelError):
+        shared = _outcome(lambda: enabling_by_zone(model))
+        if isinstance(shared, ModelError):
             continue
+        rules, by_zone = shared
         sets = spec_sets(policy)
         for eligibility in ("all", "current"):
-            full = repair_users(model, sets, by_zone, eligibility, 2 ** len(model.credentials))
-            capped = repair_users(model, sets, by_zone, eligibility, 3)
+            full = repair_users(model, sets, rules, by_zone, eligibility, 2 ** len(model.credentials))
+            capped = repair_users(model, sets, rules, by_zone, eligibility, 3)
             for uid, user in sorted(model.users.items()):
                 where = f"randgen seed {seed}, user {uid}, eligibility {eligibility}"
                 pool = model.credentials if eligibility == "all" else user.credentials
-                constraint = build_constraint(by_zone[user.initial_zone], sets, user, pool)
+                functions = decoded(by_zone[user.initial_zone], rules.credentials)
+                constraint = build_constraint(functions, sets, user, pool)
                 ranked = [(s.credentials, s.minimal) for s in full[uid].solutions]
                 assert ranked == brute_force_repairs(constraint, user.credentials), where
                 assert not full[uid].truncated, where

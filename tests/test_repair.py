@@ -7,7 +7,6 @@ from accessfix import (
     PolicySpec,
     Role,
     SpecSets,
-    build_constraint,
     repair,
     repair_all,
     repair_user,
@@ -15,7 +14,7 @@ from accessfix import (
     verify,
 )
 from conftest import AMY_FIX, AMY_FIX_MIN, C_TOM, TOM_FIX_LARGE, TOM_FIX_SMALL, UNIVERSE
-from oracles import CnfFormula, powerset, solve_all, to_cnf
+from oracles import CnfFormula, build_constraint, powerset, solve_all, to_cnf
 
 
 def test_tom_constraint_truth_table(plant, plant_functions, plant_policy):
