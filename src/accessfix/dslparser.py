@@ -1,13 +1,21 @@
 """Textual syntax for system models (.ins) and policies (.rbac).
 
-Hand-written lexer and recursive-descent parser with position-carrying
-errors, plus canonical printers: printing sorts declarations by kind and id,
-so print-parse-print is byte-idempotent and parse(print(x)) is structurally
-equal to x.
+One compiled regular expression scans a whole file into `(kind, text,
+offset)` tuples before a recursive-descent parser reads them.  Each match
+skips blanks and `//` comments, then takes one token: an identifier (a letter
+or `_`, then letters, digits or `_`), a number (decimal digits, the Unicode
+ones `int` reads included), a quoted string (which may span lines), or
+punctuation.  The scan stops at a character that starts no token, and since
+it runs before parsing, that character is reported ahead of an earlier
+syntax error.  Line and column are worked out from the offset only when a
+`ParseError` is raised.
+Canonical printers sort declarations by kind and id, so print-parse-print is
+byte-idempotent and parse(print(x)) is structurally equal to x.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .policy import Permission, PolicySpec, Role
@@ -35,7 +43,19 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-_PUNCTUATION = ("<->", "->", "--", ";", ",", "{", "}", "(", ")", ".", "<", "/")
+# Blanks and comments.  A comment ends only at a newline or the end of the
+# text, and a `/` token is never followed by `/`: otherwise the engine,
+# failing to match a token after a comment, would backtrack into the comment
+# and lex its tail.
+_SKIP = r"(?:[ \t\r\n]+|//[^\n]*(?![^\n]))*"
+_BLANKS = re.compile(_SKIP)
+_TOKEN = re.compile(
+    _SKIP
+    + r"(?:(?P<ident>[^\W\d]\w*)"
+    r"|(?P<number>\d+)"
+    r'|"(?P<string>[^"]*)"'
+    r"|(?P<punct><->|->|--|[;,{}().<]|/(?!/)))"
+)
 
 
 @dataclass(frozen=True)
@@ -60,99 +80,74 @@ class ParseError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | number | string | punct | eof
-    text: str
-    line: int
-    column: int
+def _source_span(text: str, file: str, offset: int, length: int = 1) -> SourceSpan:
+    """The 1-based line and column of `offset` in `text`."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SourceSpan(file, text.count("\n", 0, line_start) + 1, offset - line_start + 1, length)
 
 
-def _tokenize(text: str, file: str) -> list[_Token]:
-    tokens = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ParseError(SourceSpan(file, line, col), "closing '\"'", "end of input")
-            tokens.append(_Token("string", text[i + 1 : j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for punct in _PUNCTUATION:
-            if text.startswith(punct, i):
-                tokens.append(_Token("punct", punct, line, col))
-                col += len(punct)
-                i += len(punct)
+# (kind, text, offset of the text): the kind is ident, number, string, punct
+# or eof, and a string's text starts after its opening quote.
+Token = tuple[str, str, int]
+
+
+def _token_span(text: str, file: str, token: Token) -> SourceSpan:
+    kind, value, offset = token
+    start = offset - 1 if kind == "string" else offset
+    return _source_span(text, file, start, max(len(value), 1))
+
+
+def _tokenize(text: str, file: str) -> list[Token]:
+    # The scan stops at the first character that starts no token, or at the
+    # blanks and comments that end the text.
+    tokens = [
+        (m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+        for m in iter(_TOKEN.scanner(text).match, None)
+    ]
+    tail = 0
+    if tokens:
+        kind, value, offset = tokens[-1]
+        tail = offset + len(value) + (kind == "string")
+    stop = _BLANKS.match(text, tail).end()
+    if not text.isascii():
+        # `\w` also admits non-letters such as `²` as an identifier's first
+        # character; only text outside ASCII can hold one.
+        for kind, value, offset in tokens:
+            if kind == "ident" and not (value[0].isalpha() or value[0] == "_"):
+                stop = offset
                 break
-        else:
-            raise ParseError(SourceSpan(file, line, col), "a token", f"'{ch}'")
-    tokens.append(_Token("eof", "", line, col))
+    if stop < len(text):
+        span = _source_span(text, file, stop)
+        if text[stop] == '"':
+            raise ParseError(span, "closing '\"'", "end of input")
+        raise ParseError(span, "a token", f"'{text[stop]}'")
+    # At the end of the text the offset stays at the start of a trailing
+    # comment, which reads as the end of input.
+    comment = text.find("//", max(tail, text.rfind("\n", tail) + 1))
+    tokens.append(("eof", "", comment if comment >= 0 else len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, file: str):
+        self.text = text
         self.file = file
         self.tokens = _tokenize(text, file)
         self.pos = 0
 
     @property
-    def current(self) -> _Token:
+    def current(self) -> Token:
         return self.tokens[self.pos]
 
-    def _span(self, token: _Token) -> SourceSpan:
-        return SourceSpan(self.file, token.line, token.column, max(len(token.text), 1))
-
-    def fail(self, expected: str, token: _Token | None = None):
+    def fail(self, expected: str, token: Token | None = None):
         token = token or self.current
-        found = "end of input" if token.kind == "eof" else f"'{token.text}'"
-        raise ParseError(self._span(token), expected, found)
-
-    def advance(self) -> _Token:
-        token = self.current
-        if token.kind != "eof":
-            self.pos += 1
-        return token
-
-    def at_keyword(self, word: str) -> bool:
-        return self.current.kind == "ident" and self.current.text == word
+        found = "end of input" if token[0] == "eof" else f"'{token[1]}'"
+        raise ParseError(_token_span(self.text, self.file, token), expected, found)
 
     def accept_keyword(self, word: str) -> bool:
-        if self.at_keyword(word):
-            self.advance()
+        token = self.tokens[self.pos]
+        if token[1] == word and token[0] == "ident":
+            self.pos += 1
             return True
         return False
 
@@ -161,8 +156,9 @@ class _Parser:
             self.fail(f'"{word}"')
 
     def accept_punct(self, punct: str) -> bool:
-        if self.current.kind == "punct" and self.current.text == punct:
-            self.advance()
+        token = self.tokens[self.pos]
+        if token[1] == punct and token[0] == "punct":
+            self.pos += 1
             return True
         return False
 
@@ -171,25 +167,25 @@ class _Parser:
             self.fail(f'"{punct}"')
 
     def expect_ident(self, what: str = "identifier") -> str:
-        token = self.current
-        if token.kind != "ident" or token.text in KEYWORDS:
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "ident" or text in KEYWORDS:
             self.fail(what)
-        self.advance()
-        return token.text
+        self.pos += 1
+        return text
 
     def expect_number(self) -> int:
-        token = self.current
-        if token.kind != "number":
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "number":
             self.fail("a number")
-        self.advance()
-        return int(token.text)
+        self.pos += 1
+        return int(text)
 
     def expect_string(self) -> str:
-        token = self.current
-        if token.kind != "string":
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "string":
             self.fail("a quoted string")
-        self.advance()
-        return token.text
+        self.pos += 1
+        return text
 
     def cred_set(self) -> frozenset[str]:
         self.expect_punct("{")
@@ -201,8 +197,9 @@ class _Parser:
             self.expect_punct("}")
         return frozenset(items)
 
-    def duplicate(self, kind: str, name: str, token: _Token):
-        raise ParseError(self._span(token), f"a new {kind} name", f"duplicate '{name}'")
+    def duplicate(self, kind: str, name: str, token: Token):
+        span = _token_span(self.text, self.file, token)
+        raise ParseError(span, f"a new {kind} name", f"duplicate '{name}'")
 
 
 def parse_system(text: str, filename: str = "<string>") -> SystemModel:
@@ -215,7 +212,7 @@ def parse_system(text: str, filename: str = "<string>") -> SystemModel:
     links: set[Link] = set()
     users: dict[str, User] = {}
 
-    while p.current.kind != "eof":
+    while p.current[0] != "eof":
         if p.accept_keyword("credential"):
             token = p.current
             name = p.expect_ident()
@@ -384,7 +381,7 @@ def parse_policy(text: str, filename: str = "<string>") -> PolicySpec:
     p = _Parser(text, filename)
     roles: dict[str, Role] = {}
     hierarchy: set[tuple[str, str]] = set()
-    while p.current.kind != "eof":
+    while p.current[0] != "eof":
         if p.accept_keyword("role"):
             token = p.current
             rid = p.expect_ident()

@@ -161,6 +161,11 @@ def _unsat_core(user_id: str, conjuncts: list[Conjunct]) -> tuple[Triple, ...]:
     return tuple(sorted((user_id, perm.operation, perm.object) for perm, _, _ in core))
 
 
+def _check_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError("cap must be at least one")
+
+
 def _repair(
     model: SystemModel,
     sets: SpecSets,
@@ -172,8 +177,6 @@ def _repair(
 ) -> RepairResult:
     user = model.users[user_id]
     eligible = _resolve_eligible(model, user, eligibility)
-    if cap < 1:
-        raise ValueError("cap must be at least one")
     pool = credential_mask(eligible, rules.credentials)
     conjuncts = _conjuncts(functions, sets, user_id, pool)
     minimal, denied = _minimal_repairs(conjuncts)
@@ -203,6 +206,7 @@ def repair_user(
     from the user's current credentials, then lexicographically; a capped
     list is the best prefix of the full one.
     """
+    _check_cap(cap)
     _require_valid(model)
     sets = spec_sets(policy)
     zone = model.users[user_id].initial_zone
@@ -220,6 +224,7 @@ def repair_users(
 ) -> dict[str, RepairResult]:
     """Independent per-user repair over precomputed enabling functions; the
     rules they were saturated from re-check every user's solutions."""
+    _check_cap(cap)
     return {
         uid: _repair(model, sets, rules, by_zone[model.users[uid].initial_zone], uid, eligibility, cap)
         for uid in sorted(model.users)

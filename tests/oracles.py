@@ -24,6 +24,10 @@ enabling functions as formulas over names (`build_constraint`), encoded as
 CNF and its models enumerated by DPLL with blocking clauses (`to_cnf`,
 `solve_all`), plus a ranking by brute force over the pool's powerset.  The
 library searches bitmask antichains over its credential index instead.
+
+The textual formats have a second lexer here: the per-character scanner
+(`char_tokenize`) the library's one compiled regular expression replaced,
+which carries line and column in every token instead of an offset.
 """
 
 from collections import deque
@@ -38,10 +42,12 @@ from accessfix import (
     ExtendedEvent,
     LocAcc,
     ModelError,
+    ParseError,
     PhyAcc,
     RemAcc,
     ReducedEvent,
     Session,
+    SourceSpan,
     SpecSets,
     User,
     credential_names,
@@ -614,3 +620,73 @@ def brute_force_repairs(constraint, current) -> list:
     found = [c for c in powerset(constraint.eligible) if constraint.satisfied_by(c)]
     found.sort(key=lambda c: (len(c), len(c ^ current), tuple(sorted(c))))
     return [(c, not any(other < c for other in found)) for c in found]
+
+
+PUNCTUATION = ("<->", "->", "--", ";", ",", "{", "}", "(", ")", ".", "<", "/")
+
+
+@dataclass(frozen=True)
+class CharToken:
+    kind: str  # ident | number | string | punct | eof
+    text: str
+    line: int
+    column: int
+
+
+def char_tokenize(text: str, file: str) -> list[CharToken]:
+    """The per-character lexer: one character at a time, in the order blank,
+    comment, string, digit, letter, punctuation.  Two known faults: newlines
+    inside a string are not counted, and a digit that is not decimal (`²`)
+    starts or continues a number that `int` cannot read."""
+    tokens = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == '"':
+            j = text.find('"', i + 1)
+            if j < 0:
+                raise ParseError(SourceSpan(file, line, col), "closing '\"'", "end of input")
+            tokens.append(CharToken("string", text[i + 1 : j], line, col))
+            col += j - i + 1
+            i = j + 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(CharToken("number", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(CharToken("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for punct in PUNCTUATION:
+            if text.startswith(punct, i):
+                tokens.append(CharToken("punct", punct, line, col))
+                col += len(punct)
+                i += len(punct)
+                break
+        else:
+            raise ParseError(SourceSpan(file, line, col), "a token", f"'{ch}'")
+    tokens.append(CharToken("eof", "", line, col))
+    return tokens

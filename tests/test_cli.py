@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import accessfix
-from accessfix.cli import main
+from accessfix.cli import _build_argparser, main
 from conftest import FIXTURES
 
 PLANT = str(FIXTURES / "plant.ins")
@@ -156,6 +156,14 @@ def test_repair_cap_zero_is_an_error(capsys):
     assert "cap must be at least one" in err
 
 
+def test_repair_cap_zero_is_an_error_without_users(tmp_path, capsys):
+    empty = tmp_path / "empty.ins"
+    empty.write_text("zone O external;\n")
+    code, _, err = run(capsys, "repair", "--system", str(empty), "--policy", POLICY, "--cap", "0")
+    assert code == 3
+    assert err == "error: cap must be at least one\n"
+
+
 def test_repair_cap_one_lists_the_best_repair(capsys):
     code, out, _ = run(
         capsys, "repair", "--system", PLANT, "--policy", POLICY,
@@ -207,6 +215,28 @@ def test_json_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_non_decimal_port_digit_exits_2_with_a_position(tmp_path, capsys):
+    bad = tmp_path / "bad.ins"
+    bad.write_text("zone O external;\ndevice D in O { operation o { when rem_acc(tcp, ²); } }\n")
+    code, out, err = run(capsys, "verify", "--system", str(bad), "--policy", POLICY)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}:2:49: expected a token, found '²'\n"
+
+
+def test_repeated_calls_reuse_one_argument_parser(capsys):
+    verify = ("verify", "--system", PLANT, "--policy", POLICY, "--format", "json")
+    first = run(capsys, *verify)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--system", PLANT, "--format", "yaml"])
+    usage_error = (exc.value.code, capsys.readouterr())
+    assert first == run(capsys, *verify)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--system", PLANT, "--format", "yaml"])
+    assert (exc.value.code, capsys.readouterr()) == usage_error
+    assert usage_error[0] == 2 and "invalid choice: 'yaml'" in usage_error[1].err
+    assert _build_argparser() is _build_argparser()
 
 
 def test_semantically_broken_model_exits_3(tmp_path, capsys):
