@@ -7,7 +7,6 @@ without a repair, 2 parse or I/O error, 3 semantic or policy inconsistency.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -38,7 +37,6 @@ class RunConfig:
     out: Path | None
 
 
-@functools.cache  # parse_args keeps no state in the parser; in-process callers reuse it
 def _build_argparser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="accessfix",

@@ -5,10 +5,10 @@ offset)` tuples before a recursive-descent parser reads them.  Each match
 skips blanks and `//` comments, then takes one token: an identifier (a letter
 or `_`, then letters, digits or `_`), a number (decimal digits, the Unicode
 ones `int` reads included), a quoted string (which may span lines), or
-punctuation.  The scan stops at a character that starts no token, and since
-it runs before parsing, that character is reported ahead of an earlier
-syntax error.  Line and column are worked out from the offset only when a
-`ParseError` is raised.
+punctuation.  The scan takes time linear in the text.  It stops at a
+character that starts no token, and since it runs before parsing, that
+character is reported ahead of an earlier syntax error.  Line and column
+are worked out from the offset only when a `ParseError` is raised.
 Canonical printers sort declarations by kind and id, so print-parse-print is
 byte-idempotent and parse(print(x)) is structurally equal to x.
 """
@@ -43,11 +43,14 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-# Blanks and comments.  A comment ends only at a newline or the end of the
-# text, and a `/` token is never followed by `/`: otherwise the engine,
-# failing to match a token after a comment, would backtrack into the comment
-# and lex its tail.
-_SKIP = r"(?:[ \t\r\n]+|//[^\n]*(?![^\n]))*"
+# Blanks and comments, each matched in exactly one way, so the engine's
+# backtracking after the last token (at the end of the text, or at a
+# character that starts no token) is linear in what it skipped.  A run of
+# blanks is maximal, and a comment ends only at a newline or the end of the
+# text: a run that could stop anywhere would let the engine try every split
+# of the blanks, and a comment that could stop early would let it lex the
+# comment's tail.  For the same reason a `/` token is never followed by `/`.
+_SKIP = r"(?:[ \t\r\n]+(?![ \t\r\n])|//[^\n]*(?![^\n]))*"
 _BLANKS = re.compile(_SKIP)
 _TOKEN = re.compile(
     _SKIP

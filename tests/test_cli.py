@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import accessfix
-from accessfix.cli import _build_argparser, main
+from accessfix.cli import main
 from conftest import FIXTURES
 
 PLANT = str(FIXTURES / "plant.ins")
@@ -223,20 +223,6 @@ def test_non_decimal_port_digit_exits_2_with_a_position(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--system", str(bad), "--policy", POLICY)
     assert (code, out) == (2, "")
     assert err == f"error: {bad}:2:49: expected a token, found '²'\n"
-
-
-def test_repeated_calls_reuse_one_argument_parser(capsys):
-    verify = ("verify", "--system", PLANT, "--policy", POLICY, "--format", "json")
-    first = run(capsys, *verify)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--system", PLANT, "--format", "yaml"])
-    usage_error = (exc.value.code, capsys.readouterr())
-    assert first == run(capsys, *verify)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--system", PLANT, "--format", "yaml"])
-    assert (exc.value.code, capsys.readouterr()) == usage_error
-    assert usage_error[0] == 2 and "invalid choice: 'yaml'" in usage_error[1].err
-    assert _build_argparser() is _build_argparser()
 
 
 def test_semantically_broken_model_exits_3(tmp_path, capsys):

@@ -9,11 +9,15 @@ lexer: it did not count newlines inside a string, and it read a digit that
 is not decimal (`²`) into a number that `int` cannot read.
 """
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import accessfix
 from accessfix import ParseError, SourceSpan, parse_policy, parse_system, print_policy, print_system
 from accessfix.dslparser import _token_span, _tokenize
 from conftest import FIXTURES, plant_cells
@@ -132,6 +136,40 @@ def test_scanner_agrees_with_per_character_lexer(corpus):
 )
 def test_scanner_agrees_on_edge_cases(text):
     assert_same_tokens(text)
+
+
+# Blanks and comments after the last token.  A skip pattern that can split a
+# run of blanks in more than one way backtracks through every split when the
+# scanner's final match fails: about 2**63 steps for 64 trailing spaces.
+TRAILING = [
+    "zone A;" + " " * 64,
+    "zone A;" + "\n    " * 6,
+    "zone A;" + "\n    // x" * 20 + "\n",
+    "zone A;" + "\r\n    // x" * 20 + "\r\n",
+    "zone A;" + "\n    // x" * 20 + "\n  @",
+    "zone A;" + "\r\n    // x" * 20 + "\r\n  @ zone B;",
+    "zone A;" + " \t\r\n// c\n" * 20_000 + "  ",
+]
+
+
+def test_trailing_blanks_and_comments_scan_in_linear_time():
+    # In a child process, so that a scan that never ends fails the test
+    # instead of hanging the suite.
+    script = (
+        "import ast, sys\n"
+        "from accessfix import ParseError\n"
+        "from accessfix.dslparser import _tokenize\n"
+        "for text in ast.literal_eval(sys.stdin.read()):\n"
+        "    try:\n"
+        "        _tokenize(text, 'f.ins')\n"
+        "    except ParseError:\n"
+        "        pass\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(accessfix.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", script], input=repr(TRAILING), text=True,
+                   env=env, check=True, timeout=30)
+    for text in TRAILING[:-1]:
+        assert_same_tokens(text)
 
 
 def test_newlines_inside_a_string_are_counted():
