@@ -8,9 +8,9 @@ The pipeline is parse -> validate -> verify -> repair:
 * `facts` compiles the system into single-premise rules over zone, session
   and network-class facts and saturates them into one monotone credential
   formula per action, its enabling function, kept as an antichain of
-  credential bitmasks over the rules' one credential index; under one fixed
-  credential set the same rules give the reachable actions, which repair
-  uses to re-check each solution;
+  credential bitmasks over the rules' one credential index; under fixed
+  credential sets the same rules give the reachable actions, one bit per
+  set, so repair re-checks all of a user's listed solutions in one walk;
 * `enabling` holds the forward pass that computes those antichains, the
   index's encoder and its one decoder (`credential_names`), and `Dnf`, the
   formulas over names that are printed;
@@ -44,7 +44,14 @@ from .automata import (
 )
 from .dslparser import ParseError, SourceSpan, parse_policy, parse_system, print_policy, print_system
 from .enabling import Dnf, credential_mask, credential_names, enabling_functions, evaluate
-from .facts import compile_rules, may_be_ambiguous, reachable, saturate, zone_functions
+from .facts import (
+    compile_rules,
+    may_be_ambiguous,
+    reachable,
+    reachable_each,
+    saturate,
+    zone_functions,
+)
 from .policy import (
     Permission,
     PolicyError,

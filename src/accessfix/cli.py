@@ -7,9 +7,9 @@ without a repair, 2 parse or I/O error, 3 semantic or policy inconsistency.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import analysis, repair as repair_mod
@@ -94,7 +94,49 @@ def _report_json(report: analysis.AnomalyReport, repairs: dict | None = None) ->
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(payload, indent=2, sort_keys=True) + "\\n"`, without the
+    pure-Python encoder the standard library falls back to when indenting.
+
+    It covers exactly the types the commands emit: dicts with string keys,
+    lists, strings, booleans, integers and None; a value of any other type,
+    a subclass of these included, is a `TypeError`.  Strings go through the
+    C string encoder `json.dumps` uses.
+    """
+    return _json(payload, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """One value as indented JSON; `newline` opens each of its lines."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    inner = newline + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        if all(type(item) is str for item in value):
+            items = map(encode_basestring_ascii, value)
+        else:
+            items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        # The string encoder rejects a key that is not a string.
+        items = [
+            encode_basestring_ascii(key) + ": " + _json(item, inner)
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return str(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _fmt_triple(triple) -> str:

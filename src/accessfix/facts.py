@@ -18,8 +18,9 @@ action's own credential, yields the same enabling functions the reachability
 automaton gives, without building the product of zones and session sets.
 It is exact because a run enabling an action contains the one chain of
 steps that derives the action's premise, and that chain is itself a run.
-For one fixed credential set the same rules reduce to plain reachability
-(`reachable`), which repair uses to re-check each solution.
+For fixed credential sets the same rules reduce to plain reachability, one
+bit per set (`reachable_each`, and `reachable` for one set): repair walks
+them once per user to re-check all of the user's listed solutions.
 
 `compile_rules` fixes the library's one credential index: the model's sorted
 credentials, the first name at the highest bit (see `enabling`).  Every
@@ -31,7 +32,7 @@ command compiles the rules once and decodes names only for its output.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .automata import (
     ReducedEvent,
@@ -51,6 +52,7 @@ class Rules(NamedTuple):
     """A model compiled to rules over the credential index `credentials`."""
 
     credentials: tuple[str, ...]
+    # A rule's own credential is one bit of the index, or 0 when it needs none.
     derive: dict[Fact, list[tuple[Fact, int]]]  # premise -> (fact, own credential)
     enable: dict[Fact, list[tuple[ReducedEvent, int]]]  # premise -> (action, own credential)
 
@@ -125,24 +127,55 @@ def saturate(rules: Rules, zone: str) -> Functions:
     )
 
 
-def reachable(rules: Rules, zone: str, mask: int) -> frozenset[ReducedEvent]:
-    """Actions derivable from `zone` by a user holding exactly the credentials
-    of `mask`.
+def reachable_each(rules: Rules, zone: str, masks: Sequence[int]) -> dict[ReducedEvent, int]:
+    """For each action derivable from `zone` under some of `masks`, the
+    bitset whose bit j is set when a user holding exactly the credentials of
+    `masks[j]` derives it.
 
-    With the credentials fixed there is nothing to keep per fact: a rule
-    fires when its own credential (none, or one bit) is held, so this is a
-    plain reachability walk.
+    With the credentials fixed there is no provenance to keep, only whether
+    a fact is derivable, so one walk checks every set at once (multi-source
+    traversal: Then et al., VLDB 2014): each fact keeps the bitset of the
+    sets that derive it, and a rule passes its premise's bitset on, masked
+    by the bitset of the sets that hold its own credential, all of them
+    when it needs none.  A fact is walked again only for the sets it newly
+    gained.
     """
+    held = {0: (1 << len(masks)) - 1}  # own credential -> the sets holding it
+    for j, mask in enumerate(masks):
+        while mask:
+            own = mask & -mask
+            held[own] = held.get(own, 0) | 1 << j
+            mask ^= own
+
     start: Fact = ("zone", zone)
-    seen, stack, actions = {start}, [start], set()
+    derived_by = {start: held[0]}
+    pending = dict(derived_by)  # fact -> sets it gained since it was last walked
+    stack = [start]
     while stack:
         fact = stack.pop()
-        actions.update(event for event, own in rules.enable.get(fact, ()) if own & mask == own)
+        gained = pending.pop(fact)
         for derived, own in rules.derive.get(fact, ()):
-            if own & mask == own and derived not in seen:
-                seen.add(derived)
-                stack.append(derived)
-    return frozenset(actions)
+            new = gained & held.get(own, 0) & ~derived_by.get(derived, 0)
+            if new:
+                derived_by[derived] = derived_by.get(derived, 0) | new
+                if derived in pending:
+                    pending[derived] |= new
+                else:
+                    pending[derived] = new
+                    stack.append(derived)
+    actions: dict[ReducedEvent, int] = defaultdict(int)
+    for fact, bits in derived_by.items():
+        for event, own in rules.enable.get(fact, ()):
+            reached = bits & held.get(own, 0)
+            if reached:
+                actions[event] |= reached
+    return dict(actions)
+
+
+def reachable(rules: Rules, zone: str, mask: int) -> frozenset[ReducedEvent]:
+    """Actions derivable from `zone` by a user holding exactly the credentials
+    of `mask`: `reachable_each` for the one set."""
+    return frozenset(reachable_each(rules, zone, [mask]))
 
 
 def may_be_ambiguous(model: SystemModel) -> bool:

@@ -13,18 +13,23 @@ report it:
   minterm of a denied conjunct;
 * a repair of size k+1 is either minimal or a repair of size k plus one
   credential, and a set covering a denied minterm is pruned together with
-  all its supersets, so one walk up by size reaches every repair.
+  all its supersets, so one walk up by size reaches every repair; a repair
+  covers no denied minterm, so a set it gains by one credential is tested
+  only against the denied minterms that hold that credential.
 
-Each size level is sorted by distance from the user's current credentials,
+Each size level is ranked by distance from the user's current credentials,
 then by name (the index puts the first name at the highest bit), and the
-walk stops once `cap` repairs are listed.  The list is therefore in rank
-order, and a capped list is the best prefix of the full one.  Every reported
-solution is re-checked before being returned: a plain reachability walk
-over the same compiled rules (`facts.reachable`) under exactly the
-solution's credentials must reach every allowed action of the user and no
-denied one.  The walk guards the provenance algebra and the search, not the
-compilation; `tests/test_differential.py` holds the compiled rules to the
-users' own automata.
+walk stops once `cap` repairs are listed: the level that fills the cap is
+not sorted whole, only its best sets are taken, and no level past it is
+built.  The list is therefore in rank order, and a capped list is the best
+prefix of the full one.  Every reported solution is re-checked before being
+returned: a user holding exactly the solution's credentials must reach, by
+plain reachability over the same compiled rules, every allowed action of
+the user and no denied one.  One walk per user checks all of the user's
+listed solutions at once, one bit per solution (`facts.reachable_each`).
+The walk guards the provenance algebra and the search, not the compilation;
+`tests/test_differential.py` holds the compiled rules to the users' own
+automata.
 
 `repair_all` reads the rules and the enabling functions from
 `analysis.enabling_by_zone`, computed once per start zone and shared by
@@ -34,6 +39,7 @@ with the verdict.
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,7 +47,7 @@ from typing import NamedTuple
 from .analysis import enabling_by_zone
 from .automata import ReducedEvent, _require_valid
 from .enabling import _absorb, covers_any, credential_mask, credential_names
-from .facts import Functions, Rules, ZoneFunctions, reachable, zone_functions
+from .facts import Functions, Rules, ZoneFunctions, reachable_each, zone_functions
 from .policy import Permission, PolicySpec, SpecSets, Triple, spec_sets, user_spec_sets
 from .sysmodel import SystemModel, User
 
@@ -97,26 +103,42 @@ def _ranked(
     another exists.
 
     Rank is size, then distance from `current`, then name.  `minimal` must
-    not be empty.
+    not be empty.  No level past the one that fills the cap is built, and
+    of that one only the sets listed are sorted.
     """
     by_size: dict[int, set[int]] = defaultdict(set)
     for s in minimal:
         by_size[s.bit_count()].add(s)
     singles = [1 << i for i in range(pool.bit_length()) if pool >> i & 1]
+    # A repair covers no denied minterm, so a set it gains by one credential
+    # can only cover a denied minterm that holds that credential.
+    holding = {b: [d for d in denied if d & b] for b in singles}
+    width = 1 << pool.bit_length()
+
+    def children(level: set[int]):
+        return (
+            s | b for s in level for b in singles
+            if not s & b and not covers_any(s | b, holding[b])
+        )
+
+    def rank(s: int) -> int:
+        # Distance, then name: the index puts the first name at the highest
+        # bit, and `pool - s` falls as `s` rises and stays below `width`.
+        return (s ^ current).bit_count() * width + pool - s
+
     size, largest = min(by_size), max(by_size)
     level: set[int] = set()
     ranked: list[int] = []
     while level or size <= largest:
         level |= by_size.get(size, set())
-        for s in sorted(level, key=lambda s: ((s ^ current).bit_count(), -s)):
-            if len(ranked) == cap:
-                return ranked, True
-            ranked.append(s)
-        level = {
-            s | b for s in level for b in singles
-            if not s & b and not covers_any(s | b, denied)
-        }
+        room = cap - len(ranked)
+        if len(level) > room:
+            return ranked + heapq.nsmallest(room, level, key=rank), True
+        ranked += sorted(level, key=rank)
         size += 1
+        if len(ranked) == cap:
+            return ranked, size <= largest or next(children(level), None) is not None
+        level = set(children(level))
     return ranked, False
 
 
@@ -132,23 +154,6 @@ def _resolve_eligible(model: SystemModel, user: User, eligibility) -> frozenset[
     if unknown:
         raise ValueError(f"eligible credentials not in the model: {sorted(unknown)}")
     return explicit
-
-
-def _sound_for_user(
-    rules: Rules,
-    zone: str,
-    plus: frozenset[ReducedEvent],
-    minus: frozenset[ReducedEvent],
-    mask: int,
-) -> bool:
-    """Re-check of one solution: a user holding exactly the credentials of
-    `mask` from `zone` reaches every action of `plus` and none of `minus`.
-
-    It walks the rules with the credentials fixed, without the provenance
-    algebra or the search, so it guards those, not the rule compiler.
-    """
-    reached = reachable(rules, zone, mask)
-    return plus <= reached and not minus & reached
 
 
 def _unsat_core(user_id: str, conjuncts: list[Conjunct]) -> tuple[Triple, ...]:
@@ -185,11 +190,20 @@ def _repair(
 
     current = credential_mask(user.credentials, rules.credentials)
     ranked, truncated = _ranked(minimal, denied, pool, current, cap)
-    plus, minus = (frozenset(ReducedEvent(*p) for p in ps) for ps in user_spec_sets(sets, user_id))
+    # One walk re-checks every listed set: bit j of `sound` is set when a
+    # user holding exactly `ranked[j]` reaches every allowed action and no
+    # denied one.
+    reached = reachable_each(rules, user.initial_zone, ranked)
+    sound = (1 << len(ranked)) - 1
+    plus, minus = user_spec_sets(sets, user_id)
+    for perm in plus:
+        sound &= reached.get(ReducedEvent(*perm), 0)
+    for perm in minus:
+        sound &= ~reached.get(ReducedEvent(*perm), 0)
     solutions = []
-    for mask in ranked:
+    for j, mask in enumerate(ranked):
         creds = credential_names(mask, rules.credentials)
-        if not _sound_for_user(rules, user.initial_zone, plus, minus, mask):
+        if not sound >> j & 1:
             raise RuntimeError(
                 f"search returned an unsound repair for {user_id}: {sorted(creds)}"
             )

@@ -5,8 +5,8 @@ oracles offer, and the routes must agree exactly: the direct all-credential
 automaton against the product route, the fact route's enabling functions
 against the automaton's and against those composed from enabling sets, the
 enabling-function implementation sets against the users' own automata,
-the fact walk under one credential set (repair's re-check) against the
-user's own automaton under that set, `verify` against a report built from
+the fact walk under one credential set, and under several at once in one
+walk (repair's re-check), against the user's own automaton under each set, `verify` against a report built from
 those automata, every listed repair against the user's own automaton under
 the repaired credentials, and the ranked repairs against a brute force
 over the credential pool and against the DPLL route.  Models on which an automaton is ambiguous (two variants of one
@@ -43,6 +43,7 @@ from accessfix import (
     print_policy,
     print_system,
     reachable,
+    reachable_each,
     reachable_reduced_events,
     repair_all,
     saturate,
@@ -206,7 +207,9 @@ def test_the_fact_walk_equals_the_users_automaton():
     the user's own automaton, for every user under their own credentials and
     under four seeded random subsets of the model's, on the plant in one to
     three cells and on every random model `validate` accepts; a credential
-    set under which the automaton is ambiguous is skipped."""
+    set under which the automaton is ambiguous is skipped.  One
+    `reachable_each` walk per user over all five sets must give every set's
+    actions in its own bit."""
     models = [(f"plant in {cells} cells", plant_cells(cells)[0]) for cells in range(1, 4)]
     for seed in SEEDS:
         model = random_model(random.Random(seed))
@@ -219,16 +222,22 @@ def test_the_fact_walk_equals_the_users_automaton():
         pool = sorted(model.credentials)
         for uid, user in sorted(model.users.items()):
             subsets = [frozenset(c for c in pool if rng.random() < 0.5) for _ in range(4)]
-            for creds in [user.credentials, *subsets]:
+            sets = [user.credentials, *subsets]
+            masks = [credential_mask(creds, rules.credentials) for creds in sets]
+            each = reachable_each(rules, user.initial_zone, masks)
+            for j, (creds, mask) in enumerate(zip(sets, masks)):
                 automaton = _outcome(
                     lambda: build_user_automaton(model.with_user_credentials(uid, creds), uid)
                 )
                 if isinstance(automaton, ModelError):
                     counts["ambiguous"] += 1
                     continue
-                walked = reachable(rules, user.initial_zone, credential_mask(creds, rules.credentials))
-                assert walked == reachable_reduced_events(automaton), (where, uid, sorted(creds))
+                expected = reachable_reduced_events(automaton)
+                assert reachable(rules, user.initial_zone, mask) == expected, (where, uid, sorted(creds))
+                in_bit_j = frozenset(event for event, bits in each.items() if bits >> j & 1)
+                assert in_bit_j == expected, (where, uid, j, sorted(creds))
                 counts["equal"] += 1
+            assert all(bits and bits >> len(sets) == 0 for bits in each.values()), (where, uid)
     print(dict(counts))
     assert counts["equal"] >= 2000 and counts["ambiguous"]
 

@@ -132,6 +132,35 @@ def test_recheck_rejects_a_set_covering_a_denied_minterm(monkeypatch, plant, pla
         repair_user(plant, plant_policy, "Tom", eligibility="all")
 
 
+def test_recheck_rejects_a_repair_widened_to_a_denied_action(monkeypatch, plant, plant_policy):
+    """A listed set that reaches every allowed action but also a denied one
+    is caught by the re-check: the best repair joined with a denied minterm."""
+    original = repair._ranked
+
+    def ranked_with_a_widened_repair(minimal, denied, width, current, cap):
+        listed, truncated = original(minimal, denied, width, current, cap)
+        return [*listed, listed[0] | denied[0]], truncated
+
+    monkeypatch.setattr(repair, "_ranked", ranked_with_a_widened_repair)
+    with pytest.raises(RuntimeError, match="search returned an unsound repair for Tom"):
+        repair_user(plant, plant_policy, "Tom", eligibility="all")
+
+
+def test_recheck_rejects_a_set_missing_an_allowed_action(monkeypatch, plant, plant_policy):
+    """A listed set that reaches no denied action but misses an allowed one
+    is caught by the re-check: the best repair, minimal, less one credential."""
+    original = repair._ranked
+
+    def ranked_with_a_narrowed_repair(minimal, denied, width, current, cap):
+        listed, truncated = original(minimal, denied, width, current, cap)
+        assert listed[0] in minimal
+        return [*listed, listed[0] & (listed[0] - 1)], truncated
+
+    monkeypatch.setattr(repair, "_ranked", ranked_with_a_narrowed_repair)
+    with pytest.raises(RuntimeError, match="search returned an unsound repair for Tom"):
+        repair_user(plant, plant_policy, "Tom", eligibility="all")
+
+
 def test_repair_of_conformant_user_returns_current_set_first(plant, plant_policy):
     repaired = plant.with_user_credentials("Tom", TOM_FIX_SMALL)
     result = repair_user(repaired, plant_policy, "Tom", eligibility="current")

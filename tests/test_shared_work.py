@@ -4,8 +4,8 @@ Verification and repair share one fact saturation per distinct start zone
 of the model's users, a verify or repair call validates the model once,
 neither builds an automaton or a formula over credential names (`Dnf`),
 and each compiles the fact rules and computes the network classes once:
-repair re-checks every listed solution of every user on the same rules its
-enabling functions were saturated from.
+repair re-checks all listed solutions of a user in one walk of the same
+rules its enabling functions were saturated from.
 """
 
 import json
@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from accessfix import Dnf
+from accessfix import Dnf, credential_names
 from accessfix.cli import main
 from conftest import FIXTURES
 
@@ -98,20 +98,30 @@ def test_verify_builds_no_automaton_and_one_set_of_network_classes(monkeypatch, 
 def test_repair_builds_no_automaton_and_compiles_once_for_its_rechecks(monkeypatch, capsys):
     """Repair compiles the rules and computes the network classes once, for
     the enabling functions, and re-checks every listed solution of every
-    user on that one compilation."""
+    user on that one compilation, in one walk per user whose sets are
+    exactly the user's listed solutions in order."""
     # With every credential eligible, Amy's missing actions become repairable.
     for eligibility, exit_code in (("current", 1), ("all", 0)):
         builds = _count(monkeypatch, "_reachability_automaton")
         classes = _count(monkeypatch, "lan_classes")
         compiled = _count(monkeypatch, "compile_rules", lambda args, rules: rules)
-        rechecks = _count(monkeypatch, "reachable")
+        walks = _count(monkeypatch, "reachable_each", lambda args, _: (args[0], list(args[2])))
         code = main(["repair", *PLANT, "--eligibility", eligibility, "--format", "json"])
         assert code == exit_code, capsys.readouterr().err
         listed = json.loads(capsys.readouterr().out)["repairs"]
         assert builds == [], eligibility
         assert len(compiled) == len(classes) == 1, eligibility
-        assert len(rechecks) == sum(map(len, listed.values())) > 0, eligibility
-        assert all(rules is compiled[0] for rules in rechecks), eligibility
+        assert all(rules is compiled[0] for rules, _ in walks), eligibility
+        walked = [
+            [sorted(credential_names(mask, rules.credentials)) for mask in masks]
+            for rules, masks in walks
+        ]
+        expected = [
+            [solution["credentials"] for solution in listed[uid]]
+            for uid in sorted(listed)
+            if listed[uid]
+        ]
+        assert walked == expected and expected, eligibility
         monkeypatch.undo()
 
 
