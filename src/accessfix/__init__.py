@@ -6,11 +6,11 @@ The pipeline is parse -> validate -> verify -> repair:
 * `policy` holds the RBAC specification and flattens it to allowed/denied
   action triples;
 * `facts` compiles the system into single-premise rules over zone, session
-  and network-class facts and saturates them into one monotone credential
-  formula per action, its enabling function, kept as an antichain of
-  credential bitmasks over the rules' one credential index; under fixed
-  credential sets the same rules give the reachable actions, one bit per
-  set, so repair re-checks all of a user's listed solutions in one walk;
+  and network-class facts; under fixed credential sets they give the
+  reachable actions in one walk, one bit per set, for the verdict and for
+  repair's re-checks, and the repair search saturates them into one
+  monotone credential formula per action, its enabling function, kept as
+  an antichain of bitmasks over the rules' one credential index;
 * `enabling` holds the forward pass that computes those antichains, the
   index's encoder and its one decoder (`credential_names`), and `Dnf`, the
   formulas over names that are printed;

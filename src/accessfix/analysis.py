@@ -1,28 +1,28 @@
 """Policy implementation verification.
 
-Verification and repair both read the enabling functions of a user who
-holds every credential.  `enabling_by_zone` validates the model once,
-compiles its fact rules (`facts`) once and saturates them once per distinct
-start zone of its users, rather than building the reachability automaton;
-`verify`, the repair search and the command line all read that one map and
-the rules whose credential index its bitmask antichains use.  A user's
-implemented actions are the events whose function has a minterm inside the
-user's credential mask.
+A user implements an action exactly when the user's own credentials reach
+it over the model's compiled fact rules (`facts`), and a policy triple
+names an action no credentials grant exactly when the set of every
+credential does not reach it.  So the verdict needs reachability, not
+enabling functions: `prepare` validates the model, runs the ambiguity
+guard and compiles the rules, once each, and `anomalies` walks the rules
+once per start zone of the users, one bit per user starting there plus one
+for every credential (`facts.reachable_each`).
 
 `missing` are allowed actions the system does not enable, `forbidden` are
-denied actions the system enables anyway.  A policy triple whose action no
-run from the user's start zone can reach, whatever the credentials, cannot
-be fixed by credentials and is reported separately as dangling rather than
-counted as missing.
+denied actions the system enables anyway, and a missing triple whose action
+no credentials reach from the user's start zone cannot be fixed by
+credentials, so it is reported as dangling instead.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .automata import ReducedEvent, _require_valid
-from .enabling import covers_any, credential_mask
-from .facts import Functions, Rules, ZoneFunctions, zone_functions
+from .enabling import credential_mask
+from .facts import Rules, ZoneFunctions, guarded_rules, reachable, reachable_each, zone_functions
 from .policy import PolicyError, PolicySpec, SpecSets, Triple, spec_sets, validate_policy
 from .sysmodel import SystemModel, User
 
@@ -45,32 +45,34 @@ class AnomalyReport:
         return "correct" if not self.missing and not self.forbidden else "anomalous"
 
 
+def users_by_zone(model: SystemModel) -> dict[str, list[User]]:
+    """The users in id order, grouped by start zone in the order of each
+    zone's first user."""
+    groups: dict[str, list[User]] = defaultdict(list)
+    for uid in sorted(model.users):
+        groups[model.users[uid].initial_zone].append(model.users[uid])
+    return groups
+
+
 def enabling_by_zone(model: SystemModel) -> tuple[Rules, ZoneFunctions]:
     """Validate the model once, compile its rules, and map each distinct
     start zone of its users, in user order, to the enabling functions from
     that zone."""
     _require_valid(model)
-    zones = dict.fromkeys(u.initial_zone for u in sorted(model.users.values(), key=lambda u: u.id))
-    return zone_functions(model, list(zones))
-
-
-def _implemented(user: User, rules: Rules, functions: Functions) -> frozenset[Triple]:
-    held = credential_mask(user.credentials, rules.credentials)
-    return frozenset(
-        (user.id, r.operation, r.object)
-        for r, function in functions.items()
-        if covers_any(held, function)
-    )
+    return zone_functions(model, list(users_by_zone(model)))
 
 
 def implementation_set(model: SystemModel, user: User | str) -> ImplementationSet:
-    """Reachable actions for one user: the enabling functions of the user's
-    start zone, evaluated under the user's credentials."""
+    """Reachable actions for one user: the compiled rules walked from the
+    user's start zone under the user's credentials."""
     _require_valid(model)
     if isinstance(user, str):
         user = model.users[user]
-    rules, by_zone = zone_functions(model, [user.initial_zone])
-    return ImplementationSet(_implemented(user, rules, by_zone[user.initial_zone]))
+    rules = guarded_rules(model, [user.initial_zone])
+    held = credential_mask(user.credentials, rules.credentials)
+    return ImplementationSet(
+        frozenset((user.id, r.operation, r.object) for r in reachable(rules, user.initial_zone, held))
+    )
 
 
 def diff(spec: SpecSets, impl: ImplementationSet) -> AnomalyReport:
@@ -81,31 +83,42 @@ def diff(spec: SpecSets, impl: ImplementationSet) -> AnomalyReport:
     )
 
 
-def prepare(model: SystemModel, policy: PolicySpec) -> tuple[SpecSets, Rules, ZoneFunctions]:
-    """Validate the policy and the model, flatten the policy, compile the
-    rules and compute the enabling functions per start zone: the work verify
-    and repair share."""
+def prepare(model: SystemModel, policy: PolicySpec) -> tuple[SpecSets, Rules]:
+    """Validate the policy and the model, run the ambiguity guard from each
+    start zone of the users, compile the rules and flatten the policy: the
+    work verify and repair share."""
     problems = [d for d in validate_policy(policy) if d.severity == "error"]
     if problems:
         raise PolicyError("policy does not validate: " + "; ".join(str(d) for d in problems))
-    rules, by_zone = enabling_by_zone(model)
-    return spec_sets(policy), rules, by_zone
+    _require_valid(model)
+    rules = guarded_rules(model, list(users_by_zone(model)))
+    return spec_sets(policy), rules
 
 
-def anomalies(
-    model: SystemModel, sets: SpecSets, rules: Rules, by_zone: ZoneFunctions
-) -> AnomalyReport:
-    """Compare every user's implemented actions with the flattened policy."""
-    triples = frozenset().union(
-        *(_implemented(u, rules, by_zone[u.initial_zone]) for u in model.users.values())
-    )
-    report = diff(sets, ImplementationSet(triples))
-    # The keys of a zone's functions are exactly its reachable reduced events.
+def anomalies(model: SystemModel, sets: SpecSets, rules: Rules) -> AnomalyReport:
+    """Compare every user's implemented actions with the flattened policy.
+
+    One walk per start zone: bit j is the zone's j-th user, and the highest
+    bit the set of every credential, which reaches every action some
+    credentials reach from that zone.
+    """
+    implemented: set[Triple] = set()
+    defined: dict[str, set[ReducedEvent]] = {}  # start zone -> actions some credentials reach
+    everything = (1 << len(rules.credentials)) - 1
+    for zone, users in users_by_zone(model).items():
+        masks = [credential_mask(u.credentials, rules.credentials) for u in users]
+        reached = reachable_each(rules, zone, [*masks, everything])
+        defined[zone] = {event for event, bits in reached.items() if bits >> len(users)}
+        for event, bits in reached.items():
+            for j, user in enumerate(users):
+                if bits >> j & 1:
+                    implemented.add((user.id, event.operation, event.object))
+    report = diff(sets, ImplementationSet(frozenset(implemented)))
     dangling = frozenset(
         (uid, op, ob)
         for uid, op, ob in report.missing
         if uid not in model.users
-        or ReducedEvent(op, ob) not in by_zone[model.users[uid].initial_zone]
+        or ReducedEvent(op, ob) not in defined[model.users[uid].initial_zone]
     )
     return AnomalyReport(
         missing=report.missing - dangling,
@@ -115,5 +128,5 @@ def anomalies(
 
 
 def verify(model: SystemModel, policy: PolicySpec) -> AnomalyReport:
-    """Full pipeline: flatten the policy, compute every user's actions, compare."""
+    """Full pipeline: flatten the policy, walk every user's actions, compare."""
     return anomalies(model, *prepare(model, policy))

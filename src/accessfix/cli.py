@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -16,7 +15,7 @@ from . import analysis, repair as repair_mod
 from .automata import _require_valid, build_super_automaton, to_dot
 from .dslparser import ParseError, parse_policy, parse_system
 from .enabling import Dnf, credential_names
-from .facts import zone_functions
+from .facts import saturate, zone_functions
 from .policy import PolicyError, PolicyInconsistent, spec_sets, validate_policy
 from .sysmodel import ModelError, external_zone, validate
 
@@ -24,17 +23,6 @@ EXIT_OK = 0
 EXIT_ANOMALOUS = 1
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    system: Path
-    policy: Path | None
-    fmt: str
-    eligibility: str
-    cap: int
-    out: Path | None
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -60,21 +48,19 @@ def _build_argparser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out is not None:
-        config.out.write_text(text)
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out is not None:
+        args.out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _load_system(config: RunConfig):
-    source = config.system.read_text()
-    return parse_system(source, str(config.system))
+def _load_system(args: argparse.Namespace):
+    return parse_system(args.system.read_text(encoding="utf-8"), str(args.system))
 
 
-def _load_policy(config: RunConfig):
-    source = config.policy.read_text()
-    return parse_policy(source, str(config.policy))
+def _load_policy(args: argparse.Namespace):
+    return parse_policy(args.policy.read_text(encoding="utf-8"), str(args.policy))
 
 
 def _triple_json(triple) -> dict:
@@ -143,7 +129,7 @@ def _fmt_triple(triple) -> str:
     return f"({triple[0]}, {triple[1]}, {triple[2]})"
 
 
-def _report_text(report: analysis.AnomalyReport) -> list[str]:
+def _report_text(report: analysis.AnomalyReport, model) -> list[str]:
     lines = [f"verdict: {report.verdict}"]
     if report.forbidden:
         lines.append("forbidden (denied but implemented):")
@@ -152,7 +138,8 @@ def _report_text(report: analysis.AnomalyReport) -> list[str]:
         lines.append("missing (allowed but not implemented):")
         lines.extend(f"  {_fmt_triple(t)}" for t in sorted(report.missing))
     for triple in sorted(report.dangling):
-        lines.append(f"warning: {_fmt_triple(triple)} names an action the system does not define")
+        what = "an action" if triple[0] in model.users else "a user"
+        lines.append(f"warning: {_fmt_triple(triple)} names {what} the system does not define")
     return lines
 
 
@@ -161,14 +148,14 @@ def _resolve_eligibility(value: str):
         return value
     if value.startswith("file:"):
         path = Path(value[len("file:") :])
-        return frozenset(path.read_text().split())
+        return frozenset(path.read_text(encoding="utf-8").split())
     raise ValueError(f"invalid eligibility '{value}' (use current, all or file:<path>)")
 
 
-def cmd_validate(config: RunConfig) -> int:
-    model = _load_system(config)
+def cmd_validate(args: argparse.Namespace) -> int:
+    model = _load_system(args)
     diagnostics = validate(model)
-    policy = _load_policy(config)
+    policy = _load_policy(args)
     diagnostics += validate_policy(policy)
     inconsistency = None
     if not any(d.severity == "error" for d in diagnostics):
@@ -176,7 +163,7 @@ def cmd_validate(config: RunConfig) -> int:
             spec_sets(policy)
         except PolicyInconsistent as exc:
             inconsistency = str(exc)
-    if config.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "diagnostics": [
                 {"severity": d.severity, "location": d.location, "message": d.message}
@@ -184,43 +171,44 @@ def cmd_validate(config: RunConfig) -> int:
             ],
             "inconsistency": inconsistency,
         }
-        _emit(config, _dump_json(payload))
+        _emit(args, _dump_json(payload))
     else:
         lines = [str(d) for d in diagnostics]
         if inconsistency:
             lines.append(f"error: policy: {inconsistency}")
         lines.append("ok" if not lines else f"{len(lines)} problem(s) found")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     if inconsistency or any(d.severity == "error" for d in diagnostics):
         return EXIT_SEMANTIC
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    model = _load_system(config)
-    policy = _load_policy(config)
+def cmd_verify(args: argparse.Namespace) -> int:
+    model = _load_system(args)
+    policy = _load_policy(args)
     report = analysis.verify(model, policy)
-    if config.fmt == "json":
-        _emit(config, _dump_json(_report_json(report)))
+    if args.fmt == "json":
+        _emit(args, _dump_json(_report_json(report)))
     else:
-        _emit(config, "\n".join(_report_text(report)) + "\n")
+        _emit(args, "\n".join(_report_text(report, model)) + "\n")
     return EXIT_OK if report.verdict == "correct" else EXIT_ANOMALOUS
 
 
-def cmd_repair(config: RunConfig) -> int:
-    model = _load_system(config)
-    policy = _load_policy(config)
-    # One rule compilation, and one enabling computation per start zone,
-    # serve the verdict, the repairs and their re-checks.
-    sets, rules, by_zone = analysis.prepare(model, policy)
-    report = analysis.anomalies(model, sets, rules, by_zone)
-    eligibility = _resolve_eligibility(config.eligibility)
-    results = repair_mod.repair_users(model, sets, rules, by_zone, eligibility, config.cap)
+def cmd_repair(args: argparse.Namespace) -> int:
+    model = _load_system(args)
+    policy = _load_policy(args)
+    # One rule compilation serves the verdict, the repairs and their
+    # re-checks; only the repair search saturates, once per start zone.
+    sets, rules = analysis.prepare(model, policy)
+    report = analysis.anomalies(model, sets, rules)
+    eligibility = _resolve_eligibility(args.eligibility)
+    by_zone = {zone: saturate(rules, zone) for zone in analysis.users_by_zone(model)}
+    results = repair_mod.repair_users(model, sets, rules, by_zone, eligibility, args.cap)
 
     anomalous_users = {t[0] for t in report.missing | report.forbidden}
     ok = all(results[uid].solutions for uid in anomalous_users if uid in results)
 
-    if config.fmt == "json":
+    if args.fmt == "json":
         repairs = {
             uid: [
                 {
@@ -232,9 +220,9 @@ def cmd_repair(config: RunConfig) -> int:
             ]
             for uid, result in results.items()
         }
-        _emit(config, _dump_json(_report_json(report, repairs)))
+        _emit(args, _dump_json(_report_json(report, repairs)))
     else:
-        lines = _report_text(report)
+        lines = _report_text(report, model)
         for uid in sorted(results):
             result = results[uid]
             lines.append(f"user {uid}: {len(result.solutions)} solution(s)"
@@ -246,18 +234,18 @@ def cmd_repair(config: RunConfig) -> int:
             if not result.solutions and result.blocking:
                 blockers = ", ".join(_fmt_triple(t) for t in result.blocking)
                 lines.append(f"  unsatisfiable; blocking requirements: {blockers}")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_ANOMALOUS
 
 
-def cmd_automaton(config: RunConfig) -> int:
-    model = _load_system(config)
-    _emit(config, to_dot(build_super_automaton(model)))
+def cmd_automaton(args: argparse.Namespace) -> int:
+    model = _load_system(args)
+    _emit(args, to_dot(build_super_automaton(model)))
     return EXIT_OK
 
 
-def cmd_enabling(config: RunConfig) -> int:
-    model = _load_system(config)
+def cmd_enabling(args: argparse.Namespace) -> int:
+    model = _load_system(args)
     _require_valid(model)
     zone = external_zone(model)
     rules, by_zone = zone_functions(model, [zone])
@@ -265,12 +253,12 @@ def cmd_enabling(config: RunConfig) -> int:
         ev: Dnf.of(credential_names(m, rules.credentials) for m in function)
         for ev, function in by_zone[zone].items()
     }
-    if config.fmt == "json":
+    if args.fmt == "json":
         payload = {"functions": {str(ev): str(expr) for ev, expr in functions.items()}}
-        _emit(config, _dump_json(payload))
+        _emit(args, _dump_json(payload))
     else:
         lines = [f"F({ev}) = {expr}" for ev, expr in functions.items()]
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -285,18 +273,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        system=args.system,
-        policy=args.policy,
-        fmt=args.fmt,
-        eligibility=args.eligibility,
-        cap=args.cap,
-        out=args.out,
-    )
     try:
-        return _COMMANDS[config.command](config)
-    except (OSError, ParseError) as exc:
+        return _COMMANDS[args.command](args)
+    except (OSError, ParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ModelError, PolicyError, ValueError) as exc:

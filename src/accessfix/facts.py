@@ -19,14 +19,15 @@ automaton gives, without building the product of zones and session sets.
 It is exact because a run enabling an action contains the one chain of
 steps that derives the action's premise, and that chain is itself a run.
 For fixed credential sets the same rules reduce to plain reachability, one
-bit per set (`reachable_each`, and `reachable` for one set): repair walks
-them once per user to re-check all of the user's listed solutions.
+bit per set (`reachable_each`, and `reachable` for one set): the verdict
+walks them once per start zone and repair once per user, to re-check all
+of the user's listed solutions; only the repair search saturates.
 
 `compile_rules` fixes the library's one credential index: the model's sorted
 credentials, the first name at the highest bit (see `enabling`).  Every
 function `saturate` and `zone_functions` return is an antichain of masks
-over that index, and verification and repair read the masks directly, so a
-command compiles the rules once and decodes names only for its output.
+over that index, and the walks take masks over it, so a command compiles
+the rules once and decodes names only for its output.
 """
 
 from __future__ import annotations
@@ -209,16 +210,21 @@ def may_be_ambiguous(model: SystemModel) -> bool:
     return False
 
 
-def zone_functions(model: SystemModel, zones: list[str]) -> tuple[Rules, ZoneFunctions]:
-    """The compiled rules and the enabling functions from each of `zones`,
-    for a model validated already.
+def guarded_rules(model: SystemModel, zones: list[str]) -> Rules:
+    """The compiled rules of a model validated already.
 
-    The model is compiled once.  A model `may_be_ambiguous` flags first
-    builds each zone's reachability automaton, in order, only so that an
-    ambiguous transition raises the automaton's `ModelError`.
+    A model `may_be_ambiguous` flags first builds the reachability automaton
+    from each of `zones`, in order, only so that an ambiguous transition
+    raises the automaton's `ModelError`.
     """
     if may_be_ambiguous(model):
         for zone in zones:
             _reachability_automaton(model, zone, None)
-    rules = compile_rules(model)
+    return compile_rules(model)
+
+
+def zone_functions(model: SystemModel, zones: list[str]) -> tuple[Rules, ZoneFunctions]:
+    """The compiled rules (`guarded_rules`) and the enabling functions from
+    each of `zones`, for a model validated already."""
+    rules = guarded_rules(model, zones)
     return rules, {zone: saturate(rules, zone) for zone in zones}

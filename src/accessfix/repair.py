@@ -33,8 +33,8 @@ automata.
 
 `repair_all` reads the rules and the enabling functions from
 `analysis.enabling_by_zone`, computed once per start zone and shared by
-every user starting there; the command line shares the same rules and map
-with the verdict.
+every user starting there; the command line saturates the rules the
+verdict walked, once per start zone.
 """
 
 from __future__ import annotations

@@ -25,6 +25,11 @@ CNF and its models enumerated by DPLL with blocking clauses (`to_cnf`,
 `solve_all`), plus a ranking by brute force over the pool's powerset.  The
 library searches bitmask antichains over its credential index instead.
 
+The verdict has a second route here: the minterm evaluation the library
+used before it walked the compiled rules (`minterm_verdict`), which tests
+every user's credential mask against every minterm of the enabling
+functions saturated from the user's start zone.
+
 The textual formats have a second lexer here: the per-character scanner
 (`char_tokenize`) the library's one compiled regular expression replaced,
 which carries line and column in every token instead of an offset.
@@ -37,6 +42,7 @@ from typing import Iterable, NamedTuple
 
 from accessfix import (
     EPSILON,
+    AnomalyReport,
     Automaton,
     Dnf,
     ExtendedEvent,
@@ -50,12 +56,16 @@ from accessfix import (
     SourceSpan,
     SpecSets,
     User,
+    credential_mask,
     credential_names,
+    enabling_by_zone,
     enabling_functions,
     external_zone,
     root_device,
+    spec_sets,
     user_spec_sets,
 )
+from accessfix.enabling import covers_any
 
 TokenSet = frozenset
 
@@ -426,6 +436,30 @@ def decoded(functions, credentials) -> dict:
         r: Dnf.of(credential_names(m, credentials) for m in function)
         for r, function in functions.items()
     }
+
+
+def minterm_verdict(model, policy) -> AnomalyReport:
+    """The verdict by minterm evaluation: a user implements an action when
+    the user's credential mask covers a minterm of the action's enabling
+    function from the user's start zone, and a missing triple is dangling
+    when that zone has no function for its action (or the model no such
+    user)."""
+    rules, by_zone = enabling_by_zone(model)
+    sets = spec_sets(policy)
+    implemented = frozenset(
+        (uid, event.operation, event.object)
+        for uid, user in model.users.items()
+        for event, function in by_zone[user.initial_zone].items()
+        if covers_any(credential_mask(user.credentials, rules.credentials), function)
+    )
+    missing = sets.s_plus - implemented
+    dangling = frozenset(
+        (uid, op, ob)
+        for uid, op, ob in missing
+        if uid not in model.users
+        or ReducedEvent(op, ob) not in by_zone[model.users[uid].initial_zone]
+    )
+    return AnomalyReport(missing - dangling, sets.s_minus & implemented, dangling)
 
 
 # The repair constraint over names, and its clause route.  The library reads

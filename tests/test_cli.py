@@ -232,6 +232,52 @@ def test_semantically_broken_model_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("where", ["system", "policy", "eligibility"])
+def test_undecodable_input_exits_2(tmp_path, capsys, where):
+    """An input file that is not UTF-8 text is a parse error, not a
+    semantic one."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe")
+    files = {"system": PLANT, "policy": POLICY}
+    eligibility = "all"
+    if where == "eligibility":
+        eligibility = f"file:{bad}"
+    else:
+        files[where] = str(bad)
+    code, out, err = run(
+        capsys, "repair", "--system", files["system"], "--policy", files["policy"],
+        "--eligibility", eligibility,
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_dangling_warning_names_a_user_the_system_lacks(tmp_path, capsys):
+    """A policy user the model lacks is reported as such, in text, while an
+    action the system does not define keeps its own warning; JSON lists both
+    as dangling."""
+    policy = tmp_path / "bob.rbac"
+    policy.write_text(
+        "role r { allow (run, IGS), (run, NOWHERE); users { Tom, Bob } }\n"
+    )
+    argv = ["verify", "--system", PLANT, "--policy", str(policy)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    warnings = [line for line in out.splitlines() if line.startswith("warning:")]
+    assert warnings == [
+        "warning: (Bob, run, IGS) names a user the system does not define",
+        "warning: (Bob, run, NOWHERE) names a user the system does not define",
+        "warning: (Tom, run, NOWHERE) names an action the system does not define",
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["dangling"] == [
+        {"user": "Bob", "operation": "run", "object": "IGS"},
+        {"user": "Bob", "operation": "run", "object": "NOWHERE"},
+        {"user": "Tom", "operation": "run", "object": "NOWHERE"},
+    ]
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -4,15 +4,18 @@ Every model `validate` accepts goes through every route the library and the
 oracles offer, and the routes must agree exactly: the direct all-credential
 automaton against the product route, the fact route's enabling functions
 against the automaton's and against those composed from enabling sets, the
-enabling-function implementation sets against the users' own automata,
-the fact walk under one credential set, and under several at once in one
-walk (repair's re-check), against the user's own automaton under each set, `verify` against a report built from
-those automata, every listed repair against the user's own automaton under
-the repaired credentials, and the ranked repairs against a brute force
-over the credential pool and against the DPLL route.  Models on which an automaton is ambiguous (two variants of one
-operation with one label but different sessions, a known fault) are kept:
-every route must then reject them with the same `ModelError`, and the
-static check `may_be_ambiguous` must flag them.
+fact walk's implementation sets against the users' own automata, the fact
+walk under one credential set, and under several at once in one walk
+(repair's re-check), against the user's own automaton under each set,
+`verify` (one walk per start zone) against a report built from those
+automata and against the verdict by minterm evaluation over the enabling
+functions, every listed repair against the user's own automaton under the
+repaired credentials, and the ranked repairs against a brute force over the
+credential pool and against the DPLL route.  Models on which an automaton
+is ambiguous (two variants of one operation with one label but different
+sessions, a known fault) are kept: every route must then reject them with
+the same `ModelError`, and the static check `may_be_ambiguous` must flag
+them.
 """
 
 import random
@@ -22,6 +25,7 @@ from dataclasses import replace
 import pytest
 
 from accessfix import (
+    AnomalyReport,
     Device,
     DoorRule,
     Location,
@@ -64,6 +68,7 @@ from oracles import (
     dpll_models,
     dpll_unsat_core,
     enabling_functions_from_sets,
+    minterm_verdict,
     parallel_compose,
     same_language,
 )
@@ -100,32 +105,24 @@ def _user_triples(uid, automaton) -> frozenset:
     return frozenset((uid, r.operation, r.object) for r in reachable_reduced_events(automaton))
 
 
-def _check_verify(model, policy, counts: Counter) -> None:
-    # Oracle of what no credentials can fix: the reachable events of a user
-    # who holds every credential, from the user's own start zone.
-    known = {
-        uid: _outcome(
-            lambda: build_user_automaton(model.with_user_credentials(uid, model.credentials), uid)
-        )
-        for uid in model.users
-    }
-    faulty = sorted(uid for uid, a in known.items() if isinstance(a, ModelError))
-    if faulty:
-        counts["ambiguous from a start zone"] += 1
-        for route in [
-            lambda: verify(model, policy),
-            lambda: repair_all(model, policy, "all", 8),
-            *[lambda uid=uid: implementation_set(model, uid) for uid in faulty],
-        ]:
-            with pytest.raises(ModelError, match="ambiguous transition"):
-                route()
-        return
+def _all_credential_automata(model) -> dict:
+    """Oracle of what no credentials can fix: per user, the automaton of the
+    user holding every credential, or the ambiguous-transition error it
+    raises.  It depends only on the start zone, so it is built once per zone."""
+    by_zone = {}
+    for uid, user in sorted(model.users.items()):
+        if user.initial_zone not in by_zone:
+            everything = model.with_user_credentials(uid, model.credentials)
+            by_zone[user.initial_zone] = _outcome(lambda: build_user_automaton(everything, uid))
+    return {uid: by_zone[user.initial_zone] for uid, user in model.users.items()}
 
-    implemented = frozenset()
-    for uid in model.users:
-        expected = _user_triples(uid, build_user_automaton(model, uid))
-        assert implementation_set(model, uid).triples == expected, uid
-        implemented |= expected
+
+def _automata_verdict(model, policy, known: dict) -> AnomalyReport:
+    """The verdict read off the users' own automata; `known` is
+    `_all_credential_automata(model)`."""
+    implemented = frozenset().union(
+        *(_user_triples(uid, build_user_automaton(model, uid)) for uid in model.users)
+    )
     sets = spec_sets(policy)
     missing = sets.s_plus - implemented
     dangling = frozenset(
@@ -133,10 +130,31 @@ def _check_verify(model, policy, counts: Counter) -> None:
         for uid, op, ob in missing
         if uid not in known or ReducedEvent(op, ob) not in reachable_reduced_events(known[uid])
     )
+    return AnomalyReport(missing - dangling, sets.s_minus & implemented, dangling)
+
+
+def _check_verify(model, policy, counts: Counter) -> None:
+    known = _all_credential_automata(model)
+    faulty = sorted(uid for uid, a in known.items() if isinstance(a, ModelError))
+    if faulty:
+        counts["ambiguous from a start zone"] += 1
+        for route in [
+            lambda: verify(model, policy),
+            lambda: minterm_verdict(model, policy),
+            lambda: repair_all(model, policy, "all", 8),
+            *[lambda uid=uid: implementation_set(model, uid) for uid in faulty],
+        ]:
+            with pytest.raises(ModelError, match="ambiguous transition"):
+                route()
+        return
+
+    for uid in model.users:
+        expected = _user_triples(uid, build_user_automaton(model, uid))
+        assert implementation_set(model, uid).triples == expected, uid
+    sets = spec_sets(policy)
     report = verify(model, policy)
-    assert report.missing == missing - dangling
-    assert report.forbidden == sets.s_minus & implemented
-    assert report.dangling == dangling
+    assert report == _automata_verdict(model, policy, known)
+    assert report == minterm_verdict(model, policy)
     counts["missing"] += len(report.missing)
     counts["forbidden"] += len(report.forbidden)
     counts["dangling"] += len(report.dangling)
@@ -171,6 +189,19 @@ def test_routes_agree_on_random_models():
     assert counts["ambiguous from a start zone"] >= 1
     assert counts["missing"] and counts["forbidden"] and counts["dangling"]
     assert counts["repairs checked"] >= 1000
+
+
+def test_the_plants_verdict_equals_the_minterm_verdict_and_the_users_automata():
+    """`verify`, one walk per start zone, against the verdict by minterm
+    evaluation and the verdict read off the users' own automata, on the
+    plant in one to four cells (`test_routes_agree_on_random_models` does
+    the same on the random models)."""
+    for cells in range(1, 5):
+        model, policy = plant_cells(cells)
+        report = verify(model, policy)
+        assert report == _automata_verdict(model, policy, _all_credential_automata(model)), cells
+        assert report == minterm_verdict(model, policy), cells
+        assert len(report.missing) == 3 * cells and len(report.forbidden) == cells
 
 
 def test_enabling_functions_equal_the_event_level_definition(plant, plant_automaton):

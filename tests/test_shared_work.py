@@ -1,15 +1,16 @@
 """Work counts of one command-line call.
 
-Verification and repair share one fact saturation per distinct start zone
-of the model's users, a verify or repair call validates the model once,
-neither builds an automaton or a formula over credential names (`Dnf`),
-and each compiles the fact rules and computes the network classes once:
-repair re-checks all listed solutions of a user in one walk of the same
-rules its enabling functions were saturated from.
+A verify or repair call validates the model once, builds neither an
+automaton nor a formula over credential names (`Dnf`), and compiles the
+fact rules and computes the network classes once.  Both take the verdict
+from one walk of the rules per distinct start zone of the model's users;
+only repair saturates the rules, once per start zone, for its search, and
+it re-checks all listed solutions of a user in one walk of the same rules.
 """
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,11 +68,47 @@ def _count(monkeypatch, name, record=lambda args, result: args[0]) -> list:
 
 @pytest.mark.parametrize("command", ["verify", "repair"])
 def test_one_enabling_computation_per_start_zone(monkeypatch, capsys, case, command):
+    """Only the repair search computes enabling functions, once per start
+    zone; verify computes none and tests no minterm."""
     system, policy, zones = case
     calls = _count(monkeypatch, "saturate", lambda args, _: args[1])
+    minterm_tests = _count(monkeypatch, "covers_any")
     code = main([command, "--system", system, "--policy", policy, "--eligibility", "current"])
     assert code in (0, 1), capsys.readouterr().err
-    assert sorted(calls) == zones
+    assert sorted(calls) == (zones if command == "repair" else [])
+    if command == "verify":
+        assert minterm_tests == []
+
+
+def _verdict_walks(system: str) -> list:
+    """(start zone, masks) of the verdict's walks: per distinct start zone,
+    in the order of its first user by id, the masks of the zone's users in
+    id order and then the mask of every credential."""
+    from accessfix import compile_rules, credential_mask, parse_system
+
+    model = parse_system(Path(system).read_text(encoding="utf-8"))
+    credentials = compile_rules(model).credentials
+    walks = {}
+    for uid in sorted(model.users):
+        user = model.users[uid]
+        walks.setdefault(user.initial_zone, []).append(credential_mask(user.credentials, credentials))
+    return [(zone, [*masks, (1 << len(credentials)) - 1]) for zone, masks in walks.items()]
+
+
+@pytest.mark.parametrize("command", ["verify", "repair"])
+def test_the_verdict_walks_once_per_start_zone(monkeypatch, capsys, case, command):
+    """The verdict comes from one `reachable_each` walk per start zone, whose
+    sets are the zone's users' credentials and every credential; repair's
+    further walks are its re-checks."""
+    system, policy, zones = case
+    walks = _count(monkeypatch, "reachable_each", lambda args, _: (args[1], list(args[2])))
+    code = main([command, "--system", system, "--policy", policy, "--eligibility", "current"])
+    assert code in (0, 1), capsys.readouterr().err
+    expected = _verdict_walks(system)
+    assert sorted(zone for zone, _ in expected) == zones
+    assert walks[: len(expected)] == expected
+    if command == "verify":
+        assert len(walks) == len(expected)
 
 
 @pytest.mark.parametrize("command", ["verify", "repair"])
@@ -97,9 +134,10 @@ def test_verify_builds_no_automaton_and_one_set_of_network_classes(monkeypatch, 
 
 def test_repair_builds_no_automaton_and_compiles_once_for_its_rechecks(monkeypatch, capsys):
     """Repair compiles the rules and computes the network classes once, for
-    the enabling functions, and re-checks every listed solution of every
-    user on that one compilation, in one walk per user whose sets are
-    exactly the user's listed solutions in order."""
+    the verdict and the enabling functions, and after the verdict's walk
+    re-checks every listed solution of every user on that one compilation,
+    in one walk per user whose sets are exactly the user's listed solutions
+    in order."""
     # With every credential eligible, Amy's missing actions become repairable.
     for eligibility, exit_code in (("current", 1), ("all", 0)):
         builds = _count(monkeypatch, "_reachability_automaton")
@@ -112,9 +150,10 @@ def test_repair_builds_no_automaton_and_compiles_once_for_its_rechecks(monkeypat
         assert builds == [], eligibility
         assert len(compiled) == len(classes) == 1, eligibility
         assert all(rules is compiled[0] for rules, _ in walks), eligibility
+        verdict = len(_verdict_walks(PLANT[1]))
         walked = [
             [sorted(credential_names(mask, rules.credentials)) for mask in masks]
-            for rules, masks in walks
+            for rules, masks in walks[verdict:]
         ]
         expected = [
             [solution["credentials"] for solution in listed[uid]]
