@@ -6,19 +6,23 @@ The pipeline is parse -> validate -> verify -> repair:
 * `policy` holds the RBAC specification and flattens it to allowed/denied
   action triples;
 * `facts` compiles the system into single-premise rules over zone, session
-  and network-class facts; under fixed credential sets they give the
-  reachable actions in one walk, one bit per set, for the verdict and for
-  repair's re-checks, and the repair search saturates them into one
-  monotone credential formula per action, its enabling function, kept as
-  an antichain of bitmasks over the rules' one credential index;
+  and network-class facts, and `facts.guarded_rules` is the one way from a
+  model to them: it validates the model, runs the ambiguity guard and
+  compiles.  Under fixed credential sets the rules give the reachable
+  actions in one walk, one bit per set, for the verdict and for repair's
+  re-checks, and the repair search saturates them into one monotone
+  credential formula per action, its enabling function, kept as an
+  antichain of bitmasks over the rules' one credential index;
 * `enabling` holds the forward pass that computes those antichains, the
   index's encoder and its one decoder (`credential_names`), and `Dnf`, the
   formulas over names that are printed;
 * `automata` builds the paper's credential-labelled reachability automata,
   which `accessfix automaton` prints and the tests use as the independent
   route that holds the compiled rules to the paper's semantics;
-* `analysis` compares specification against implementation;
-* `repair` searches credential assignments that remove every anomaly;
+* `analysis` compares specification against implementation; its `prepare`
+  is the one way a policy enters, and verify and repair both start from it;
+* `repair` searches credential assignments that remove every anomaly,
+  saturating the prepared rules once per start zone;
 * `dslparser` and `cli` provide the textual formats and command line.
 """
 
@@ -26,8 +30,9 @@ from .analysis import (
     AnomalyReport,
     ImplementationSet,
     diff,
-    enabling_by_zone,
     implementation_set,
+    prepare,
+    users_by_zone,
     verify,
 )
 from .automata import (
@@ -44,14 +49,7 @@ from .automata import (
 )
 from .dslparser import ParseError, SourceSpan, parse_policy, parse_system, print_policy, print_system
 from .enabling import Dnf, credential_mask, credential_names, enabling_functions, evaluate
-from .facts import (
-    compile_rules,
-    may_be_ambiguous,
-    reachable,
-    reachable_each,
-    saturate,
-    zone_functions,
-)
+from .facts import compile_rules, guarded_rules, may_be_ambiguous, reachable, reachable_each, saturate
 from .policy import (
     Permission,
     PolicyError,

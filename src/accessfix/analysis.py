@@ -4,8 +4,10 @@ A user implements an action exactly when the user's own credentials reach
 it over the model's compiled fact rules (`facts`), and a policy triple
 names an action no credentials grant exactly when the set of every
 credential does not reach it.  So the verdict needs reachability, not
-enabling functions: `prepare` validates the model, runs the ambiguity
-guard and compiles the rules, once each, and `anomalies` walks the rules
+enabling functions.  `prepare` is the one way a policy enters the
+library: it validates the policy, flattens it, and has `facts.guarded_rules`
+validate the model, run the ambiguity guard and compile the rules, once
+each; verify and repair both start from it.  `anomalies` walks the rules
 once per start zone of the users, one bit per user starting there plus one
 for every credential (`facts.reachable_each`).
 
@@ -20,9 +22,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .automata import ReducedEvent, _require_valid
+from .automata import ReducedEvent
 from .enabling import credential_mask
-from .facts import Rules, ZoneFunctions, guarded_rules, reachable, reachable_each, zone_functions
+from .facts import Rules, guarded_rules, reachable, reachable_each
 from .policy import PolicyError, PolicySpec, SpecSets, Triple, spec_sets, validate_policy
 from .sysmodel import SystemModel, User
 
@@ -54,21 +56,12 @@ def users_by_zone(model: SystemModel) -> dict[str, list[User]]:
     return groups
 
 
-def enabling_by_zone(model: SystemModel) -> tuple[Rules, ZoneFunctions]:
-    """Validate the model once, compile its rules, and map each distinct
-    start zone of its users, in user order, to the enabling functions from
-    that zone."""
-    _require_valid(model)
-    return zone_functions(model, list(users_by_zone(model)))
-
-
 def implementation_set(model: SystemModel, user: User | str) -> ImplementationSet:
     """Reachable actions for one user: the compiled rules walked from the
     user's start zone under the user's credentials."""
-    _require_valid(model)
     if isinstance(user, str):
         user = model.users[user]
-    rules = guarded_rules(model, [user.initial_zone])
+    rules = guarded_rules(model, lambda _: [user.initial_zone])
     held = credential_mask(user.credentials, rules.credentials)
     return ImplementationSet(
         frozenset((user.id, r.operation, r.object) for r in reachable(rules, user.initial_zone, held))
@@ -84,14 +77,13 @@ def diff(spec: SpecSets, impl: ImplementationSet) -> AnomalyReport:
 
 
 def prepare(model: SystemModel, policy: PolicySpec) -> tuple[SpecSets, Rules]:
-    """Validate the policy and the model, run the ambiguity guard from each
+    """Validate the policy, then the model, run the ambiguity guard from each
     start zone of the users, compile the rules and flatten the policy: the
     work verify and repair share."""
     problems = [d for d in validate_policy(policy) if d.severity == "error"]
     if problems:
         raise PolicyError("policy does not validate: " + "; ".join(str(d) for d in problems))
-    _require_valid(model)
-    rules = guarded_rules(model, list(users_by_zone(model)))
+    rules = guarded_rules(model, users_by_zone)
     return spec_sets(policy), rules
 
 

@@ -12,10 +12,10 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import analysis, repair as repair_mod
-from .automata import _require_valid, build_super_automaton, to_dot
+from .automata import build_super_automaton, to_dot
 from .dslparser import ParseError, parse_policy, parse_system
 from .enabling import Dnf, credential_names
-from .facts import saturate, zone_functions
+from .facts import guarded_rules, saturate
 from .policy import PolicyError, PolicyInconsistent, spec_sets, validate_policy
 from .sysmodel import ModelError, external_zone, validate
 
@@ -31,19 +31,17 @@ def _build_argparser() -> argparse.ArgumentParser:
         description="Verify access-control implementations and compute credential repairs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_policy in (
-        ("validate", True),
-        ("verify", True),
-        ("repair", True),
-        ("automaton", False),
-        ("enabling", False),
-    ):
+    # Each command registers only the options it reads.
+    for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--system", required=True, type=Path)
-        cmd.add_argument("--policy", required=needs_policy, type=Path, default=None)
-        cmd.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-        cmd.add_argument("--eligibility", default="all")
-        cmd.add_argument("--cap", type=int, default=100)
+        if name in ("validate", "verify", "repair"):
+            cmd.add_argument("--policy", required=True, type=Path)
+        if name != "automaton":
+            cmd.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
+        if name == "repair":
+            cmd.add_argument("--eligibility", default="all")
+            cmd.add_argument("--cap", type=int, default=100)
         cmd.add_argument("--out", type=Path, default=None)
     return parser
 
@@ -202,8 +200,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
     sets, rules = analysis.prepare(model, policy)
     report = analysis.anomalies(model, sets, rules)
     eligibility = _resolve_eligibility(args.eligibility)
-    by_zone = {zone: saturate(rules, zone) for zone in analysis.users_by_zone(model)}
-    results = repair_mod.repair_users(model, sets, rules, by_zone, eligibility, args.cap)
+    results = repair_mod.repair_users(model, sets, rules, eligibility, args.cap)
 
     anomalous_users = {t[0] for t in report.missing | report.forbidden}
     ok = all(results[uid].solutions for uid in anomalous_users if uid in results)
@@ -246,12 +243,10 @@ def cmd_automaton(args: argparse.Namespace) -> int:
 
 def cmd_enabling(args: argparse.Namespace) -> int:
     model = _load_system(args)
-    _require_valid(model)
-    zone = external_zone(model)
-    rules, by_zone = zone_functions(model, [zone])
+    rules = guarded_rules(model, lambda valid: [external_zone(valid)])
     functions = {
         ev: Dnf.of(credential_names(m, rules.credentials) for m in function)
-        for ev, function in by_zone[zone].items()
+        for ev, function in saturate(rules, external_zone(model)).items()
     }
     if args.fmt == "json":
         payload = {"functions": {str(ev): str(expr) for ev, expr in functions.items()}}

@@ -21,31 +21,34 @@ steps that derives the action's premise, and that chain is itself a run.
 For fixed credential sets the same rules reduce to plain reachability, one
 bit per set (`reachable_each`, and `reachable` for one set): the verdict
 walks them once per start zone and repair once per user, to re-check all
-of the user's listed solutions; only the repair search saturates.
+of the user's listed solutions; only the repair search saturates, once per
+start zone.
 
 `compile_rules` fixes the library's one credential index: the model's sorted
 credentials, the first name at the highest bit (see `enabling`).  Every
-function `saturate` and `zone_functions` return is an antichain of masks
-over that index, and the walks take masks over it, so a command compiles
-the rules once and decodes names only for its output.
+function `saturate` returns is an antichain of masks over that index, and
+the walks take masks over it, so a command compiles the rules once and
+decodes names only for its output.  Every entry of the library reaches the
+rules through `guarded_rules`, which validates the model and runs the
+ambiguity guard first.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .automata import (
     ReducedEvent,
     _cred_alternatives,
     _reachability_automaton,
+    _require_valid,
     _session_for_account,
 )
 from .enabling import _propagate, credential_mask
 from .sysmodel import LocAcc, PhyAcc, RemAcc, SystemModel, lan_classes, root_device
 
 Functions = dict[ReducedEvent, frozenset[int]]  # action -> antichain of credential masks
-ZoneFunctions = dict[str, Functions]
 Fact = tuple  # ("zone", zone id), ("session", Session) or ("lan", class index)
 
 
@@ -210,21 +213,17 @@ def may_be_ambiguous(model: SystemModel) -> bool:
     return False
 
 
-def guarded_rules(model: SystemModel, zones: list[str]) -> Rules:
-    """The compiled rules of a model validated already.
+def guarded_rules(model: SystemModel, start_zones: Callable[[SystemModel], Iterable[str]]) -> Rules:
+    """The library's one way from a model to its compiled rules: validate
+    the model, run the ambiguity guard, compile.
 
     A model `may_be_ambiguous` flags first builds the reachability automaton
-    from each of `zones`, in order, only so that an ambiguous transition
-    raises the automaton's `ModelError`.
+    from each zone of `start_zones(model)`, asked only once the model
+    validates, so that an ambiguous transition raises the automaton's
+    `ModelError`.
     """
+    _require_valid(model)
     if may_be_ambiguous(model):
-        for zone in zones:
+        for zone in start_zones(model):
             _reachability_automaton(model, zone, None)
     return compile_rules(model)
-
-
-def zone_functions(model: SystemModel, zones: list[str]) -> tuple[Rules, ZoneFunctions]:
-    """The compiled rules (`guarded_rules`) and the enabling functions from
-    each of `zones`, for a model validated already."""
-    rules = guarded_rules(model, zones)
-    return rules, {zone: saturate(rules, zone) for zone in zones}

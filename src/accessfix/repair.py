@@ -31,10 +31,12 @@ The walk guards the provenance algebra and the search, not the compilation;
 `tests/test_differential.py` holds the compiled rules to the users' own
 automata.
 
-`repair_all` reads the rules and the enabling functions from
-`analysis.enabling_by_zone`, computed once per start zone and shared by
-every user starting there; the command line saturates the rules the
-verdict walked, once per start zone.
+The policy and the model enter through `analysis.prepare`, as they do for
+the verdict, so repair rejects what verify rejects.  `repair_users` then
+saturates the prepared rules once per start zone and shares the enabling
+functions among every user starting there; `repair_all` is `prepare` and
+`repair_users`, and the command line passes `repair_users` the rules the
+verdict walked.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .analysis import enabling_by_zone
-from .automata import ReducedEvent, _require_valid
+from .analysis import prepare, users_by_zone
+from .automata import ReducedEvent
 from .enabling import _absorb, covers_any, credential_mask, credential_names
-from .facts import Functions, Rules, ZoneFunctions, reachable_each, zone_functions
-from .policy import Permission, PolicySpec, SpecSets, Triple, spec_sets, user_spec_sets
+from .facts import Functions, Rules, reachable_each, saturate
+from .policy import Permission, PolicySpec, SpecSets, Triple, user_spec_sets
 from .sysmodel import SystemModel, User
 
 ELIGIBILITY_MODES = ("current", "all")
@@ -71,9 +73,11 @@ class RepairResult(NamedTuple):
     blocking: tuple[Triple, ...]  # spec triples behind an unsatisfiable constraint
 
 
-def _conjuncts(functions: Functions, sets: SpecSets, user_id: str, pool: int) -> list[Conjunct]:
-    """The user's allowed actions, then the denied ones, each in sorted order."""
-    plus, minus = user_spec_sets(sets, user_id)
+def _conjuncts(
+    functions: Functions, plus: frozenset[Permission], minus: frozenset[Permission], pool: int
+) -> list[Conjunct]:
+    """The allowed actions `plus`, then the denied ones `minus`, each in
+    sorted order."""
     return [
         (perm, [m for m in functions.get(ReducedEvent(*perm), ()) if m & pool == m], negated)
         for perms, negated in ((plus, False), (minus, True))
@@ -183,7 +187,8 @@ def _repair(
     user = model.users[user_id]
     eligible = _resolve_eligible(model, user, eligibility)
     pool = credential_mask(eligible, rules.credentials)
-    conjuncts = _conjuncts(functions, sets, user_id, pool)
+    plus, minus = user_spec_sets(sets, user_id)
+    conjuncts = _conjuncts(functions, plus, minus, pool)
     minimal, denied = _minimal_repairs(conjuncts)
     if not minimal:
         return RepairResult((), False, _unsat_core(user_id, conjuncts))
@@ -195,7 +200,6 @@ def _repair(
     # denied one.
     reached = reachable_each(rules, user.initial_zone, ranked)
     sound = (1 << len(ranked)) - 1
-    plus, minus = user_spec_sets(sets, user_id)
     for perm in plus:
         sound &= reached.get(ReducedEvent(*perm), 0)
     for perm in minus:
@@ -221,33 +225,28 @@ def repair_user(
     list is the best prefix of the full one.
     """
     _check_cap(cap)
-    _require_valid(model)
-    sets = spec_sets(policy)
-    zone = model.users[user_id].initial_zone
-    rules, by_zone = zone_functions(model, [zone])
-    return _repair(model, sets, rules, by_zone[zone], user_id, eligibility, cap)
+    sets, rules = prepare(model, policy)
+    functions = saturate(rules, model.users[user_id].initial_zone)
+    return _repair(model, sets, rules, functions, user_id, eligibility, cap)
 
 
 def repair_users(
-    model: SystemModel,
-    sets: SpecSets,
-    rules: Rules,
-    by_zone: ZoneFunctions,
-    eligibility,
-    cap: int,
+    model: SystemModel, sets: SpecSets, rules: Rules, eligibility, cap: int
 ) -> dict[str, RepairResult]:
-    """Independent per-user repair over precomputed enabling functions; the
-    rules they were saturated from re-check every user's solutions."""
+    """Independent per-user repair over prepared rules (`analysis.prepare`),
+    saturated once per start zone; the same rules re-check every user's
+    solutions."""
     _check_cap(cap)
-    return {
-        uid: _repair(model, sets, rules, by_zone[model.users[uid].initial_zone], uid, eligibility, cap)
-        for uid in sorted(model.users)
-    }
+    results = {}
+    for zone, users in users_by_zone(model).items():
+        functions = saturate(rules, zone)
+        for user in users:
+            results[user.id] = _repair(model, sets, rules, functions, user.id, eligibility, cap)
+    return dict(sorted(results.items()))
 
 
 def repair_all(
     model: SystemModel, policy: PolicySpec, eligibility="all", cap: int = 100
 ) -> dict[str, RepairResult]:
     """Independent per-user repair for every user of the model."""
-    rules, by_zone = enabling_by_zone(model)
-    return repair_users(model, spec_sets(policy), rules, by_zone, eligibility, cap)
+    return repair_users(model, *prepare(model, policy), eligibility, cap)

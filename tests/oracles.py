@@ -58,12 +58,13 @@ from accessfix import (
     User,
     credential_mask,
     credential_names,
-    enabling_by_zone,
     enabling_functions,
     external_zone,
+    prepare,
     root_device,
-    spec_sets,
+    saturate,
     user_spec_sets,
+    users_by_zone,
 )
 from accessfix.enabling import covers_any
 
@@ -444,8 +445,8 @@ def minterm_verdict(model, policy) -> AnomalyReport:
     function from the user's start zone, and a missing triple is dangling
     when that zone has no function for its action (or the model no such
     user)."""
-    rules, by_zone = enabling_by_zone(model)
-    sets = spec_sets(policy)
+    sets, rules = prepare(model, policy)
+    by_zone = {zone: saturate(rules, zone) for zone in users_by_zone(model)}
     implemented = frozenset(
         (uid, event.operation, event.object)
         for uid, user in model.users.items()

@@ -196,6 +196,27 @@ def test_automaton_single_zone_model(tmp_path, capsys):
     assert out.count("->") == 1  # just the start marker
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["automaton", "--system", PLANT, "--format", "json"],
+        ["automaton", "--system", PLANT, "--policy", POLICY],
+        ["enabling", "--system", PLANT, "--cap", "3"],
+        ["verify", "--system", PLANT, "--policy", POLICY, "--eligibility", "all"],
+        ["validate", "--system", PLANT, "--policy", POLICY, "--cap", "3"],
+    ],
+    ids=["automaton-format", "automaton-policy", "enabling-cap", "verify-eligibility",
+         "validate-cap"],
+)
+def test_an_option_the_command_does_not_read_is_rejected(capsys, argv):
+    """Each command registers only its own options, so argparse exits 2 on
+    any other instead of ignoring it."""
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_enabling_prints_ten_functions(capsys):
     code, out, _ = run(capsys, "enabling", "--system", PLANT)
     assert code == 0

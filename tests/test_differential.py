@@ -39,11 +39,11 @@ from accessfix import (
     build_user_automaton,
     compile_rules,
     credential_mask,
-    enabling_by_zone,
     enabling_functions,
     implementation_set,
     may_be_ambiguous,
     parse_system,
+    prepare,
     print_policy,
     print_system,
     reachable,
@@ -291,7 +291,8 @@ def _cli(tmp_path, command, system_text, policy_text):
     ins, rbac = tmp_path / "m.ins", tmp_path / "m.rbac"
     ins.write_text(system_text)
     rbac.write_text(policy_text)
-    return main([command, "--system", str(ins), "--policy", str(rbac), "--eligibility", "all"])
+    eligibility = ["--eligibility", "all"] if command == "repair" else []
+    return main([command, "--system", str(ins), "--policy", str(rbac), *eligibility])
 
 
 def test_the_static_check_flags_every_ambiguous_model(tmp_path, capsys):
@@ -373,18 +374,17 @@ def test_repair_equals_brute_force_and_the_clause_route():
         if any(d.severity == "error" for d in validate(model)):
             continue
         policy = random_policy(rng, model)
-        shared = _outcome(lambda: enabling_by_zone(model))
-        if isinstance(shared, ModelError):
+        prepared = _outcome(lambda: prepare(model, policy))
+        if isinstance(prepared, ModelError):
             continue
-        rules, by_zone = shared
-        sets = spec_sets(policy)
+        sets, rules = prepared
         for eligibility in ("all", "current"):
-            full = repair_users(model, sets, rules, by_zone, eligibility, 2 ** len(model.credentials))
-            capped = repair_users(model, sets, rules, by_zone, eligibility, 3)
+            full = repair_users(model, sets, rules, eligibility, 2 ** len(model.credentials))
+            capped = repair_users(model, sets, rules, eligibility, 3)
             for uid, user in sorted(model.users.items()):
                 where = f"randgen seed {seed}, user {uid}, eligibility {eligibility}"
                 pool = model.credentials if eligibility == "all" else user.credentials
-                functions = decoded(by_zone[user.initial_zone], rules.credentials)
+                functions = decoded(saturate(rules, user.initial_zone), rules.credentials)
                 constraint = build_constraint(functions, sets, user, pool)
                 ranked = [(s.credentials, s.minimal) for s in full[uid].solutions]
                 assert ranked == brute_force_repairs(constraint, user.credentials), where

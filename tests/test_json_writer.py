@@ -42,7 +42,7 @@ def _commands(system: str, policy: str):
         ["repair", *files, "--eligibility", "current"],
         ["repair", *files, "--eligibility", "all"],
         ["repair", *files, "--eligibility", "all", "--cap", "1"],
-        ["enabling", *files],
+        ["enabling", "--system", system, "--format", "json"],
     ]
 
 

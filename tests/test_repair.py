@@ -4,9 +4,11 @@ import pytest
 
 from accessfix import (
     Permission,
+    PolicyError,
     PolicySpec,
     Role,
     SpecSets,
+    parse_policy,
     repair,
     repair_all,
     repair_user,
@@ -209,6 +211,23 @@ def test_repair_all_on_correct_system_has_distance_zero_first(plant, plant_polic
     for uid, result in results.items():
         assert result.solutions[0].distance == 0
         assert result.solutions[0].credentials == repaired.users[uid].credentials
+
+
+def test_repair_rejects_the_policy_verify_rejects(plant):
+    """A hierarchy naming an unknown role fails policy validation, so every
+    entry reports the same `PolicyError` instead of repairing."""
+    policy = parse_policy("role A { allow (run, IGS); users { Tom } }\nhierarchy A < Ghost;\n")
+    with pytest.raises(PolicyError) as verified:
+        verify(plant, policy)
+    assert "unknown role 'Ghost'" in str(verified.value)
+    for route in (
+        lambda: repair_all(plant, policy, "current"),
+        lambda: repair_all(plant, policy, "all"),
+        lambda: repair_user(plant, policy, "Tom"),
+    ):
+        with pytest.raises(PolicyError) as repaired:
+            route()
+        assert str(repaired.value) == str(verified.value)
 
 
 def test_per_user_independence(plant, plant_policy):

@@ -1,4 +1,4 @@
-"""Work counts of one command-line call.
+"""Work counts of one command-line call and of the library's entries.
 
 A verify or repair call validates the model once, builds neither an
 automaton nor a formula over credential names (`Dnf`), and compiles the
@@ -6,6 +6,8 @@ fact rules and computes the network classes once.  Both take the verdict
 from one walk of the rules per distinct start zone of the model's users;
 only repair saturates the rules, once per start zone, for its search, and
 it re-checks all listed solutions of a user in one walk of the same rules.
+The library's entries and `accessfix enabling` validate the model once
+each, and `repair_all` compiles and saturates as `accessfix repair` does.
 """
 
 import json
@@ -14,7 +16,16 @@ from pathlib import Path
 
 import pytest
 
-from accessfix import Dnf, credential_names
+from accessfix import (
+    Dnf,
+    credential_names,
+    implementation_set,
+    parse_policy,
+    parse_system,
+    repair_all,
+    repair_user,
+    verify,
+)
 from accessfix.cli import main
 from conftest import FIXTURES
 
@@ -49,6 +60,18 @@ def case(request, tmp_path):
     return str(ins), str(rbac), ["A", "O"]
 
 
+def _argv(command: str, system: str, policy: str) -> list:
+    argv = [command, "--system", system, "--policy", policy]
+    return argv + ["--eligibility", "current"] if command == "repair" else argv
+
+
+def _load(system: str, policy: str):
+    return (
+        parse_system(Path(system).read_text(encoding="utf-8")),
+        parse_policy(Path(policy).read_text(encoding="utf-8")),
+    )
+
+
 def _count(monkeypatch, name, record=lambda args, result: args[0]) -> list:
     """Record `record(args, result)` for every call of `name`, wherever a
     module of the package looks it up."""
@@ -73,7 +96,7 @@ def test_one_enabling_computation_per_start_zone(monkeypatch, capsys, case, comm
     system, policy, zones = case
     calls = _count(monkeypatch, "saturate", lambda args, _: args[1])
     minterm_tests = _count(monkeypatch, "covers_any")
-    code = main([command, "--system", system, "--policy", policy, "--eligibility", "current"])
+    code = main(_argv(command, system, policy))
     assert code in (0, 1), capsys.readouterr().err
     assert sorted(calls) == (zones if command == "repair" else [])
     if command == "verify":
@@ -102,7 +125,7 @@ def test_the_verdict_walks_once_per_start_zone(monkeypatch, capsys, case, comman
     further walks are its re-checks."""
     system, policy, zones = case
     walks = _count(monkeypatch, "reachable_each", lambda args, _: (args[1], list(args[2])))
-    code = main([command, "--system", system, "--policy", policy, "--eligibility", "current"])
+    code = main(_argv(command, system, policy))
     assert code in (0, 1), capsys.readouterr().err
     expected = _verdict_walks(system)
     assert sorted(zone for zone, _ in expected) == zones
@@ -118,6 +141,48 @@ def test_one_call_validates_the_model_once(monkeypatch, capsys, case, command):
     code = main([command, "--system", system, "--policy", policy])
     assert code in (0, 1), capsys.readouterr().err
     assert len(calls) == 1
+
+
+# The library's entries, each on a model and a policy; the single-user ones
+# take the model's first user.
+ENTRIES = {
+    "verify": lambda model, policy: verify(model, policy),
+    "repair_all": lambda model, policy: repair_all(model, policy, "current"),
+    "repair_user": lambda model, policy: repair_user(model, policy, min(model.users), "current"),
+    "implementation_set": lambda model, _: implementation_set(model, min(model.users)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_each_library_entry_validates_the_model_once(monkeypatch, case, entry):
+    """Counted wherever a module looks `validate` up, `automata`'s
+    `_require_valid` included."""
+    model, policy = _load(*case[:2])
+    calls = _count(monkeypatch, "validate")
+    ENTRIES[entry](model, policy)
+    assert calls == [model]
+
+
+def test_accessfix_enabling_validates_the_model_once(monkeypatch, capsys, case):
+    calls = _count(monkeypatch, "validate")
+    assert main(["enabling", "--system", case[0]]) == 0, capsys.readouterr().err
+    assert len(calls) == 1
+
+
+def test_repair_all_compiles_once_and_saturates_once_per_start_zone(monkeypatch, case):
+    """As `accessfix repair` does; `repair_user` saturates from its user's
+    start zone only."""
+    system, policy, zones = case
+    model, policy = _load(system, policy)
+    compiled = _count(monkeypatch, "compile_rules")
+    saturated = _count(monkeypatch, "saturate", lambda args, _: args[1])
+    repair_all(model, policy, "current")
+    assert len(compiled) == 1
+    assert sorted(saturated) == zones
+    first = model.users[min(model.users)]
+    repair_user(model, policy, first.id, "current")
+    assert len(compiled) == 2
+    assert saturated[len(zones):] == [first.initial_zone]
 
 
 PLANT = ["--system", str(FIXTURES / "plant.ins"), "--policy", str(FIXTURES / "plant.rbac")]
@@ -182,5 +247,5 @@ def test_verify_and_repair_construct_no_formula_over_names(monkeypatch, capsys):
     ):
         assert main(argv) == exit_code, capsys.readouterr().err
         assert built == [], argv[0]
-    assert main(["enabling", *PLANT]) == 0, capsys.readouterr().err
+    assert main(["enabling", PLANT[0], PLANT[1]]) == 0, capsys.readouterr().err
     assert len(built) == 10
