@@ -4,7 +4,7 @@ The pipeline is parse -> validate -> verify -> repair:
 
 * `sysmodel` holds the concrete system (rooms, doors, devices, links, users);
 * `policy` holds the RBAC specification and flattens it to allowed/denied
-  action triples;
+  action triples, one walk of the role hierarchy per role;
 * `facts` compiles the system into single-premise rules over zone, session
   and network-class facts, and `facts.guarded_rules` is the one way from a
   model to them: it validates the model, runs the ambiguity guard and
@@ -16,9 +16,12 @@ The pipeline is parse -> validate -> verify -> repair:
 * `enabling` holds the forward pass that computes those antichains, the
   index's encoder and its one decoder (`credential_names`), and `Dnf`, the
   formulas over names that are printed;
-* `automata` builds the paper's credential-labelled reachability automata,
-  which `accessfix automaton` prints and the tests use as the independent
-  route that holds the compiled rules to the paper's semantics;
+* `automata` builds the paper's credential-labelled reachability
+  automaton of a user holding every credential, which `accessfix
+  automaton` prints and the ambiguity guard builds; the tests restrict it
+  to each user's credentials, the paper's per-user automaton, as the
+  independent route that holds the compiled rules to the paper's
+  semantics;
 * `analysis` compares specification against implementation; its `prepare`
   is the one way a policy enters, and verify and repair both start from it;
 * `repair` searches credential assignments that remove every anomaly,
@@ -43,12 +46,10 @@ from .automata import (
     Session,
     SuperState,
     build_super_automaton,
-    build_user_automaton,
-    reachable_reduced_events,
     to_dot,
 )
 from .dslparser import ParseError, SourceSpan, parse_policy, parse_system, print_policy, print_system
-from .enabling import Dnf, credential_mask, credential_names, enabling_functions, evaluate
+from .enabling import Dnf, credential_mask, credential_names, enabling_functions
 from .facts import compile_rules, guarded_rules, may_be_ambiguous, reachable, reachable_each, saturate
 from .policy import (
     Permission,
@@ -59,7 +60,6 @@ from .policy import (
     SpecSets,
     closure_allowed,
     closure_denied,
-    closure_users,
     spec_sets,
     user_spec_sets,
     validate_policy,
@@ -83,7 +83,6 @@ from .sysmodel import (
     Zone,
     external_zone,
     lan_classes,
-    network_path,
     root_device,
     validate,
 )

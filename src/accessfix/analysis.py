@@ -56,11 +56,10 @@ def users_by_zone(model: SystemModel) -> dict[str, list[User]]:
     return groups
 
 
-def implementation_set(model: SystemModel, user: User | str) -> ImplementationSet:
-    """Reachable actions for one user: the compiled rules walked from the
-    user's start zone under the user's credentials."""
-    if isinstance(user, str):
-        user = model.users[user]
+def implementation_set(model: SystemModel, user_id: str) -> ImplementationSet:
+    """Reachable actions for one user of the model: the compiled rules walked
+    from the user's start zone under the user's credentials."""
+    user = model.users[user_id]
     rules = guarded_rules(model, lambda _: [user.initial_zone])
     held = credential_mask(user.credentials, rules.credentials)
     return ImplementationSet(

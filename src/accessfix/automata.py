@@ -1,4 +1,11 @@
-"""Reachability automata over credential-labelled events.
+"""The reachability automaton over credential-labelled events.
+
+The library builds one kind: the automaton of a fictitious user holding
+every credential, from the external zone (`build_super_automaton`, which
+`accessfix automaton` prints) or from any zone, which the ambiguity guard
+in `facts.guarded_rules` builds to raise its error.  The paper's per-user
+automaton is this one restricted to the edges a user's credentials open;
+it lives in the test oracles, which hold the fact route to it.
 
 A state records where the user is and which device sessions they have opened
 so far; sessions only accumulate (there is no logout).  Transitions:
@@ -11,8 +18,8 @@ so far; sessions only accumulate (there is no logout).  Transitions:
 
 Preconditions: phy_acc holds when the user's zone is the device's zone;
 loc_acc(d, g) when some held session on d includes group g; rem_acc(p, n)
-when some held session is on a host whose root device has a network path to
-the target's root device.
+when some held session is on a host whose root device shares a network
+class with the target's root device (`sysmodel.lan_classes`).
 
 Accounts whose group sets coincide produce the same session, so logins that
 are distinguishable only by credential converge to one state while keeping
@@ -30,7 +37,6 @@ from .sysmodel import (
     PhyAcc,
     RemAcc,
     SystemModel,
-    User,
     external_zone,
     lan_classes,
     root_device,
@@ -133,9 +139,6 @@ class Automaton:
     def successors(self, state) -> Mapping:
         return self._transitions[state]
 
-    def step(self, state, event):
-        return self._transitions[state].get(event)
-
     def accepts(self, events: Iterable) -> bool:
         """Whether the event sequence is executable from the initial state."""
         state = self.initial
@@ -154,11 +157,10 @@ class Automaton:
         return f"Automaton({len(self._states)} states, {len(self._alphabet)} events)"
 
 
-def _cred_alternatives(required: frozenset[str], allowed: frozenset[str] | None) -> tuple[str, ...]:
+def _cred_alternatives(required: frozenset[str]) -> tuple[str, ...]:
     if not required:
         return (EPSILON,)
-    usable = required if allowed is None else required & allowed
-    return tuple(sorted(usable))
+    return tuple(sorted(required))
 
 
 def _session_for_account(model: SystemModel, device_id: str, account: str) -> Session:
@@ -187,7 +189,7 @@ def _require_valid(model: SystemModel) -> None:
         raise ModelError("model does not validate", problems)
 
 
-def _reachability_automaton(model: SystemModel, initial_zone: str, creds: frozenset[str] | None) -> Automaton:
+def _reachability_automaton(model: SystemModel, initial_zone: str) -> Automaton:
     doors = sorted(model.doors, key=lambda r: (r.door, r.src, r.dst))
     devices = sorted(
         (d for d in model.devices.values() if not d.switch), key=lambda d: d.id
@@ -215,7 +217,7 @@ def _reachability_automaton(model: SystemModel, initial_zone: str, creds: frozen
             if rule.src != state.zone:
                 continue
             target = SuperState(rule.dst, state.sessions)
-            for cred in _cred_alternatives(rule.required, creds):
+            for cred in _cred_alternatives(rule.required):
                 add(ExtendedEvent("enter", rule.dst, cred), target)
         for dev in devices:
             for op_name in sorted(dev.operations):
@@ -229,7 +231,7 @@ def _reachability_automaton(model: SystemModel, initial_zone: str, creds: frozen
                     else:
                         session = _session_for_account(model, variant.effect.device, variant.effect.account)
                         target = SuperState(state.zone, state.sessions | {session})
-                    for cred in _cred_alternatives(variant.required, creds):
+                    for cred in _cred_alternatives(variant.required):
                         add(ExtendedEvent(op_name, dev.id, cred), target)
     return Automaton(start, table)
 
@@ -237,22 +239,7 @@ def _reachability_automaton(model: SystemModel, initial_zone: str, creds: frozen
 def build_super_automaton(model: SystemModel) -> Automaton:
     """Reachability automaton of a fictitious user holding every credential."""
     _require_valid(model)
-    return _reachability_automaton(model, external_zone(model), None)
-
-
-def build_user_automaton(model: SystemModel, user: User | str) -> Automaton:
-    """Like the super automaton, but only the user's credentials open edges."""
-    _require_valid(model)
-    if isinstance(user, str):
-        user = model.users[user]
-    elif user.id not in model.users:
-        raise KeyError(f"unknown user '{user.id}'")
-    return _reachability_automaton(model, user.initial_zone, frozenset(user.credentials))
-
-
-def reachable_reduced_events(a: Automaton) -> frozenset[ReducedEvent]:
-    """Labels of all transitions, with the credential dropped."""
-    return frozenset(event.reduced() for event in a.alphabet)
+    return _reachability_automaton(model, external_zone(model))
 
 
 def _state_label(state) -> str:

@@ -190,7 +190,7 @@ class _Parser:
         self.pos += 1
         return text
 
-    def cred_set(self) -> frozenset[str]:
+    def name_set(self) -> frozenset[str]:
         self.expect_punct("{")
         items = []
         if not self.accept_punct("}"):
@@ -241,7 +241,7 @@ def parse_system(text: str, filename: str = "<string>") -> SystemModel:
             else:
                 p.fail('"->" or "<->"')
             dst = p.expect_ident()
-            required = p.cred_set() if p.accept_keyword("requires") else frozenset()
+            required = p.name_set() if p.accept_keyword("requires") else frozenset()
             p.expect_punct(";")
             doors.add(DoorRule(door_id, src, dst, required))
             if both:
@@ -261,7 +261,7 @@ def parse_system(text: str, filename: str = "<string>") -> SystemModel:
             p.expect_keyword("at")
             zone = p.expect_ident()
             p.expect_keyword("credentials")
-            creds = p.cred_set()
+            creds = p.name_set()
             p.expect_punct(";")
             if name in users:
                 p.duplicate("user", name, token)
@@ -312,14 +312,7 @@ def _parse_device(p: _Parser, devices: dict[str, Device]) -> Device:
             gid = p.expect_ident()
             if gid in groups:
                 p.duplicate("group", gid, gtoken)
-            p.expect_punct("{")
-            members = []
-            if not p.accept_punct("}"):
-                members.append(p.expect_ident())
-                while p.accept_punct(","):
-                    members.append(p.expect_ident())
-                p.expect_punct("}")
-            groups[gid] = frozenset(members)
+            groups[gid] = p.name_set()
         elif p.accept_keyword("operation"):
             otoken = p.current
             op_name = p.expect_ident()
@@ -372,7 +365,7 @@ def _parse_variant(p: _Parser, dev_id: str) -> OperationVariant:
         pre = RemAcc(proto, port)
     else:
         p.fail('"phy_acc", "loc_acc" or "rem_acc"')
-    required = p.cred_set() if p.accept_keyword("requires") else frozenset()
+    required = p.name_set() if p.accept_keyword("requires") else frozenset()
     effect = None
     if p.accept_keyword("becomes"):
         effect = BecomesAccount(dev_id, p.expect_ident())
@@ -401,14 +394,7 @@ def parse_policy(text: str, filename: str = "<string>") -> PolicySpec:
                 denied = _parse_perm_list(p)
                 p.expect_punct(";")
             if p.accept_keyword("users"):
-                p.expect_punct("{")
-                names = []
-                if not p.accept_punct("}"):
-                    names.append(p.expect_ident())
-                    while p.accept_punct(","):
-                        names.append(p.expect_ident())
-                    p.expect_punct("}")
-                members = frozenset(names)
+                members = p.name_set()
             p.expect_punct("}")
             roles[rid] = Role(rid, allowed, denied, members)
         elif p.accept_keyword("hierarchy"):

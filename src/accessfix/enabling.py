@@ -104,11 +104,6 @@ class Dnf:
         return self.render()
 
 
-def evaluate(expr: Dnf, credentials: Iterable[str]) -> bool:
-    """True when some minterm is covered by the credential set."""
-    return expr.evaluate(credentials)
-
-
 def credential_mask(names: Iterable[str], credentials: tuple[str, ...]) -> int:
     """The bitmask of `names` over the index `credentials` (sorted, the first
     name at the highest bit); names outside the index are left out."""

@@ -71,7 +71,7 @@ def compile_rules(model: SystemModel) -> Rules:
 
     def rule(premises, fact, event, required):
         for premise in premises:
-            for cred in _cred_alternatives(required, None):
+            for cred in _cred_alternatives(required):
                 own = credential_mask((cred,), credentials)  # EPSILON is outside the index: mask 0
                 enable[premise].append((event, own))
                 if fact is not None:
@@ -200,14 +200,14 @@ def may_be_ambiguous(model: SystemModel) -> bool:
                 session = None if effect is None else _session_for_account(
                     model, effect.device, effect.account
                 )
-                for cred in _cred_alternatives(variant.required, None):
+                for cred in _cred_alternatives(variant.required):
                     if opens.setdefault(cred, session) != session:
                         return True
             if op_name == "enter" and any(
                 cred in opens
                 for door in model.doors
                 if door.dst == dev.id
-                for cred in _cred_alternatives(door.required, None)
+                for cred in _cred_alternatives(door.required)
             ):
                 return True
     return False
@@ -225,5 +225,5 @@ def guarded_rules(model: SystemModel, start_zones: Callable[[SystemModel], Itera
     _require_valid(model)
     if may_be_ambiguous(model):
         for zone in start_zones(model):
-            _reachability_automaton(model, zone, None)
+            _reachability_automaton(model, zone)
     return compile_rules(model)

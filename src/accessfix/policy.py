@@ -1,12 +1,17 @@
 """RBAC policy model: roles, hierarchy, and the allowed/denied action sets.
 
 Allowed permissions flow up the hierarchy (a senior role inherits what its
-juniors may do), denied permissions flow down (a junior role inherits what
-its seniors must not do), and user assignments flow down as well.
+juniors may do), and denied permissions flow down (a junior role inherits
+what its seniors must not do).  User assignments do not flow: `spec_sets`
+gives a user the closed permission sets of the roles assigned to them
+directly, and a user of a senior role is not also a user of its juniors.
+Each question about the hierarchy is one walk from the role over the
+direct junior or senior edges, which each call builds once.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -73,36 +78,38 @@ def validate_policy(policy: PolicySpec) -> list[Diagnostic]:
         for rid in (lo, hi):
             if rid not in policy.roles:
                 out.append(Diagnostic("error", loc, f"unknown role '{rid}'"))
-    closed = _closure(policy.hierarchy)
-    for rid in sorted({lo for lo, _ in policy.hierarchy}):
-        if (rid, rid) in closed and (rid, rid) not in policy.hierarchy:
+    _, seniors = _adjacency(policy)
+    for rid in sorted(seniors):
+        if rid in _walk(seniors, rid) and (rid, rid) not in policy.hierarchy:
             out.append(Diagnostic("error", f"role {rid}", "hierarchy contains a cycle through this role"))
     return out
 
 
-def _closure(pairs: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closed):
-            for c, d in list(closed):
-                if b == c and (a, d) not in closed:
-                    closed.add((a, d))
-                    changed = True
-    return frozenset(closed)
+def _adjacency(policy: PolicySpec) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Each role's direct juniors and direct seniors."""
+    juniors: dict[str, list[str]] = defaultdict(list)
+    seniors: dict[str, list[str]] = defaultdict(list)
+    for lo, hi in policy.hierarchy:
+        juniors[hi].append(lo)
+        seniors[lo].append(hi)
+    return juniors, seniors
 
 
-def _descendants(policy: PolicySpec, role_id: str) -> set[str]:
-    """Roles at or below `role_id`."""
-    below = _closure(policy.hierarchy)
-    return {role_id} | {lo for lo, hi in below if hi == role_id}
+def _walk(edges: dict[str, list[str]], role_id: str) -> set[str]:
+    """Roles reached from `role_id` in one or more steps over `edges`."""
+    found: set[str] = set()
+    stack = [role_id]
+    while stack:
+        for nxt in edges.get(stack.pop(), ()):
+            if nxt not in found:
+                found.add(nxt)
+                stack.append(nxt)
+    return found
 
 
-def _ancestors(policy: PolicySpec, role_id: str) -> set[str]:
-    """Roles at or above `role_id`."""
-    below = _closure(policy.hierarchy)
-    return {role_id} | {hi for lo, hi in below if lo == role_id}
+def _closed(policy: PolicySpec, edges: dict[str, list[str]], role_id: str) -> list[Role]:
+    """The role and every defined role reached from it over `edges`."""
+    return [policy.roles[rid] for rid in {role_id} | _walk(edges, role_id) if rid in policy.roles]
 
 
 def _role(policy: PolicySpec, role_id: str) -> Role:
@@ -114,31 +121,15 @@ def _role(policy: PolicySpec, role_id: str) -> Role:
 def closure_allowed(policy: PolicySpec, role_id: str) -> frozenset[Permission]:
     """Allowed permissions of the role, including those inherited from junior roles."""
     _role(policy, role_id)
-    out: set[Permission] = set()
-    for rid in _descendants(policy, role_id):
-        if rid in policy.roles:
-            out |= policy.roles[rid].allowed
-    return frozenset(out)
+    juniors, _ = _adjacency(policy)
+    return frozenset(perm for r in _closed(policy, juniors, role_id) for perm in r.allowed)
 
 
 def closure_denied(policy: PolicySpec, role_id: str) -> frozenset[Permission]:
     """Denied permissions of the role, including those inherited from senior roles."""
     _role(policy, role_id)
-    out: set[Permission] = set()
-    for rid in _ancestors(policy, role_id):
-        if rid in policy.roles:
-            out |= policy.roles[rid].denied
-    return frozenset(out)
-
-
-def closure_users(policy: PolicySpec, role_id: str) -> frozenset[str]:
-    """Users holding the role directly or via a senior role."""
-    _role(policy, role_id)
-    out: set[str] = set()
-    for rid in _ancestors(policy, role_id):
-        if rid in policy.roles:
-            out |= policy.roles[rid].users
-    return frozenset(out)
+    _, seniors = _adjacency(policy)
+    return frozenset(perm for r in _closed(policy, seniors, role_id) for perm in r.denied)
 
 
 def spec_sets(policy: PolicySpec) -> SpecSets:
@@ -150,14 +141,15 @@ def spec_sets(policy: PolicySpec) -> SpecSets:
     a senior's allowances.  A triple both allowed and denied is reported
     rather than silently resolved.
     """
+    juniors, seniors = _adjacency(policy)
     plus: set[Triple] = set()
     minus: set[Triple] = set()
     for rid, role in policy.roles.items():
+        allowed = {perm for r in _closed(policy, juniors, rid) for perm in r.allowed}
+        denied = {perm for r in _closed(policy, seniors, rid) for perm in r.denied}
         for user in role.users:
-            for perm in closure_allowed(policy, rid):
-                plus.add((user, perm.operation, perm.object))
-            for perm in closure_denied(policy, rid):
-                minus.add((user, perm.operation, perm.object))
+            plus.update((user, perm.operation, perm.object) for perm in allowed)
+            minus.update((user, perm.operation, perm.object) for perm in denied)
     overlap = plus & minus
     if overlap:
         raise PolicyInconsistent(overlap)

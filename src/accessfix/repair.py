@@ -53,8 +53,6 @@ from .facts import Functions, Rules, reachable_each, saturate
 from .policy import Permission, PolicySpec, SpecSets, Triple, user_spec_sets
 from .sysmodel import SystemModel, User
 
-ELIGIBILITY_MODES = ("current", "all")
-
 # One allowed (negated false) or denied (negated true) action of a user,
 # with the minterms of its enabling function that lie inside the pool.
 Conjunct = tuple[Permission, list[int], bool]

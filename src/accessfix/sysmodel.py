@@ -363,17 +363,3 @@ def lan_classes(model: SystemModel) -> dict[str, frozenset[int]]:
             numbers.setdefault(dev_id, set()).add(number)
     return {dev_id: frozenset(found) for dev_id, found in numbers.items()}
 
-
-def network_path(model: SystemModel, src: str, dst: str, protocol: str, port: int) -> bool:
-    """True when the link graph connects the two root devices through switches only.
-
-    Filtering is out of scope, so `protocol` and `port` do not restrict
-    connectivity; they are part of the signature for forward compatibility.
-    """
-    for dev_id in (src, dst):
-        if dev_id not in model.devices:
-            raise KeyError(f"unknown device '{dev_id}'")
-        if model.devices[dev_id].location.hosts:
-            raise ValueError(f"'{dev_id}' is a hosted object, not a root device")
-    classes = lan_classes(model)
-    return not classes.get(src, frozenset()).isdisjoint(classes.get(dst, ()))

@@ -15,6 +15,19 @@ all-credential automaton (the library's `enabling_functions`, which
 `enabling_function` wraps for one event), and composed from the per-event
 enabling sets, where the library saturates the model's fact rules instead.
 
+The paper's per-user automaton lives here (`user_automaton`), built by
+restriction: the all-credential automaton from the user's start zone,
+keeping the edges whose credential the user holds or that need none, cut
+to the part reachable from the start.  The library walks the compiled
+rules under the user's credentials instead.
+
+The role hierarchy has its first reading here as well: a fixpoint over all
+hierarchy pairs (`fixpoint_closure`) and the validation, closures and
+flattening computed from it (`fixpoint_validate_policy`,
+`fixpoint_closure_allowed`, `fixpoint_closure_denied`,
+`fixpoint_spec_sets`), where the library walks from each role over the
+direct junior or senior edges.
+
 Network connectivity has its first definition here: a breadth-first search
 over the link graph (`bfs_network_path`), where the library reads paths
 off the model's network classes.
@@ -44,12 +57,14 @@ from accessfix import (
     EPSILON,
     AnomalyReport,
     Automaton,
+    Diagnostic,
     Dnf,
     ExtendedEvent,
     LocAcc,
     ModelError,
     ParseError,
     PhyAcc,
+    PolicyInconsistent,
     RemAcc,
     ReducedEvent,
     Session,
@@ -66,6 +81,7 @@ from accessfix import (
     user_spec_sets,
     users_by_zone,
 )
+from accessfix.automata import _reachability_automaton
 from accessfix.enabling import covers_any
 
 TokenSet = frozenset
@@ -123,6 +139,36 @@ def event_expr(a: Automaton, e) -> Dnf:
 def enabling_function(a: Automaton, reduced) -> Dnf:
     """Credential formula for a reduced event: false when no transition has it."""
     return enabling_functions(a).get(ReducedEvent(*reduced), Dnf.false())
+
+
+def reachable_reduced_events(a: Automaton) -> frozenset:
+    """Labels of all transitions, with the credential dropped."""
+    return frozenset(event.reduced() for event in a.alphabet)
+
+
+def user_automaton(everything: Automaton, credentials) -> Automaton:
+    """The automaton of a user holding `credentials`, restricted from
+    `everything`, the all-credential automaton from the user's start zone:
+    the edges whose credential the user holds or that need none, cut to the
+    part reachable from the start.  Callers that check many users or sets
+    build `everything` once per model and zone."""
+    held = frozenset(credentials) | {EPSILON}
+    return Automaton.from_edges(
+        everything.initial,
+        (
+            (state, event, target)
+            for state in everything.states
+            for event, target in everything.successors(state).items()
+            if event.credential in held
+        ),
+    )
+
+
+def build_user_automaton(model, uid) -> Automaton:
+    """The user's own automaton, restricted from the all-credential automaton
+    of the user's start zone, which this builds anew on every call."""
+    user = model.users[uid]
+    return user_automaton(_reachability_automaton(model, user.initial_zone), user.credentials)
 
 
 def bfs_network_path(model, src, dst, protocol, port) -> bool:
@@ -461,6 +507,67 @@ def minterm_verdict(model, policy) -> AnomalyReport:
         or ReducedEvent(op, ob) not in by_zone[model.users[uid].initial_zone]
     )
     return AnomalyReport(missing - dangling, sets.s_minus & implemented, dangling)
+
+
+def fixpoint_closure(pairs) -> frozenset:
+    """Transitive closure of (junior, senior) pairs: add (a, d) for every
+    (a, b) and (b, d) until nothing changes."""
+    closed = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(closed):
+            for c, d in list(closed):
+                if b == c and (a, d) not in closed:
+                    closed.add((a, d))
+                    changed = True
+    return frozenset(closed)
+
+
+def fixpoint_validate_policy(policy) -> list:
+    """The policy's diagnostics, with a role on a cycle read off the closure
+    as a pair (role, role) the hierarchy does not state itself."""
+    out = []
+    for rid, role in sorted(policy.roles.items()):
+        for perm in sorted(role.allowed & role.denied):
+            out.append(Diagnostic("error", f"role {rid}", f"permission {perm} both allowed and denied"))
+    for lo, hi in sorted(policy.hierarchy):
+        loc = f"hierarchy {lo} < {hi}"
+        if lo == hi:
+            out.append(Diagnostic("error", loc, "role cannot be below itself"))
+        for rid in (lo, hi):
+            if rid not in policy.roles:
+                out.append(Diagnostic("error", loc, f"unknown role '{rid}'"))
+    closed = fixpoint_closure(policy.hierarchy)
+    for rid in sorted({lo for lo, _ in policy.hierarchy}):
+        if (rid, rid) in closed and (rid, rid) not in policy.hierarchy:
+            out.append(Diagnostic("error", f"role {rid}", "hierarchy contains a cycle through this role"))
+    return out
+
+
+def fixpoint_closure_allowed(policy, role_id) -> frozenset:
+    """Allowed permissions of the role and of every defined role below it."""
+    below = {role_id} | {lo for lo, hi in fixpoint_closure(policy.hierarchy) if hi == role_id}
+    return frozenset(p for rid in below if rid in policy.roles for p in policy.roles[rid].allowed)
+
+
+def fixpoint_closure_denied(policy, role_id) -> frozenset:
+    """Denied permissions of the role and of every defined role above it."""
+    above = {role_id} | {hi for lo, hi in fixpoint_closure(policy.hierarchy) if lo == role_id}
+    return frozenset(p for rid in above if rid in policy.roles for p in policy.roles[rid].denied)
+
+
+def fixpoint_spec_sets(policy) -> SpecSets:
+    """Each user's triples from the closures of the roles assigned to the
+    user directly; `PolicyInconsistent` when a triple is both."""
+    plus, minus = set(), set()
+    for rid, role in policy.roles.items():
+        for user in role.users:
+            plus |= {(user, p.operation, p.object) for p in fixpoint_closure_allowed(policy, rid)}
+            minus |= {(user, p.operation, p.object) for p in fixpoint_closure_denied(policy, rid)}
+    if plus & minus:
+        raise PolicyInconsistent(plus & minus)
+    return SpecSets(frozenset(plus), frozenset(minus))
 
 
 # The repair constraint over names, and its clause route.  The library reads

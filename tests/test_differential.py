@@ -36,7 +36,6 @@ from accessfix import (
     SystemModel,
     Zone,
     build_super_automaton,
-    build_user_automaton,
     compile_rules,
     credential_mask,
     enabling_functions,
@@ -48,7 +47,6 @@ from accessfix import (
     print_system,
     reachable,
     reachable_each,
-    reachable_reduced_events,
     repair_all,
     saturate,
     spec_sets,
@@ -70,7 +68,9 @@ from oracles import (
     enabling_functions_from_sets,
     minterm_verdict,
     parallel_compose,
+    reachable_reduced_events,
     same_language,
+    user_automaton,
 )
 from randgen import random_model, random_policy
 
@@ -106,36 +106,39 @@ def _user_triples(uid, automaton) -> frozenset:
 
 
 def _all_credential_automata(model) -> dict:
-    """Oracle of what no credentials can fix: per user, the automaton of the
-    user holding every credential, or the ambiguous-transition error it
-    raises.  It depends only on the start zone, so it is built once per zone."""
-    by_zone = {}
-    for uid, user in sorted(model.users.items()):
-        if user.initial_zone not in by_zone:
-            everything = model.with_user_credentials(uid, model.credentials)
-            by_zone[user.initial_zone] = _outcome(lambda: build_user_automaton(everything, uid))
-    return {uid: by_zone[user.initial_zone] for uid, user in model.users.items()}
+    """Per start zone of the users, the automaton of a user holding every
+    credential, or the ambiguous-transition error it raises: the oracle of
+    what no credentials can fix, and what every user's own automaton is
+    restricted from (`user_automaton`), so it is built once per zone."""
+    zones = sorted({user.initial_zone for user in model.users.values()})
+    return {zone: _outcome(lambda: _reachability_automaton(model, zone)) for zone in zones}
 
 
-def _automata_verdict(model, policy, known: dict) -> AnomalyReport:
-    """The verdict read off the users' own automata; `known` is
+def _automata_verdict(model, policy, by_zone: dict) -> AnomalyReport:
+    """The verdict read off the users' own automata; `by_zone` is
     `_all_credential_automata(model)`."""
     implemented = frozenset().union(
-        *(_user_triples(uid, build_user_automaton(model, uid)) for uid in model.users)
+        *(
+            _user_triples(uid, user_automaton(by_zone[user.initial_zone], user.credentials))
+            for uid, user in model.users.items()
+        )
     )
     sets = spec_sets(policy)
     missing = sets.s_plus - implemented
     dangling = frozenset(
         (uid, op, ob)
         for uid, op, ob in missing
-        if uid not in known or ReducedEvent(op, ob) not in reachable_reduced_events(known[uid])
+        if uid not in model.users
+        or ReducedEvent(op, ob) not in reachable_reduced_events(by_zone[model.users[uid].initial_zone])
     )
     return AnomalyReport(missing - dangling, sets.s_minus & implemented, dangling)
 
 
 def _check_verify(model, policy, counts: Counter) -> None:
-    known = _all_credential_automata(model)
-    faulty = sorted(uid for uid, a in known.items() if isinstance(a, ModelError))
+    by_zone = _all_credential_automata(model)
+    faulty = sorted(
+        uid for uid, user in model.users.items() if isinstance(by_zone[user.initial_zone], ModelError)
+    )
     if faulty:
         counts["ambiguous from a start zone"] += 1
         for route in [
@@ -148,12 +151,12 @@ def _check_verify(model, policy, counts: Counter) -> None:
                 route()
         return
 
-    for uid in model.users:
-        expected = _user_triples(uid, build_user_automaton(model, uid))
+    for uid, user in model.users.items():
+        expected = _user_triples(uid, user_automaton(by_zone[user.initial_zone], user.credentials))
         assert implementation_set(model, uid).triples == expected, uid
     sets = spec_sets(policy)
     report = verify(model, policy)
-    assert report == _automata_verdict(model, policy, known)
+    assert report == _automata_verdict(model, policy, by_zone)
     assert report == minterm_verdict(model, policy)
     counts["missing"] += len(report.missing)
     counts["forbidden"] += len(report.forbidden)
@@ -162,7 +165,7 @@ def _check_verify(model, policy, counts: Counter) -> None:
     # functions come from; the user's own automaton checks them independently.
     for uid, result in repair_all(model, policy, "all", 8).items():
         for solution in result.solutions:
-            fixed = build_user_automaton(model.with_user_credentials(uid, solution.credentials), uid)
+            fixed = user_automaton(by_zone[model.users[uid].initial_zone], solution.credentials)
             reached = _user_triples(uid, fixed)
             assert {t for t in sets.s_plus if t[0] == uid} <= reached, (uid, solution)
             assert not sets.s_minus & reached, (uid, solution)
@@ -220,7 +223,7 @@ def test_enabling_functions_equal_the_event_level_definition(plant, plant_automa
         if any(d.severity == "error" for d in validate(model)):
             continue
         for zone in sorted(model.zones):
-            automaton = _outcome(lambda: _reachability_automaton(model, zone, None))
+            automaton = _outcome(lambda: _reachability_automaton(model, zone))
             if not isinstance(automaton, ModelError):
                 cases.append((f"randgen seed {seed}, zone {zone}", model, zone, automaton, True))
     for where, model, zone, automaton, by_sets in cases:
@@ -237,10 +240,10 @@ def test_the_fact_walk_equals_the_users_automaton():
     """`reachable` over the compiled rules against the reachable actions of
     the user's own automaton, for every user under their own credentials and
     under four seeded random subsets of the model's, on the plant in one to
-    three cells and on every random model `validate` accepts; a credential
-    set under which the automaton is ambiguous is skipped.  One
-    `reachable_each` walk per user over all five sets must give every set's
-    actions in its own bit."""
+    three cells and on every random model `validate` accepts; a user whose
+    all-credential automaton, which each set's automaton is restricted from,
+    is ambiguous is skipped.  One `reachable_each` walk per user over all
+    five sets must give every set's actions in its own bit."""
     models = [(f"plant in {cells} cells", plant_cells(cells)[0]) for cells in range(1, 4)]
     for seed in SEEDS:
         model = random_model(random.Random(seed))
@@ -251,19 +254,18 @@ def test_the_fact_walk_equals_the_users_automaton():
     for where, model in models:
         rules = compile_rules(model)
         pool = sorted(model.credentials)
+        by_zone = _all_credential_automata(model)
         for uid, user in sorted(model.users.items()):
             subsets = [frozenset(c for c in pool if rng.random() < 0.5) for _ in range(4)]
             sets = [user.credentials, *subsets]
             masks = [credential_mask(creds, rules.credentials) for creds in sets]
             each = reachable_each(rules, user.initial_zone, masks)
             for j, (creds, mask) in enumerate(zip(sets, masks)):
-                automaton = _outcome(
-                    lambda: build_user_automaton(model.with_user_credentials(uid, creds), uid)
-                )
-                if isinstance(automaton, ModelError):
+                everything = by_zone[user.initial_zone]
+                if isinstance(everything, ModelError):
                     counts["ambiguous"] += 1
                     continue
-                expected = reachable_reduced_events(automaton)
+                expected = reachable_reduced_events(user_automaton(everything, creds))
                 assert reachable(rules, user.initial_zone, mask) == expected, (where, uid, sorted(creds))
                 in_bit_j = frozenset(event for event, bits in each.items() if bits >> j & 1)
                 assert in_bit_j == expected, (where, uid, j, sorted(creds))
@@ -309,7 +311,7 @@ def test_the_static_check_flags_every_ambiguous_model(tmp_path, capsys):
         policy = random_policy(rng, model)
         flagged = may_be_ambiguous(model)
         raises = any(
-            isinstance(_outcome(lambda: _reachability_automaton(model, zone, None)), ModelError)
+            isinstance(_outcome(lambda: _reachability_automaton(model, zone)), ModelError)
             for zone in model.zones
         )
         assert flagged or not raises, f"randgen seed {seed}"

@@ -2,13 +2,7 @@ import random
 
 import pytest
 
-from accessfix import (
-    Dnf,
-    ReducedEvent,
-    build_user_automaton,
-    evaluate,
-    reachable_reduced_events,
-)
+from accessfix import Dnf, ReducedEvent
 from conftest import C_AMY, C_TOM, UNIVERSE
 from oracles import (
     PLANT_FORMULAS,
@@ -19,7 +13,9 @@ from oracles import (
     expand_factored,
     is_enabling_set,
     powerset,
+    reachable_reduced_events,
     tokenize,
+    user_automaton,
 )
 from randgen import random_automaton
 
@@ -79,10 +75,10 @@ def test_admin_igs_has_three_expanded_minterms(plant_functions):
 
 
 def test_evaluate_against_user_credentials(plant_functions):
-    assert evaluate(plant_functions[ReducedEvent("admin", "PLC")], C_TOM)
-    assert not evaluate(plant_functions[ReducedEvent("admin", "MBSL")], C_TOM)
-    assert evaluate(Dnf.true(), frozenset())
-    assert not evaluate(plant_functions[ReducedEvent("run", "IGS")], C_AMY)
+    assert plant_functions[ReducedEvent("admin", "PLC")].evaluate(C_TOM)
+    assert not plant_functions[ReducedEvent("admin", "MBSL")].evaluate(C_TOM)
+    assert Dnf.true().evaluate(frozenset())
+    assert not plant_functions[ReducedEvent("run", "IGS")].evaluate(C_AMY)
 
 
 def test_impossible_event_is_constant_false(plant_automaton):
@@ -131,13 +127,12 @@ def test_is_enabling_set_agrees_with_enabling_sets():
                 )
 
 
-def test_function_evaluation_equals_user_reachability(plant, plant_functions):
+def test_function_evaluation_equals_user_reachability(plant_automaton, plant_functions):
     # sampled here; the acceptance suite sweeps all 256 subsets
     rng = random.Random(11)
     creds = sorted(UNIVERSE)
     for _ in range(24):
         subset = frozenset(rng.sample(creds, rng.randint(0, 8)))
-        model = plant.with_user_credentials("Tom", subset)
-        reachable = reachable_reduced_events(build_user_automaton(model, "Tom"))
+        reachable = reachable_reduced_events(user_automaton(plant_automaton, subset))
         for reduced, expr in plant_functions.items():
             assert expr.evaluate(subset) == (reduced in reachable)

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from accessfix import (
@@ -7,11 +10,19 @@ from accessfix import (
     Role,
     closure_allowed,
     closure_denied,
-    closure_users,
     spec_sets,
     user_spec_sets,
     validate_policy,
 )
+from conftest import plant_cells
+from oracles import (
+    fixpoint_closure,
+    fixpoint_closure_allowed,
+    fixpoint_closure_denied,
+    fixpoint_spec_sets,
+    fixpoint_validate_policy,
+)
+from randgen import random_model, random_policy
 
 RUN_MBSL = Permission("run", "MBSL")
 RUN_IGS = Permission("run", "IGS")
@@ -37,25 +48,11 @@ def test_closure_denied(plant_policy):
     assert closure_denied(plant_policy, "P_s") == frozenset()
 
 
-def test_closure_users(plant_policy):
-    assert closure_users(plant_policy, "P_o") == frozenset({"Tom", "Amy"})
-    assert closure_users(plant_policy, "P_s") == frozenset({"Amy"})
-
-
 def test_isolated_role_closures_are_identity():
     role = Role("r", frozenset({RUN_IGS}), frozenset({ADM_IGS}), frozenset({"u"}))
     policy = PolicySpec(roles={"r": role})
     assert closure_allowed(policy, "r") == role.allowed
     assert closure_denied(policy, "r") == role.denied
-    assert closure_users(policy, "r") == role.users
-
-
-def test_closure_users_empty_when_no_assignments():
-    policy = PolicySpec(
-        roles={"lo": Role("lo"), "hi": Role("hi")},
-        hierarchy=frozenset({("lo", "hi")}),
-    )
-    assert closure_users(policy, "lo") == frozenset()
 
 
 def test_unknown_role_raises(plant_policy):
@@ -90,9 +87,12 @@ def test_literal_user_closure_makes_plant_policy_inconsistent(plant_policy):
     # count as users of its juniors, Amy inherits the operator denials while
     # keeping the supervisor allowances, which clash; `spec_sets` closes over
     # the roles a user is assigned directly, so the plant policy flattens.
+    closed = fixpoint_closure(plant_policy.hierarchy)
     plus, minus = set(), set()
     for rid in plant_policy.roles:
-        for user in closure_users(plant_policy, rid):
+        seniors = {hi for lo, hi in closed if lo == rid}
+        users = frozenset().union(*(plant_policy.roles[r].users for r in {rid} | seniors))
+        for user in users:
             plus |= {(user, p.operation, p.object) for p in closure_allowed(plant_policy, rid)}
             minus |= {(user, p.operation, p.object) for p in closure_denied(plant_policy, rid)}
     assert ("Amy", "admin", "PLC") in plus & minus
@@ -110,11 +110,6 @@ def test_hierarchy_monotonicity(plant_policy):
         assert closure_denied(plant_policy, lo) >= closure_denied(plant_policy, hi)
 
 
-def test_closure_users_contains_direct_assignment(plant_policy):
-    for rid, role in plant_policy.roles.items():
-        assert closure_users(plant_policy, rid) >= role.users
-
-
 def test_adding_hierarchy_edge_never_shrinks_closures():
     r1 = Role("r1", frozenset({RUN_MBSL}), frozenset({ADM_PLC}), frozenset({"u1"}))
     r2 = Role("r2", frozenset({RUN_IGS}), frozenset({ADM_IGS}), frozenset({"u2"}))
@@ -124,7 +119,6 @@ def test_adding_hierarchy_edge_never_shrinks_closures():
     for rid in base.roles:
         assert closure_allowed(base, rid) <= closure_allowed(grown, rid)
         assert closure_denied(base, rid) <= closure_denied(grown, rid)
-        assert closure_users(base, rid) <= closure_users(grown, rid)
 
 
 def test_transitive_hierarchy_is_closed():
@@ -135,7 +129,7 @@ def test_transitive_hierarchy_is_closed():
     }
     policy = PolicySpec(roles=roles, hierarchy=frozenset({("lo", "mid"), ("mid", "hi")}))
     assert closure_allowed(policy, "hi") == frozenset({RUN_MBSL, RUN_IGS})
-    assert closure_users(policy, "lo") == frozenset({"boss"})
+    assert spec_sets(policy).s_plus == frozenset({("boss", "run", "MBSL"), ("boss", "run", "IGS")})
 
 
 def test_cycle_is_a_validation_error():
@@ -147,3 +141,81 @@ def test_cycle_is_a_validation_error():
 def test_disjointness_always_holds_when_spec_sets_succeeds(plant_policy):
     sets = spec_sets(plant_policy)
     assert not sets.s_plus & sets.s_minus
+
+
+def _hand_made_hierarchies():
+    """A chain, a diamond, a 2-cycle, a self-loop on a role that is also on
+    a longer cycle, and a chain through a role the policy does not define.
+    Role i allows the i-th permission and denies the next one, so the
+    hierarchies without a cycle flatten, and on a cycle each role inherits
+    both the allowance and the denial of one permission:
+    `PolicyInconsistent`."""
+    perms = [RUN_MBSL, RUN_IGS, ADM_MBSL, ADM_IGS, ADM_PLC]
+
+    def policy(pairs, ids):
+        roles = {
+            rid: Role(rid, frozenset({perms[i]}), frozenset({perms[i + 1]}), frozenset({f"u{i}"}))
+            for i, rid in enumerate(ids)
+        }
+        return PolicySpec(roles=roles, hierarchy=frozenset(pairs))
+
+    yield "chain", policy({("a", "b"), ("b", "c"), ("c", "d")}, "abcd")
+    yield "diamond", policy({("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")}, "abcd")
+    yield "2-cycle", policy({("a", "b"), ("b", "a")}, "ab")
+    yield "self-loop on a 3-cycle", policy({("a", "a"), ("a", "b"), ("b", "c"), ("c", "a")}, "abc")
+    yield "chain through an undefined role", policy({("a", "ghost"), ("ghost", "b")}, "ab")
+
+
+def _scrambled_policy(rng):
+    """Up to four roles over a shared pool of three permissions and any
+    pairs of them and an undefined role: cycles, self-loops and
+    inconsistent policies included."""
+    ids = [f"r{i}" for i in range(rng.randint(1, 4))]
+    pool = [RUN_MBSL, RUN_IGS, ADM_PLC]
+    roles = {
+        rid: Role(
+            rid,
+            frozenset(p for p in pool if rng.random() < 0.3),
+            frozenset(p for p in pool if rng.random() < 0.2),
+            frozenset(u for u in ("u", "v") if rng.random() < 0.5),
+        )
+        for rid in ids
+    }
+    names = ids + ["ghost"]
+    pairs = {(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 5))}
+    return PolicySpec(roles=roles, hierarchy=frozenset(pairs))
+
+
+def _flattened(flatten, policy):
+    try:
+        return flatten(policy)
+    except PolicyInconsistent as exc:
+        return str(exc)
+
+
+def test_the_hierarchy_walk_equals_the_fixpoint():
+    """`validate_policy`'s diagnostics, `closure_allowed`, `closure_denied`
+    and `spec_sets` (or its `PolicyInconsistent` text) against the fixpoint
+    over all hierarchy pairs, on random policies for seeds 0-1999 (each
+    also scrambled into cycles and undefined roles), on the plant's policy
+    in 1-32 cells and on hand-made hierarchies."""
+    cases = list(_hand_made_hierarchies())
+    cases += [(f"plant in {cells} cells", plant_cells(cells)[1]) for cells in range(1, 33)]
+    for seed in range(2000):
+        rng = random.Random(seed)
+        cases.append((f"randgen seed {seed}", random_policy(rng, random_model(rng))))
+        cases.append((f"scrambled seed {seed}", _scrambled_policy(rng)))
+    counts = Counter()
+    for where, policy in cases:
+        diagnostics = validate_policy(policy)
+        assert diagnostics == fixpoint_validate_policy(policy), where
+        for rid in policy.roles:
+            assert closure_allowed(policy, rid) == fixpoint_closure_allowed(policy, rid), (where, rid)
+            assert closure_denied(policy, rid) == fixpoint_closure_denied(policy, rid), (where, rid)
+        flattened = _flattened(spec_sets, policy)
+        assert flattened == _flattened(fixpoint_spec_sets, policy), where
+        counts["inconsistent" if isinstance(flattened, str) else "flattened"] += 1
+        counts["cycle"] += any("cycle" in d.message for d in diagnostics)
+        counts["transitive"] += len(fixpoint_closure(policy.hierarchy)) > len(policy.hierarchy)
+    print(dict(counts))
+    assert counts["inconsistent"] and counts["cycle"] and counts["transitive"] >= 100
