@@ -6,22 +6,26 @@ The pipeline is parse -> validate -> verify -> repair:
 * `policy` holds the RBAC specification and flattens it to allowed/denied
   action triples, one walk of the role hierarchy per role;
 * `facts` compiles the system into single-premise rules over zone, session
-  and network-class facts, and `facts.guarded_rules` is the one way from a
-  model to them: it validates the model, runs the ambiguity guard and
-  compiles.  Under fixed credential sets the rules give the reachable
-  actions in one walk, one bit per set, for the verdict and for repair's
-  re-checks, and the repair search saturates them into one monotone
-  credential formula per action, its enabling function, kept as an
-  antichain of bitmasks over the rules' one credential index;
+  and network-class facts, the one reading of its doors, variants and
+  preconditions, and `facts.guarded_rules` is the one way from a model to
+  them: it validates the model, compiles it and runs the ambiguity guard.
+  Under fixed credential sets the rules give the reachable actions in one
+  walk, one bit per set, for the verdict and for repair's re-checks, and
+  the repair search saturates them into one monotone credential formula
+  per action, its enabling function, kept as an antichain of bitmasks over
+  the rules' one credential index.  The paper's credential-labelled
+  reachability automaton of a user holding every credential is read off
+  the same rules as their state product (`build_super_automaton`), which
+  `accessfix automaton` prints and the ambiguity guard builds; the tests
+  hold it to a reference builder that evaluates every precondition in
+  every state, and restrict that to each user's credentials, the paper's
+  per-user automaton, as the independent route that holds the compiled
+  rules to the paper's semantics;
 * `enabling` holds the forward pass that computes those antichains, the
   index's encoder and its one decoder (`credential_names`), and `Dnf`, the
   formulas over names that are printed;
-* `automata` builds the paper's credential-labelled reachability
-  automaton of a user holding every credential, which `accessfix
-  automaton` prints and the ambiguity guard builds; the tests restrict it
-  to each user's credentials, the paper's per-user automaton, as the
-  independent route that holds the compiled rules to the paper's
-  semantics;
+* `automata` holds the automaton's events, states and `Automaton` type,
+  and its DOT rendering;
 * `analysis` compares specification against implementation; its `prepare`
   is the one way a policy enters, and verify and repair both start from it;
 * `repair` searches credential assignments that remove every anomaly,
@@ -45,12 +49,19 @@ from .automata import (
     ReducedEvent,
     Session,
     SuperState,
-    build_super_automaton,
     to_dot,
 )
 from .dslparser import ParseError, SourceSpan, parse_policy, parse_system, print_policy, print_system
 from .enabling import Dnf, credential_mask, credential_names, enabling_functions
-from .facts import compile_rules, guarded_rules, may_be_ambiguous, reachable, reachable_each, saturate
+from .facts import (
+    build_super_automaton,
+    compile_rules,
+    guarded_rules,
+    may_be_ambiguous,
+    reachable,
+    reachable_each,
+    saturate,
+)
 from .policy import (
     Permission,
     PolicyError,

@@ -12,10 +12,10 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import analysis, repair as repair_mod
-from .automata import build_super_automaton, to_dot
+from .automata import to_dot
 from .dslparser import ParseError, parse_policy, parse_system
 from .enabling import Dnf, credential_names
-from .facts import guarded_rules, saturate
+from .facts import build_super_automaton, guarded_rules, saturate
 from .policy import PolicyError, PolicyInconsistent, spec_sets, validate_policy
 from .sysmodel import ModelError, external_zone, validate
 

@@ -24,58 +24,99 @@ walks them once per start zone and repair once per user, to re-check all
 of the user's listed solutions; only the repair search saturates, once per
 start zone.
 
-`compile_rules` fixes the library's one credential index: the model's sorted
-credentials, the first name at the highest bit (see `enabling`).  Every
-function `saturate` returns is an antichain of masks over that index, and
-the walks take masks over it, so a command compiles the rules once and
-decodes names only for its output.  Every entry of the library reaches the
-rules through `guarded_rules`, which validates the model and runs the
-ambiguity guard first.
+`compile_rules` is the one reader of a model's doors, variants and
+preconditions, and it fixes the library's one credential index: the
+model's sorted credentials, the first name at the highest bit (see
+`enabling`).  Every function `saturate` returns is an antichain of masks
+over that index, and the walks take masks over it, so a command compiles
+the rules once and decodes names only for its output.
+
+The paper's reachability automaton is read off the same rules: the state
+product (`state_product`) walks (zone, held sessions) states breadth first,
+and in each state every rule whose premise the state holds is an edge.
+`build_super_automaton` builds it from the external zone.  Every entry of
+the library reaches the rules through `guarded_rules`, which validates the
+model, compiles it and runs the ambiguity guard: a check on the rules
+(`may_be_ambiguous`) and, for the models it flags, the state product from
+each start zone, which raises on an ambiguous transition.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .automata import (
+    EPSILON,
+    Automaton,
+    ExtendedEvent,
     ReducedEvent,
-    _cred_alternatives,
-    _reachability_automaton,
+    Session,
+    SuperState,
     _require_valid,
-    _session_for_account,
 )
-from .enabling import _propagate, credential_mask
-from .sysmodel import LocAcc, PhyAcc, RemAcc, SystemModel, lan_classes, root_device
+from .enabling import _propagate, credential_mask, credential_names
+from .sysmodel import (
+    LocAcc,
+    ModelError,
+    PhyAcc,
+    RemAcc,
+    SystemModel,
+    external_zone,
+    lan_classes,
+    root_device,
+)
 
 Functions = dict[ReducedEvent, frozenset[int]]  # action -> antichain of credential masks
 Fact = tuple  # ("zone", zone id), ("session", Session) or ("lan", class index)
+
+
+class Rule(NamedTuple):
+    premise: Fact
+    action: ReducedEvent | None  # None for a session's step to a network class
+    own: int  # one bit of the credential index, or 0 when the rule needs none
+    fact: Fact | None  # None when the action leaves the user's state as it is
 
 
 class Rules(NamedTuple):
     """A model compiled to rules over the credential index `credentials`."""
 
     credentials: tuple[str, ...]
-    # A rule's own credential is one bit of the index, or 0 when it needs none.
+    ordered: list[Rule]  # every rule, in the order `compile_rules` gives
+    # Indexes of `ordered`, each list in its order:
     derive: dict[Fact, list[tuple[Fact, int]]]  # premise -> (fact, own credential)
     enable: dict[Fact, list[tuple[ReducedEvent, int]]]  # premise -> (action, own credential)
+
+
+def _cred_alternatives(required: frozenset[str]) -> tuple[str, ...]:
+    if not required:
+        return (EPSILON,)
+    return tuple(sorted(required))
+
+
+def _session_for_account(model: SystemModel, device_id: str, account: str) -> Session:
+    dev = model.devices[device_id]
+    groups = frozenset(g for g, members in dev.groups.items() if account in members)
+    return Session(device_id, groups)
 
 
 def compile_rules(model: SystemModel) -> Rules:
     """One rule per premise and credential alternative of every door and
     operation variant, plus a credential-free rule from each session to
-    each network class of its root device."""
-    credentials = tuple(sorted(model.credentials))
-    derive: dict[Fact, list] = defaultdict(list)
-    enable: dict[Fact, list] = defaultdict(list)
+    each network class of its root device.
 
-    def rule(premises, fact, event, required):
+    The rules come in one order: doors by (door, source, destination), the
+    sessions' rules, then the variants by device, operation and declaration;
+    within a door or variant, by premise and then credential alternative.
+    """
+    credentials = tuple(sorted(model.credentials))
+    ordered: list[Rule] = []
+
+    def rule(premises, fact, action, required):
         for premise in premises:
             for cred in _cred_alternatives(required):
                 own = credential_mask((cred,), credentials)  # EPSILON is outside the index: mask 0
-                enable[premise].append((event, own))
-                if fact is not None:
-                    derive[premise].append((fact, own))
+                ordered.append(Rule(premise, action, own, fact))
 
     for door in sorted(model.doors, key=lambda r: (r.door, r.src, r.dst)):
         rule([("zone", door.src)], ("zone", door.dst), ReducedEvent("enter", door.dst), door.required)
@@ -101,7 +142,7 @@ def compile_rules(model: SystemModel) -> Rules:
         return [("lan", i) for i in sorted(classes.get(root_device(model, device_id).id, ()))]
 
     for session in sessions:
-        derive[("session", session)].extend((lan, 0) for lan in lans(session.device))
+        ordered.extend(Rule(("session", session), None, 0, lan) for lan in lans(session.device))
     for dev, op_name, variant in variants:
         pre = variant.precondition
         if isinstance(pre, PhyAcc):
@@ -119,7 +160,15 @@ def compile_rules(model: SystemModel) -> Rules:
             "session", _session_for_account(model, effect.device, effect.account)
         )
         rule(premises, fact, ReducedEvent(op_name, dev.id), variant.required)
-    return Rules(credentials, dict(derive), dict(enable))
+
+    derive: dict[Fact, list] = defaultdict(list)
+    enable: dict[Fact, list] = defaultdict(list)
+    for premise, action, own, fact in ordered:
+        if action is not None:
+            enable[premise].append((action, own))
+        if fact is not None:
+            derive[premise].append((fact, own))
+    return Rules(credentials, ordered, dict(derive), dict(enable))
 
 
 def saturate(rules: Rules, zone: str) -> Functions:
@@ -182,48 +231,85 @@ def reachable(rules: Rules, zone: str, mask: int) -> frozenset[ReducedEvent]:
     return frozenset(reachable_each(rules, zone, [mask]))
 
 
-def may_be_ambiguous(model: SystemModel) -> bool:
-    """Static necessary condition for an automaton with an ambiguous transition.
+def state_product(rules: Rules, zone: str) -> Automaton:
+    """The reachability automaton of a user holding every credential, from
+    `zone`: the breadth-first product of the rules over (zone, held sessions)
+    states.
 
-    True when two variants of one operation on one device share a credential
-    alternative (or both need none) but open different sessions, no effect
-    counting as a session of its own, or when an `enter` operation of a
-    device shares a label with a door into the zone of the same name.
+    A state holds its zone, its sessions and the network classes they reach.
+    Every action rule whose premise it holds is an edge labelled with the
+    action and the rule's own credential, to the state with the rule's fact
+    added (the state itself when the rule derives none).  A label with two
+    targets raises `ModelError`; states are walked breadth first and rules
+    in their order, which fixes the conflict reported.
     """
-    for dev in model.devices.values():
-        if dev.switch:
+    lans: dict[Fact, list[Fact]] = defaultdict(list)  # session -> its network classes
+    steps = []  # (premise, label, fact) of every action rule
+    for premise, action, own, fact in rules.ordered:
+        if action is None:
+            lans[premise].append(fact)
+        else:
+            name = next(iter(credential_names(own, rules.credentials)), EPSILON)  # one name or none
+            steps.append((premise, ExtendedEvent(*action, name), fact))
+
+    start = SuperState(zone, frozenset())
+    table: dict[SuperState, dict[ExtendedEvent, SuperState]] = {}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        if state in table:
             continue
-        for op_name, variants in dev.operations.items():
-            opens: dict[str, object] = {}  # credential alternative -> session opened
-            for variant in variants:
-                effect = variant.effect
-                session = None if effect is None else _session_for_account(
-                    model, effect.device, effect.account
-                )
-                for cred in _cred_alternatives(variant.required):
-                    if opens.setdefault(cred, session) != session:
-                        return True
-            if op_name == "enter" and any(
-                cred in opens
-                for door in model.doors
-                if door.dst == dev.id
-                for cred in _cred_alternatives(door.required)
-            ):
-                return True
+        row: dict[ExtendedEvent, SuperState] = {}
+        table[state] = row
+        held = {("zone", state.zone)}
+        for session in state.sessions:
+            held.add(("session", session))
+            held.update(lans.get(("session", session), ()))
+        for premise, event, fact in steps:
+            if premise not in held:
+                continue
+            if fact is None:
+                target = state
+            elif fact[0] == "zone":
+                target = SuperState(fact[1], state.sessions)
+            else:
+                target = SuperState(state.zone, state.sessions | {fact[1]})
+            if row.setdefault(event, target) != target:
+                raise ModelError(f"ambiguous transition {event} from state '{state.label()}'")
+            if target not in table:
+                queue.append(target)
+    return Automaton(start, table)
+
+
+def build_super_automaton(model: SystemModel) -> Automaton:
+    """Reachability automaton of a fictitious user holding every credential."""
+    _require_valid(model)
+    return state_product(compile_rules(model), external_zone(model))
+
+
+def may_be_ambiguous(rules: Rules) -> bool:
+    """Static necessary condition for a state product with an ambiguous
+    transition: two action rules with one label, their action and own
+    credential, derive different facts, no fact counting as a fact of its
+    own.  A state's target for a rule depends only on the rule's fact."""
+    derives: dict = {}  # label -> the fact its first rule derives
+    for _, action, own, fact in rules.ordered:
+        if action is not None and derives.setdefault((action, own), fact) != fact:
+            return True
     return False
 
 
 def guarded_rules(model: SystemModel, start_zones: Callable[[SystemModel], Iterable[str]]) -> Rules:
     """The library's one way from a model to its compiled rules: validate
-    the model, run the ambiguity guard, compile.
+    the model, compile it, run the ambiguity guard.
 
-    A model `may_be_ambiguous` flags first builds the reachability automaton
-    from each zone of `start_zones(model)`, asked only once the model
-    validates, so that an ambiguous transition raises the automaton's
-    `ModelError`.
+    When `may_be_ambiguous` flags the rules, the state product is built from
+    each zone of `start_zones(model)`, asked only once the model validates,
+    so that an ambiguous transition raises its `ModelError`.
     """
     _require_valid(model)
-    if may_be_ambiguous(model):
+    rules = compile_rules(model)
+    if may_be_ambiguous(rules):
         for zone in start_zones(model):
-            _reachability_automaton(model, zone)
-    return compile_rules(model)
+            state_product(rules, zone)
+    return rules

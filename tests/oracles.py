@@ -5,10 +5,13 @@ event (`enabling_sets`, `event_expr`), which the tests also check one
 candidate set at a time against the definition, and the expected plant
 formulas, expanded from their factored shape with plain itertools.
 
-The all-credential automaton also has a second construction here, the
-paper's product route: a movement automaton over zones composed with a
-location-blind access automaton over session sets.  The library builds it
-directly; the tests hold the two constructions to the same language.
+The all-credential automaton has two constructions here.  The reference
+builder (`reachability_automaton`) walks (zone, session set) states and
+evaluates every door and variant's precondition in each, where the library
+reads the same automaton off its compiled fact rules; the tests hold the
+two to equality, ambiguous-transition errors included.  The paper's product
+route composes a movement automaton over zones with a location-blind access
+automaton over session sets; the tests hold it to the same language.
 
 The enabling functions have two more derivations here: read off the
 all-credential automaton (the library's `enabling_functions`, which
@@ -69,19 +72,20 @@ from accessfix import (
     ReducedEvent,
     Session,
     SourceSpan,
+    SuperState,
     SpecSets,
     User,
     credential_mask,
     credential_names,
     enabling_functions,
     external_zone,
+    lan_classes,
     prepare,
     root_device,
     saturate,
     user_spec_sets,
     users_by_zone,
 )
-from accessfix.automata import _reachability_automaton
 from accessfix.enabling import covers_any
 
 TokenSet = frozenset
@@ -146,6 +150,67 @@ def reachable_reduced_events(a: Automaton) -> frozenset:
     return frozenset(event.reduced() for event in a.alphabet)
 
 
+def _session(model, effect) -> Session:
+    """The session `effect` opens: its device, under the groups of its account."""
+    owner = model.devices[effect.device]
+    groups = frozenset(g for g, members in owner.groups.items() if effect.account in members)
+    return Session(owner.id, groups)
+
+
+def _precondition_holds(model, dev, pre, zone, sessions, classes) -> bool:
+    if isinstance(pre, PhyAcc):
+        return zone == dev.location.zone
+    if isinstance(pre, LocAcc):
+        return any(s.device == pre.device and pre.group in s.groups for s in sessions)
+    if isinstance(pre, RemAcc):
+        target = classes.get(root_device(model, dev.id).id, frozenset())
+        return any(
+            not target.isdisjoint(classes.get(root_device(model, s.device).id, ()))
+            for s in sessions
+        )
+    raise TypeError(f"unknown precondition {pre!r}")
+
+
+def reachability_automaton(model, initial_zone) -> Automaton:
+    """The all-credential automaton from `initial_zone`, built state by state
+    from the model's doors and variants, evaluating each precondition in
+    each state: the reference the library's state product over the compiled
+    rules is held to, the text of an ambiguous-transition error included."""
+    doors = sorted(model.doors, key=lambda r: (r.door, r.src, r.dst))
+    classes = lan_classes(model)
+    start = SuperState(initial_zone, frozenset())
+    table = {}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        if state in table:
+            continue
+        row = table[state] = {}
+
+        def add(event, target):
+            if event in row and row[event] != target:
+                raise ModelError(f"ambiguous transition {event} from state '{state.label()}'")
+            row[event] = target
+            if target not in table:
+                queue.append(target)
+
+        for rule in doors:
+            if rule.src == state.zone:
+                for cred in _alternatives(rule.required):
+                    add(ExtendedEvent("enter", rule.dst, cred), SuperState(rule.dst, state.sessions))
+        for dev, op_name, variant in _variants(model):
+            if not _precondition_holds(
+                model, dev, variant.precondition, state.zone, state.sessions, classes
+            ):
+                continue
+            target = state
+            if variant.effect is not None:
+                target = SuperState(state.zone, state.sessions | {_session(model, variant.effect)})
+            for cred in _alternatives(variant.required):
+                add(ExtendedEvent(op_name, dev.id, cred), target)
+    return Automaton(start, table)
+
+
 def user_automaton(everything: Automaton, credentials) -> Automaton:
     """The automaton of a user holding `credentials`, restricted from
     `everything`, the all-credential automaton from the user's start zone:
@@ -168,7 +233,7 @@ def build_user_automaton(model, uid) -> Automaton:
     """The user's own automaton, restricted from the all-credential automaton
     of the user's start zone, which this builds anew on every call."""
     user = model.users[uid]
-    return user_automaton(_reachability_automaton(model, user.initial_zone), user.credentials)
+    return user_automaton(reachability_automaton(model, user.initial_zone), user.credentials)
 
 
 def bfs_network_path(model, src, dst, protocol, port) -> bool:
@@ -367,11 +432,7 @@ def build_access_automaton(model) -> Automaton:
                 continue
             target = sessions
             if variant.effect is not None:
-                owner = model.devices[variant.effect.device]
-                groups = frozenset(
-                    g for g, members in owner.groups.items() if variant.effect.account in members
-                )
-                target = sessions | {Session(owner.id, groups)}
+                target = sessions | {_session(model, variant.effect)}
             for cred in _alternatives(variant.required):
                 event = ExtendedEvent(op_name, dev.id, cred)
                 label = PhyLabel(event) if physical else event

@@ -154,6 +154,11 @@ def test_automaton_rejects_unreachable_states():
         Automaton("a", {"a": {}, "orphan": {}})
 
 
+def test_from_edges_keeps_only_the_reachable_part():
+    automaton = Automaton.from_edges("a", [("a", "x", "b"), ("c", "y", "a"), ("b", "z", "b")])
+    assert automaton == Automaton("a", {"a": {"x": "b"}, "b": {"z": "b"}})
+
+
 def test_from_edges_rejects_nondeterminism():
     with pytest.raises(ValueError):
         Automaton.from_edges("a", [("a", "x", "b"), ("a", "x", "c")])

@@ -1,8 +1,9 @@
 """Differential test over seeded random models and policies.
 
 Every model `validate` accepts goes through every route the library and the
-oracles offer, and the routes must agree exactly: the direct all-credential
-automaton against the product route, the fact route's enabling functions
+oracles offer, and the routes must agree exactly: the all-credential
+automaton read off the compiled rules against the reference builder and
+against the product route, the fact route's enabling functions
 against the automaton's and against those composed from enabling sets, the
 fact walk's implementation sets against the users' own automata, the fact
 walk under one credential set, and under several at once in one walk
@@ -39,6 +40,7 @@ from accessfix import (
     compile_rules,
     credential_mask,
     enabling_functions,
+    external_zone,
     implementation_set,
     may_be_ambiguous,
     parse_system,
@@ -53,8 +55,8 @@ from accessfix import (
     validate,
     verify,
 )
-from accessfix.automata import _reachability_automaton
 from accessfix.cli import main
+from accessfix.facts import state_product
 from accessfix.repair import repair_users
 from conftest import plant_cells
 from oracles import (
@@ -68,6 +70,7 @@ from oracles import (
     enabling_functions_from_sets,
     minterm_verdict,
     parallel_compose,
+    reachability_automaton,
     reachable_reduced_events,
     same_language,
     user_automaton,
@@ -101,6 +104,35 @@ def _check_product_route(model) -> str:
     return "same language"
 
 
+def _reading(outcome):
+    """An automaton as it is, an ambiguous-transition error as its text."""
+    return str(outcome) if isinstance(outcome, ModelError) else outcome
+
+
+def test_the_state_product_equals_the_reference_builder():
+    """The state product over the compiled rules from every zone, and
+    `build_super_automaton` from the external zone, against the oracle's
+    builder, which evaluates every precondition in every state: equal
+    automata, or errors with the same text, on the plant in one to three
+    cells and on every random model of seeds 0-1999 `validate` accepts."""
+    models = [(f"plant in {cells} cells", plant_cells(cells)[0]) for cells in range(1, 4)]
+    for seed in range(2000):
+        model = random_model(random.Random(seed))
+        if not any(d.severity == "error" for d in validate(model)):
+            models.append((f"randgen seed {seed}", model))
+    counts = Counter()
+    for where, model in models:
+        rules, outer = compile_rules(model), external_zone(model)
+        for zone in sorted(model.zones):
+            expected = _reading(_outcome(lambda: reachability_automaton(model, zone)))
+            assert _reading(_outcome(lambda: state_product(rules, zone))) == expected, (where, zone)
+            if zone == outer:
+                assert _reading(_outcome(lambda: build_super_automaton(model))) == expected, where
+            counts["ambiguous" if isinstance(expected, str) else "equal"] += 1
+    print(dict(counts))
+    assert counts["equal"] >= 4900 and counts["ambiguous"] >= 100
+
+
 def _user_triples(uid, automaton) -> frozenset:
     return frozenset((uid, r.operation, r.object) for r in reachable_reduced_events(automaton))
 
@@ -111,7 +143,7 @@ def _all_credential_automata(model) -> dict:
     what no credentials can fix, and what every user's own automaton is
     restricted from (`user_automaton`), so it is built once per zone."""
     zones = sorted({user.initial_zone for user in model.users.values()})
-    return {zone: _outcome(lambda: _reachability_automaton(model, zone)) for zone in zones}
+    return {zone: _outcome(lambda: reachability_automaton(model, zone)) for zone in zones}
 
 
 def _automata_verdict(model, policy, by_zone: dict) -> AnomalyReport:
@@ -223,7 +255,7 @@ def test_enabling_functions_equal_the_event_level_definition(plant, plant_automa
         if any(d.severity == "error" for d in validate(model)):
             continue
         for zone in sorted(model.zones):
-            automaton = _outcome(lambda: _reachability_automaton(model, zone))
+            automaton = _outcome(lambda: reachability_automaton(model, zone))
             if not isinstance(automaton, ModelError):
                 cases.append((f"randgen seed {seed}, zone {zone}", model, zone, automaton, True))
     for where, model, zone, automaton, by_sets in cases:
@@ -309,9 +341,9 @@ def test_the_static_check_flags_every_ambiguous_model(tmp_path, capsys):
         if any(d.severity == "error" for d in validate(model)):
             continue
         policy = random_policy(rng, model)
-        flagged = may_be_ambiguous(model)
+        flagged = may_be_ambiguous(compile_rules(model))
         raises = any(
-            isinstance(_outcome(lambda: _reachability_automaton(model, zone)), ModelError)
+            isinstance(_outcome(lambda: reachability_automaton(model, zone)), ModelError)
             for zone in model.zones
         )
         assert flagged or not raises, f"randgen seed {seed}"
@@ -337,7 +369,7 @@ def test_a_flagged_model_without_ambiguity_verifies(tmp_path, capsys):
     has two targets for one label."""
     rbac = "role r { allow (login, D); users { u } }\n"
     model = parse_system(FLAGGED_BUT_UNAMBIGUOUS)
-    assert may_be_ambiguous(model)
+    assert may_be_ambiguous(compile_rules(model))
     build_super_automaton(model)
     for command in ("verify", "repair"):
         assert _cli(tmp_path, command, FLAGGED_BUT_UNAMBIGUOUS, rbac) == 0, capsys.readouterr().err
@@ -358,10 +390,10 @@ def test_an_enter_operation_sharing_a_door_label_is_flagged():
     assert validate(model) == []
     with pytest.raises(ModelError, match="ambiguous transition"):
         build_super_automaton(model)
-    assert may_be_ambiguous(model)
+    assert may_be_ambiguous(compile_rules(model))
     keyed = replace(model, doors=frozenset({replace(door, required=frozenset({"k"}))}))
     build_super_automaton(keyed)
-    assert not may_be_ambiguous(keyed)
+    assert not may_be_ambiguous(compile_rules(keyed))
 
 
 def test_repair_equals_brute_force_and_the_clause_route():

@@ -74,18 +74,24 @@ def _load(system: str, policy: str):
 
 def _count(monkeypatch, name, record=lambda args, result: args[0]) -> list:
     """Record `record(args, result)` for every call of `name`, wherever a
-    module of the package looks it up."""
+    module of the package looks it up; fail when no module has `name`, so a
+    renamed function cannot leave a count empty."""
     calls = []
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("accessfix.") and callable(getattr(module, name, None)):
-            original = getattr(module, name)
+    modules = [
+        module
+        for module_name, module in list(sys.modules.items())
+        if module_name.startswith("accessfix.") and callable(getattr(module, name, None))
+    ]
+    assert modules, f"no module of the package has {name!r}"
+    for module in modules:
+        original = getattr(module, name)
 
-            def counted(*args, _original=original, **kwargs):
-                result = _original(*args, **kwargs)
-                calls.append(record(args, result))
-                return result
+        def counted(*args, _original=original, **kwargs):
+            result = _original(*args, **kwargs)
+            calls.append(record(args, result))
+            return result
 
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -189,7 +195,7 @@ PLANT = ["--system", str(FIXTURES / "plant.ins"), "--policy", str(FIXTURES / "pl
 
 
 def test_verify_builds_no_automaton_and_one_set_of_network_classes(monkeypatch, capsys):
-    builds = _count(monkeypatch, "_reachability_automaton")
+    builds = _count(monkeypatch, "state_product")
     classes = _count(monkeypatch, "lan_classes")
     code = main(["verify", *PLANT])
     assert code == 1, capsys.readouterr().err
@@ -205,7 +211,7 @@ def test_repair_builds_no_automaton_and_compiles_once_for_its_rechecks(monkeypat
     in order."""
     # With every credential eligible, Amy's missing actions become repairable.
     for eligibility, exit_code in (("current", 1), ("all", 0)):
-        builds = _count(monkeypatch, "_reachability_automaton")
+        builds = _count(monkeypatch, "state_product")
         classes = _count(monkeypatch, "lan_classes")
         compiled = _count(monkeypatch, "compile_rules", lambda args, rules: rules)
         walks = _count(monkeypatch, "reachable_each", lambda args, _: (args[0], list(args[2])))
