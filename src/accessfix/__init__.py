@@ -25,19 +25,21 @@ The pipeline is parse -> validate -> verify -> repair:
   index's encoder and its one decoder (`credential_names`), and `Dnf`, the
   formulas over names that are printed;
 * `automata` holds the automaton's events, states and `Automaton` type,
-  and its DOT rendering;
-* `analysis` compares specification against implementation; its `prepare`
-  is the one way a policy enters, and verify and repair both start from it;
-* `repair` searches credential assignments that remove every anomaly,
-  saturating the prepared rules once per start zone;
+  and its DOT rendering; its `ReducedEvent`, an action, is also the
+  policy's `Permission`;
+* `analysis` holds the first two of the three stages the command line
+  runs: `prepare`, the one way a policy enters, and `anomalies`, which
+  compares every user's implemented actions with the policy; `verify` runs
+  the two in turn;
+* `repair` holds the third, `repair_users`, which searches credential
+  assignments that remove every anomaly, saturating the prepared rules once
+  per start zone; `repair_all` runs `prepare` and then `repair_users`;
 * `dslparser` and `cli` provide the textual formats and command line.
 """
 
 from .analysis import (
     AnomalyReport,
-    ImplementationSet,
-    diff,
-    implementation_set,
+    anomalies,
     prepare,
     users_by_zone,
     verify,
@@ -58,7 +60,6 @@ from .facts import (
     compile_rules,
     guarded_rules,
     may_be_ambiguous,
-    reachable,
     reachable_each,
     saturate,
 )
@@ -75,7 +76,7 @@ from .policy import (
     user_spec_sets,
     validate_policy,
 )
-from .repair import RepairResult, RepairSolution, repair_all, repair_user
+from .repair import RepairResult, RepairSolution, repair_all, repair_users
 from .sysmodel import (
     BecomesAccount,
     Device,

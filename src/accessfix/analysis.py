@@ -9,7 +9,8 @@ library: it validates the policy, flattens it, and has `facts.guarded_rules`
 validate the model, run the ambiguity guard and compile the rules, once
 each; verify and repair both start from it.  `anomalies` walks the rules
 once per start zone of the users, one bit per user starting there plus one
-for every credential (`facts.reachable_each`).
+for every credential (`facts.reachable_each`): bit j gives the j-th user's
+implemented actions.  `verify` is `prepare` and then `anomalies`.
 
 `missing` are allowed actions the system does not enable, `forbidden` are
 denied actions the system enables anyway, and a missing triple whose action
@@ -24,16 +25,9 @@ from dataclasses import dataclass
 
 from .automata import ReducedEvent
 from .enabling import credential_mask
-from .facts import Rules, guarded_rules, reachable, reachable_each
+from .facts import Rules, guarded_rules, reachable_each
 from .policy import PolicyError, PolicySpec, SpecSets, Triple, spec_sets, validate_policy
 from .sysmodel import SystemModel, User
-
-
-@dataclass(frozen=True)
-class ImplementationSet:
-    """Actions a user can perform, as (user, operation, object) triples."""
-
-    triples: frozenset[Triple] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -54,25 +48,6 @@ def users_by_zone(model: SystemModel) -> dict[str, list[User]]:
     for uid in sorted(model.users):
         groups[model.users[uid].initial_zone].append(model.users[uid])
     return groups
-
-
-def implementation_set(model: SystemModel, user_id: str) -> ImplementationSet:
-    """Reachable actions for one user of the model: the compiled rules walked
-    from the user's start zone under the user's credentials."""
-    user = model.users[user_id]
-    rules = guarded_rules(model, lambda _: [user.initial_zone])
-    held = credential_mask(user.credentials, rules.credentials)
-    return ImplementationSet(
-        frozenset((user.id, r.operation, r.object) for r in reachable(rules, user.initial_zone, held))
-    )
-
-
-def diff(spec: SpecSets, impl: ImplementationSet) -> AnomalyReport:
-    """Set difference of specification against implementation."""
-    return AnomalyReport(
-        missing=spec.s_plus - impl.triples,
-        forbidden=spec.s_minus & impl.triples,
-    )
 
 
 def prepare(model: SystemModel, policy: PolicySpec) -> tuple[SpecSets, Rules]:
@@ -104,18 +79,14 @@ def anomalies(model: SystemModel, sets: SpecSets, rules: Rules) -> AnomalyReport
             for j, user in enumerate(users):
                 if bits >> j & 1:
                     implemented.add((user.id, event.operation, event.object))
-    report = diff(sets, ImplementationSet(frozenset(implemented)))
+    missing = sets.s_plus - implemented
     dangling = frozenset(
         (uid, op, ob)
-        for uid, op, ob in report.missing
+        for uid, op, ob in missing
         if uid not in model.users
         or ReducedEvent(op, ob) not in defined[model.users[uid].initial_zone]
     )
-    return AnomalyReport(
-        missing=report.missing - dangling,
-        forbidden=report.forbidden,
-        dangling=dangling,
-    )
+    return AnomalyReport(missing - dangling, sets.s_minus & implemented, dangling)
 
 
 def verify(model: SystemModel, policy: PolicySpec) -> AnomalyReport:

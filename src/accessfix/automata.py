@@ -27,6 +27,9 @@ EPSILON = ""
 
 
 class ReducedEvent(NamedTuple):
+    """An action: an event without its credential, and the policy's
+    `Permission`."""
+
     operation: str
     object: str
 
@@ -158,10 +161,10 @@ def _edge_label(event) -> str:
     return str(event)
 
 
-def to_dot(a: Automaton, name: str = "automaton") -> str:
+def to_dot(a: Automaton) -> str:
     """Deterministic DOT rendering; node names are the sorted state labels."""
     labels = {state: _state_label(state) for state in a.states}
-    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];"]
+    lines = ["digraph automaton {", "  rankdir=LR;", "  node [shape=circle];"]
     lines.append('  "" [shape=point];')
     lines.append(f'  "" -> {_dot_quote(labels[a.initial])};')
     for state in sorted(a.states, key=lambda s: labels[s]):

@@ -19,10 +19,10 @@ automaton gives, without building the product of zones and session sets.
 It is exact because a run enabling an action contains the one chain of
 steps that derives the action's premise, and that chain is itself a run.
 For fixed credential sets the same rules reduce to plain reachability, one
-bit per set (`reachable_each`, and `reachable` for one set): the verdict
-walks them once per start zone and repair once per user, to re-check all
-of the user's listed solutions; only the repair search saturates, once per
-start zone.
+bit per set (`reachable_each`): the verdict walks them once per start
+zone, one bit per user starting there, and repair once per user, to
+re-check all of the user's listed solutions; only the repair search
+saturates, once per start zone.
 
 `compile_rules` is the one reader of a model's doors, variants and
 preconditions, and it fixes the library's one credential index: the
@@ -223,12 +223,6 @@ def reachable_each(rules: Rules, zone: str, masks: Sequence[int]) -> dict[Reduce
             if reached:
                 actions[event] |= reached
     return dict(actions)
-
-
-def reachable(rules: Rules, zone: str, mask: int) -> frozenset[ReducedEvent]:
-    """Actions derivable from `zone` by a user holding exactly the credentials
-    of `mask`: `reachable_each` for the one set."""
-    return frozenset(reachable_each(rules, zone, [mask]))
 
 
 def state_product(rules: Rules, zone: str) -> Automaton:

@@ -13,19 +13,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
+from .automata import ReducedEvent
 from .sysmodel import Diagnostic
 
 Triple = tuple[str, str, str]  # (user, operation, object)
 
-
-class Permission(NamedTuple):
-    operation: str
-    object: str
-
-    def __str__(self) -> str:
-        return f"({self.operation},{self.object})"
+# A permission names an action, the automaton's event without its credential.
+Permission = ReducedEvent
 
 
 @dataclass(frozen=True)

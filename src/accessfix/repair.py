@@ -32,11 +32,11 @@ The walk guards the provenance algebra and the search, not the compilation;
 automata.
 
 The policy and the model enter through `analysis.prepare`, as they do for
-the verdict, so repair rejects what verify rejects.  `repair_users` then
-saturates the prepared rules once per start zone and shares the enabling
-functions among every user starting there; `repair_all` is `prepare` and
-`repair_users`, and the command line passes `repair_users` the rules the
-verdict walked.
+the verdict, so repair rejects what verify rejects.  `repair_users`, the
+last stage, then saturates the prepared rules once per start zone and
+shares the enabling functions among every user starting there;
+`repair_all` is `prepare` and `repair_users`, and the command line passes
+`repair_users` the rules the verdict walked.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .analysis import prepare, users_by_zone
-from .automata import ReducedEvent
 from .enabling import _absorb, covers_any, credential_mask, credential_names
 from .facts import Functions, Rules, reachable_each, saturate
 from .policy import Permission, PolicySpec, SpecSets, Triple, user_spec_sets
@@ -77,7 +76,7 @@ def _conjuncts(
     """The allowed actions `plus`, then the denied ones `minus`, each in
     sorted order."""
     return [
-        (perm, [m for m in functions.get(ReducedEvent(*perm), ()) if m & pool == m], negated)
+        (perm, [m for m in functions.get(perm, ()) if m & pool == m], negated)
         for perms, negated in ((plus, False), (minus, True))
         for perm in sorted(perms)
     ]
@@ -168,11 +167,6 @@ def _unsat_core(user_id: str, conjuncts: list[Conjunct]) -> tuple[Triple, ...]:
     return tuple(sorted((user_id, perm.operation, perm.object) for perm, _, _ in core))
 
 
-def _check_cap(cap: int) -> None:
-    if cap < 1:
-        raise ValueError("cap must be at least one")
-
-
 def _repair(
     model: SystemModel,
     sets: SpecSets,
@@ -199,9 +193,9 @@ def _repair(
     reached = reachable_each(rules, user.initial_zone, ranked)
     sound = (1 << len(ranked)) - 1
     for perm in plus:
-        sound &= reached.get(ReducedEvent(*perm), 0)
+        sound &= reached.get(perm, 0)
     for perm in minus:
-        sound &= ~reached.get(ReducedEvent(*perm), 0)
+        sound &= ~reached.get(perm, 0)
     solutions = []
     for j, mask in enumerate(ranked):
         creds = credential_names(mask, rules.credentials)
@@ -213,28 +207,14 @@ def _repair(
     return RepairResult(tuple(solutions), truncated, ())
 
 
-def repair_user(
-    model: SystemModel, policy: PolicySpec, user_id: str, eligibility="all", cap: int = 100
-) -> RepairResult:
-    """The first `cap` credential assignments making the user policy-conformant.
-
-    Solutions are ranked smallest first (least privilege), then by distance
-    from the user's current credentials, then lexicographically; a capped
-    list is the best prefix of the full one.
-    """
-    _check_cap(cap)
-    sets, rules = prepare(model, policy)
-    functions = saturate(rules, model.users[user_id].initial_zone)
-    return _repair(model, sets, rules, functions, user_id, eligibility, cap)
-
-
 def repair_users(
     model: SystemModel, sets: SpecSets, rules: Rules, eligibility, cap: int
 ) -> dict[str, RepairResult]:
     """Independent per-user repair over prepared rules (`analysis.prepare`),
     saturated once per start zone; the same rules re-check every user's
     solutions."""
-    _check_cap(cap)
+    if cap < 1:
+        raise ValueError("cap must be at least one")
     results = {}
     for zone, users in users_by_zone(model).items():
         functions = saturate(rules, zone)
@@ -246,5 +226,11 @@ def repair_users(
 def repair_all(
     model: SystemModel, policy: PolicySpec, eligibility="all", cap: int = 100
 ) -> dict[str, RepairResult]:
-    """Independent per-user repair for every user of the model."""
+    """The first `cap` credential assignments making each user of the model
+    policy-conformant, independently of the other users.
+
+    Each user's solutions are ranked smallest first (least privilege), then
+    by distance from the user's current credentials, then by name; a capped
+    list is the best prefix of the full one.
+    """
     return repair_users(model, *prepare(model, policy), eligibility, cap)

@@ -242,6 +242,8 @@ def validate(model: SystemModel) -> list[Diagnostic]:
             error(loc, "switch devices cannot declare operations")
         for pid, port in sorted(dev.ports.items()):
             ploc = f"{loc}/port {pid}"
+            if dev.location.hosts:
+                error(ploc, "hosted devices use their hosting device's ports")
             if port.owner != dev.id:
                 error(ploc, f"port owner '{port.owner}' is not the declaring device")
             if pid in port_owner:

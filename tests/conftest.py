@@ -15,9 +15,12 @@ from accessfix import (
     Role,
     SystemModel,
     build_super_automaton,
+    compile_rules,
+    credential_mask,
     enabling_functions,
     parse_policy,
     parse_system,
+    reachable_each,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -82,6 +85,19 @@ def plant_automaton(plant):
 @pytest.fixture(scope="session")
 def plant_functions(plant_automaton):
     return enabling_functions(plant_automaton)
+
+
+def implemented(model: SystemModel, user_id: str) -> frozenset:
+    """The user's implementation set, as (user, operation, object) triples:
+    the actions in the user's bit of a `reachable_each` walk over the
+    compiled rules from the user's start zone under the user's credentials."""
+    user = model.users[user_id]
+    rules = compile_rules(model)
+    held = credential_mask(user.credentials, rules.credentials)
+    return frozenset(
+        (user_id, event.operation, event.object)
+        for event in reachable_each(rules, user.initial_zone, [held])
+    )
 
 
 def plant_cells(cells: int) -> tuple[SystemModel, PolicySpec]:

@@ -11,12 +11,11 @@ from contextlib import contextmanager
 
 from accessfix import (
     ReducedEvent,
-    implementation_set,
     parse_policy,
     parse_system,
     print_policy,
     print_system,
-    repair_user,
+    repair_all,
     verify,
     SpecSets,
 )
@@ -25,6 +24,7 @@ from conftest import (
     TOM_FIX_LARGE,
     TOM_FIX_SMALL,
     UNIVERSE,
+    implemented,
     make_toy_automaton,
 )
 from oracles import (
@@ -91,13 +91,13 @@ def test_criterion_3_verification_sets(plant, plant_policy):
 
 def test_criterion_4_tom_repair_rows(plant, plant_policy):
     with criterion(4, "Tom's two repairs within his current credentials, in order"):
-        result = repair_user(plant, plant_policy, "Tom", eligibility="current")
+        result = repair_all(plant, plant_policy, eligibility="current")["Tom"]
         assert [s.credentials for s in result.solutions] == [TOM_FIX_SMALL, TOM_FIX_LARGE]
 
 
 def test_criterion_5_amy_repair_with_full_pool(plant, plant_policy):
     with criterion(5, "Amy's repairs over the full pool all require the runner credential"):
-        result = repair_user(plant, plant_policy, "Amy", eligibility="all")
+        result = repair_all(plant, plant_policy, eligibility="all")["Amy"]
         solutions = [s.credentials for s in result.solutions]
         assert AMY_FIX in solutions
         assert solutions and all("c_IGSusr" in s for s in solutions)
@@ -129,7 +129,7 @@ def test_criterion_7_strategy_agreement_all_subsets(plant, plant_automaton, plan
                 if expr.evaluate(subset)
             )
             assert by_automaton == by_functions, subset
-        assert implementation_set(plant, "Tom").triples == frozenset(
+        assert implemented(plant, "Tom") == frozenset(
             ("Tom", r.operation, r.object)
             for r in reachable_reduced_events(build_user_automaton(plant, "Tom"))
         )

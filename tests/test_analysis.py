@@ -3,24 +3,21 @@ import random
 import pytest
 
 from accessfix import (
-    ImplementationSet,
     PolicySpec,
     Role,
     Permission,
     SpecSets,
-    User,
-    diff,
-    implementation_set,
+    anomalies,
+    compile_rules,
     spec_sets,
     verify,
 )
-from conftest import AMY_FIX, TOM_FIX_SMALL, UNIVERSE, plant_cells
+from conftest import AMY_FIX, TOM_FIX_SMALL, UNIVERSE, implemented, plant_cells
 from oracles import reachable_reduced_events, user_automaton
 
 
 def test_tom_can_admin_plc(plant):
-    triples = implementation_set(plant, "Tom").triples
-    assert ("Tom", "admin", "PLC") in triples
+    assert ("Tom", "admin", "PLC") in implemented(plant, "Tom")
 
 
 def test_amy_implementation_set_exactly(plant):
@@ -35,22 +32,12 @@ def test_amy_implementation_set_exactly(plant):
             ("admin", "MBSL"),
         ]
     )
-    assert implementation_set(plant, "Amy").triples == expected
-
-
-def test_implementation_set_of_a_user_the_model_does_not_define_raises(plant):
-    """Only an id the model defines names a user: a `User` object, even one
-    holding every credential or carrying a defined id, is no key."""
-    for user in (User("Ghost", "O", UNIVERSE), User("Tom0", "Nowhere", UNIVERSE), plant.users["Tom"]):
-        with pytest.raises(KeyError):
-            implementation_set(plant, user)
-    with pytest.raises(KeyError):
-        implementation_set(plant, "Ghost")
+    assert implemented(plant, "Amy") == expected
 
 
 def test_credential_less_user_reaches_nothing(plant):
     stripped = plant.with_user_credentials("Tom", frozenset())
-    assert implementation_set(stripped, "Tom").triples == frozenset()
+    assert implemented(stripped, "Tom") == frozenset()
 
 
 def test_strategies_agree_on_samples(plant, plant_automaton):
@@ -62,7 +49,7 @@ def test_strategies_agree_on_samples(plant, plant_automaton):
         model = plant.with_user_credentials("Amy", subset)
         reachable = reachable_reduced_events(user_automaton(plant_automaton, subset))
         by_automaton = frozenset(("Amy", r.operation, r.object) for r in reachable)
-        assert implementation_set(model, "Amy").triples == by_automaton
+        assert implemented(model, "Amy") == by_automaton
 
 
 def test_diff_sets(plant, plant_policy):
@@ -80,19 +67,16 @@ def test_diff_sets(plant, plant_policy):
 
 def test_diff_laws(plant, plant_policy):
     sets = spec_sets(plant_policy)
-    triples = frozenset()
-    for uid in plant.users:
-        triples |= implementation_set(plant, uid).triples
-    impl = ImplementationSet(triples)
-    report = diff(sets, impl)
-    assert not report.missing & impl.triples
-    assert report.forbidden <= impl.triples
+    triples = frozenset().union(*(implemented(plant, uid) for uid in plant.users))
+    report = verify(plant, plant_policy)
+    assert not report.missing & triples
+    assert report.forbidden <= triples
     assert report.missing <= sets.s_plus
     assert report.forbidden <= sets.s_minus
 
 
 def test_empty_spec_is_correct(plant):
-    report = diff(SpecSets(), implementation_set(plant, "Tom"))
+    report = anomalies(plant, SpecSets(), compile_rules(plant))
     assert report.verdict == "correct"
 
 
@@ -110,14 +94,13 @@ def test_verify_after_repair_is_correct(plant, plant_policy):
 
 
 def test_growing_credentials_shrinks_missing_grows_forbidden(plant, plant_policy):
-    sets = spec_sets(plant_policy)
     rng = random.Random(13)
     creds = sorted(UNIVERSE)
     for _ in range(12):
         small = frozenset(rng.sample(creds, rng.randint(0, 8)))
         big = small | frozenset(rng.sample(creds, rng.randint(0, 8)))
-        low = diff(sets, implementation_set(plant.with_user_credentials("Tom", small), "Tom"))
-        high = diff(sets, implementation_set(plant.with_user_credentials("Tom", big), "Tom"))
+        low = verify(plant.with_user_credentials("Tom", small), plant_policy)
+        high = verify(plant.with_user_credentials("Tom", big), plant_policy)
         tom_missing_low = {t for t in low.missing if t[0] == "Tom"}
         tom_missing_high = {t for t in high.missing if t[0] == "Tom"}
         assert tom_missing_high <= tom_missing_low

@@ -253,7 +253,40 @@ def test_semantically_broken_model_exits_3(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("where", ["system", "policy", "eligibility"])
+HOSTED_PORT_INS = """
+credential c;
+zone O external;
+device PC in O {
+    group g { a }
+    operation login { when phy_acc requires {c} becomes a; }
+}
+device VM in O/PC { port pv mac "MAC_VM" ip "IP_VM"; }
+device PLC in O {
+    port pp mac "MAC_PLC" ip "IP_PLC";
+    operation read { when rem_acc(tcp, 502); }
+}
+link pv -- pp;
+user U at O credentials {c};
+"""
+
+
+def test_a_port_on_a_hosted_device_is_an_error(tmp_path, capsys):
+    """Network classes key devices by their root device, so a port declared
+    on a hosted device would be ignored: here `read` on PLC would look
+    undefined to every credential set, and `verify` would call U's allowed
+    action dangling and the system correct."""
+    system, policy = tmp_path / "vm.ins", tmp_path / "vm.rbac"
+    system.write_text(HOSTED_PORT_INS)
+    policy.write_text("role r { allow (read, PLC); users { U } }\n")
+    message = "error: device VM/port pv: hosted devices use their hosting device's ports"
+    code, out, _ = run(capsys, "validate", "--system", str(system), "--policy", str(policy))
+    assert (code, out) == (3, f"{message}\n1 problem(s) found\n")
+    code, out, err = run(capsys, "verify", "--system", str(system), "--policy", str(policy))
+    assert (code, out) == (3, "")
+    assert err == f"error: model does not validate\n  {message}\n"
+
+
+@pytest.mark.parametrize("where",["system", "policy", "eligibility"])
 def test_undecodable_input_exits_2(tmp_path, capsys, where):
     """An input file that is not UTF-8 text is a parse error, not a
     semantic one."""

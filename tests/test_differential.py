@@ -5,9 +5,9 @@ oracles offer, and the routes must agree exactly: the all-credential
 automaton read off the compiled rules against the reference builder and
 against the product route, the fact route's enabling functions
 against the automaton's and against those composed from enabling sets, the
-fact walk's implementation sets against the users' own automata, the fact
-walk under one credential set, and under several at once in one walk
-(repair's re-check), against the user's own automaton under each set,
+fact walk under the user's own credentials (the user's implementation set)
+and under several other sets in the same walk (as repair's re-check walks
+them) against the user's own automaton under each set,
 `verify` (one walk per start zone) against a report built from those
 automata and against the verdict by minterm evaluation over the enabling
 functions, every listed repair against the user's own automaton under the
@@ -41,13 +41,11 @@ from accessfix import (
     credential_mask,
     enabling_functions,
     external_zone,
-    implementation_set,
     may_be_ambiguous,
     parse_system,
     prepare,
     print_policy,
     print_system,
-    reachable,
     reachable_each,
     repair_all,
     saturate,
@@ -168,24 +166,17 @@ def _automata_verdict(model, policy, by_zone: dict) -> AnomalyReport:
 
 def _check_verify(model, policy, counts: Counter) -> None:
     by_zone = _all_credential_automata(model)
-    faulty = sorted(
-        uid for uid, user in model.users.items() if isinstance(by_zone[user.initial_zone], ModelError)
-    )
-    if faulty:
+    if any(isinstance(by_zone[user.initial_zone], ModelError) for user in model.users.values()):
         counts["ambiguous from a start zone"] += 1
         for route in [
             lambda: verify(model, policy),
             lambda: minterm_verdict(model, policy),
             lambda: repair_all(model, policy, "all", 8),
-            *[lambda uid=uid: implementation_set(model, uid) for uid in faulty],
         ]:
             with pytest.raises(ModelError, match="ambiguous transition"):
                 route()
         return
 
-    for uid, user in model.users.items():
-        expected = _user_triples(uid, user_automaton(by_zone[user.initial_zone], user.credentials))
-        assert implementation_set(model, uid).triples == expected, uid
     sets = spec_sets(policy)
     report = verify(model, policy)
     assert report == _automata_verdict(model, policy, by_zone)
@@ -269,13 +260,13 @@ def test_enabling_functions_equal_the_event_level_definition(plant, plant_automa
 
 
 def test_the_fact_walk_equals_the_users_automaton():
-    """`reachable` over the compiled rules against the reachable actions of
-    the user's own automaton, for every user under their own credentials and
-    under four seeded random subsets of the model's, on the plant in one to
-    three cells and on every random model `validate` accepts; a user whose
-    all-credential automaton, which each set's automaton is restricted from,
-    is ambiguous is skipped.  One `reachable_each` walk per user over all
-    five sets must give every set's actions in its own bit."""
+    """One `reachable_each` walk per user over the compiled rules against the
+    reachable actions of the user's own automaton, for every user under
+    their own credentials (bit 0, the user's implementation set) and under
+    four seeded random subsets of the model's, each set's actions in its own
+    bit, on the plant in one to three cells and on every random model
+    `validate` accepts; a user whose all-credential automaton, which each
+    set's automaton is restricted from, is ambiguous is skipped."""
     models = [(f"plant in {cells} cells", plant_cells(cells)[0]) for cells in range(1, 4)]
     for seed in SEEDS:
         model = random_model(random.Random(seed))
@@ -292,13 +283,12 @@ def test_the_fact_walk_equals_the_users_automaton():
             sets = [user.credentials, *subsets]
             masks = [credential_mask(creds, rules.credentials) for creds in sets]
             each = reachable_each(rules, user.initial_zone, masks)
-            for j, (creds, mask) in enumerate(zip(sets, masks)):
+            for j, creds in enumerate(sets):
                 everything = by_zone[user.initial_zone]
                 if isinstance(everything, ModelError):
                     counts["ambiguous"] += 1
                     continue
                 expected = reachable_reduced_events(user_automaton(everything, creds))
-                assert reachable(rules, user.initial_zone, mask) == expected, (where, uid, sorted(creds))
                 in_bit_j = frozenset(event for event, bits in each.items() if bits >> j & 1)
                 assert in_bit_j == expected, (where, uid, j, sorted(creds))
                 counts["equal"] += 1

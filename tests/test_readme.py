@@ -1,9 +1,11 @@
-"""The README's library example runs as printed."""
+"""The README's library and command-line examples run as printed."""
 
 import re
+import shlex
 from pathlib import Path
 
 import accessfix
+from accessfix.cli import main
 from conftest import FIXTURES
 
 README = Path(__file__).parent.parent / "README.md"
@@ -29,3 +31,35 @@ def test_every_listed_entry_point_imports_from_the_package():
     assert len(names) >= 15
     missing = [name for name in names if not hasattr(accessfix, name)]
     assert missing == []
+
+
+def _worked_example(command: str) -> tuple[list, list]:
+    """The argv after `accessfix` and the lines shown below it, for the
+    `$ accessfix <command>` of the command-line worked example."""
+    block = re.search(r"^Worked example.*?^```\n(.*?)^```", README.read_text(), re.M | re.S)
+    for chunk in re.split(r"^\$ ", block.group(1), flags=re.M)[1:]:
+        lines = chunk.rstrip("\n").split("\n")
+        line = lines.pop(0)
+        while line.endswith("\\"):
+            line = line[:-1] + lines.pop(0)
+        argv = shlex.split(line)[1:]
+        if argv[0] == command:
+            return argv, lines
+    raise AssertionError(f"no `accessfix {command}` in the worked example")
+
+
+def test_worked_verify_example_prints_as_shown(monkeypatch, capsys):
+    argv, shown = _worked_example("verify")
+    monkeypatch.chdir(README.parent)
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines() == shown
+
+
+def test_worked_repair_example_prints_the_lines_shown(monkeypatch, capsys):
+    """The lines after `...` appear in the output in the order shown."""
+    argv, shown = _worked_example("repair")
+    assert argv[-2:] == ["--eligibility", "current"] and shown[0] == "..."
+    monkeypatch.chdir(README.parent)
+    assert main(argv) == 1
+    printed = iter(capsys.readouterr().out.splitlines())
+    assert [line for line in shown[1:] if line not in printed] == []

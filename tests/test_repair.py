@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,6 @@ from accessfix import (
     parse_policy,
     repair,
     repair_all,
-    repair_user,
     spec_sets,
     verify,
 )
@@ -83,7 +83,7 @@ def test_solve_all_caps_and_flags_truncation():
 
 
 def test_repair_tom_current_matches_published_rows(plant, plant_policy):
-    result = repair_user(plant, plant_policy, "Tom", eligibility="current")
+    result = repair_all(plant, plant_policy, eligibility="current")["Tom"]
     creds = [s.credentials for s in result.solutions]
     assert creds == [TOM_FIX_SMALL, TOM_FIX_LARGE]
     assert result.solutions[0].minimal
@@ -92,7 +92,7 @@ def test_repair_tom_current_matches_published_rows(plant, plant_policy):
 
 
 def test_repair_amy_all_credentials(plant, plant_policy):
-    result = repair_user(plant, plant_policy, "Amy", eligibility="all")
+    result = repair_all(plant, plant_policy, eligibility="all")["Amy"]
     solutions = [s.credentials for s in result.solutions]
     assert AMY_FIX in solutions
     assert all("c_IGSusr" in s for s in solutions)
@@ -104,20 +104,26 @@ def test_repair_amy_all_credentials(plant, plant_policy):
 
 def test_capped_list_is_the_best_prefix(plant, plant_policy):
     for uid in sorted(plant.users):
-        full = repair_user(plant, plant_policy, uid, eligibility="all", cap=2 ** len(UNIVERSE))
+        full = repair_all(plant, plant_policy, eligibility="all", cap=2 ** len(UNIVERSE))[uid]
         assert not full.truncated
         for k in range(1, len(full.solutions) + 1):
-            capped = repair_user(plant, plant_policy, uid, eligibility="all", cap=k)
+            capped = repair_all(plant, plant_policy, eligibility="all", cap=k)[uid]
             assert capped.solutions == full.solutions[:k], (uid, k)
             assert capped.truncated == (k < len(full.solutions)), (uid, k)
 
 
 def test_repair_solutions_reverify(plant, plant_policy):
     for uid in ("Tom", "Amy"):
-        result = repair_user(plant, plant_policy, uid, eligibility="all")
+        result = repair_all(plant, plant_policy, eligibility="all")[uid]
         for sol in result.solutions:
             report = verify(plant.with_user_credentials(uid, sol.credentials), plant_policy)
             assert not [t for t in report.missing | report.forbidden if t[0] == uid]
+
+
+def _tom_alone(plant):
+    """The plant with Tom as its one user.  The sabotaged searches below
+    need a denied minterm, and Amy has none, so only Tom's search runs."""
+    return replace(plant, users={"Tom": plant.users["Tom"]})
 
 
 def test_recheck_rejects_a_set_covering_a_denied_minterm(monkeypatch, plant, plant_policy):
@@ -131,7 +137,7 @@ def test_recheck_rejects_a_set_covering_a_denied_minterm(monkeypatch, plant, pla
 
     monkeypatch.setattr(repair, "_ranked", ranked_with_a_denied_set)
     with pytest.raises(RuntimeError, match="search returned an unsound repair for Tom"):
-        repair_user(plant, plant_policy, "Tom", eligibility="all")
+        repair_all(_tom_alone(plant), plant_policy, eligibility="all")
 
 
 def test_recheck_rejects_a_repair_widened_to_a_denied_action(monkeypatch, plant, plant_policy):
@@ -145,7 +151,7 @@ def test_recheck_rejects_a_repair_widened_to_a_denied_action(monkeypatch, plant,
 
     monkeypatch.setattr(repair, "_ranked", ranked_with_a_widened_repair)
     with pytest.raises(RuntimeError, match="search returned an unsound repair for Tom"):
-        repair_user(plant, plant_policy, "Tom", eligibility="all")
+        repair_all(_tom_alone(plant), plant_policy, eligibility="all")
 
 
 def test_recheck_rejects_a_set_missing_an_allowed_action(monkeypatch, plant, plant_policy):
@@ -160,12 +166,12 @@ def test_recheck_rejects_a_set_missing_an_allowed_action(monkeypatch, plant, pla
 
     monkeypatch.setattr(repair, "_ranked", ranked_with_a_narrowed_repair)
     with pytest.raises(RuntimeError, match="search returned an unsound repair for Tom"):
-        repair_user(plant, plant_policy, "Tom", eligibility="all")
+        repair_all(_tom_alone(plant), plant_policy, eligibility="all")
 
 
 def test_repair_of_conformant_user_returns_current_set_first(plant, plant_policy):
     repaired = plant.with_user_credentials("Tom", TOM_FIX_SMALL)
-    result = repair_user(repaired, plant_policy, "Tom", eligibility="current")
+    result = repair_all(repaired, plant_policy, eligibility="current")["Tom"]
     assert result.solutions[0].credentials == TOM_FIX_SMALL
     assert result.solutions[0].distance == 0
 
@@ -173,11 +179,11 @@ def test_repair_of_conformant_user_returns_current_set_first(plant, plant_policy
 def test_repair_explicit_eligibility(plant, plant_policy):
     # Tom may never hold Amy's password: exclude it from the pool.
     pool = UNIVERSE - {"c_PCAmy"}
-    result = repair_user(plant, plant_policy, "Tom", eligibility=pool)
+    result = repair_all(plant, plant_policy, eligibility=pool)["Tom"]
     assert result.solutions
     assert all("c_PCAmy" not in s.credentials for s in result.solutions)
     with pytest.raises(ValueError):
-        repair_user(plant, plant_policy, "Tom", eligibility=frozenset({"mystery"}))
+        repair_all(plant, plant_policy, eligibility=frozenset({"mystery"}))
 
 
 def test_unsatisfiable_user_reports_blocking_triples(plant, plant_policy):
@@ -190,7 +196,7 @@ def test_unsatisfiable_user_reports_blocking_triples(plant, plant_policy):
             )
         }
     )
-    result = repair_user(plant, policy, "Tom", eligibility="all")
+    result = repair_all(plant, policy, eligibility="all")["Tom"]
     assert result.solutions == ()
     assert result.blocking == (("Tom", "fly", "PLC"),)
 
@@ -223,7 +229,6 @@ def test_repair_rejects_the_policy_verify_rejects(plant):
     for route in (
         lambda: repair_all(plant, policy, "current"),
         lambda: repair_all(plant, policy, "all"),
-        lambda: repair_user(plant, policy, "Tom"),
     ):
         with pytest.raises(PolicyError) as repaired:
             route()
@@ -239,7 +244,7 @@ def test_per_user_independence(plant, plant_policy):
 
 
 def test_minimal_flag_matches_brute_force(plant, plant_policy):
-    result = repair_user(plant, plant_policy, "Amy", eligibility="all")
+    result = repair_all(plant, plant_policy, eligibility="all")["Amy"]
     solutions = {s.credentials for s in result.solutions}
     for sol in result.solutions:
         proper_subsets_solving = [

@@ -19,11 +19,10 @@ import pytest
 from accessfix import (
     Dnf,
     credential_names,
-    implementation_set,
     parse_policy,
     parse_system,
+    prepare,
     repair_all,
-    repair_user,
     verify,
 )
 from accessfix.cli import main
@@ -149,13 +148,11 @@ def test_one_call_validates_the_model_once(monkeypatch, capsys, case, command):
     assert len(calls) == 1
 
 
-# The library's entries, each on a model and a policy; the single-user ones
-# take the model's first user.
+# The library's entries that take a model and a policy.
 ENTRIES = {
+    "prepare": lambda model, policy: prepare(model, policy),
     "verify": lambda model, policy: verify(model, policy),
     "repair_all": lambda model, policy: repair_all(model, policy, "current"),
-    "repair_user": lambda model, policy: repair_user(model, policy, min(model.users), "current"),
-    "implementation_set": lambda model, _: implementation_set(model, min(model.users)),
 }
 
 
@@ -176,8 +173,7 @@ def test_accessfix_enabling_validates_the_model_once(monkeypatch, capsys, case):
 
 
 def test_repair_all_compiles_once_and_saturates_once_per_start_zone(monkeypatch, case):
-    """As `accessfix repair` does; `repair_user` saturates from its user's
-    start zone only."""
+    """As `accessfix repair` does."""
     system, policy, zones = case
     model, policy = _load(system, policy)
     compiled = _count(monkeypatch, "compile_rules")
@@ -185,10 +181,6 @@ def test_repair_all_compiles_once_and_saturates_once_per_start_zone(monkeypatch,
     repair_all(model, policy, "current")
     assert len(compiled) == 1
     assert sorted(saturated) == zones
-    first = model.users[min(model.users)]
-    repair_user(model, policy, first.id, "current")
-    assert len(compiled) == 2
-    assert saturated[len(zones):] == [first.initial_zone]
 
 
 PLANT = ["--system", str(FIXTURES / "plant.ins"), "--policy", str(FIXTURES / "plant.rbac")]
