@@ -4,7 +4,7 @@ The pipeline is parse -> validate -> verify -> repair:
 
 * `sysmodel` holds the concrete system (rooms, doors, devices, links, users);
 * `policy` holds the RBAC specification and flattens it to allowed/denied
-  action triples, one walk of the role hierarchy per role;
+  action triples (`spec_sets`), one walk of the role hierarchy per role;
 * `facts` compiles the system into single-premise rules over zone, session
   and network-class facts, the one reading of its doors, variants and
   preconditions, and `facts.guarded_rules` is the one way from a model to
@@ -23,10 +23,10 @@ The pipeline is parse -> validate -> verify -> repair:
   rules to the paper's semantics;
 * `enabling` holds the forward pass that computes those antichains, the
   index's encoder and its one decoder (`credential_names`), and `Dnf`, the
-  formulas over names that are printed;
-* `automata` holds the automaton's events, states and `Automaton` type,
-  and its DOT rendering; its `ReducedEvent`, an action, is also the
-  policy's `Permission`;
+  printed form of a function over names, which nothing computes with;
+* `automata` holds the automaton's events and states, `Automaton`, the
+  record of the table the state product builds, and its DOT rendering;
+  its `ReducedEvent`, an action, is also the policy's `Permission`;
 * `analysis` holds the first two of the three stages the command line
   runs: `prepare`, the one way a policy enters, and `anomalies`, which
   compares every user's implemented actions with the policy; `verify` runs
@@ -70,8 +70,6 @@ from .policy import (
     PolicySpec,
     Role,
     SpecSets,
-    closure_allowed,
-    closure_denied,
     spec_sets,
     user_spec_sets,
     validate_policy,

@@ -11,11 +11,13 @@ Inside the library a function is an antichain of credential bitmasks
 first name holds the highest bit, so of two sets of one size the one first
 by name is the larger mask.  `credential_mask` encodes names and
 `credential_names` is the one decoder; names appear only at the edges,
-where a function is printed or a repair listed.
+where a function is printed or a repair listed.  `Dnf` is that printed
+form, and nothing in the library computes with it.
 
 `_propagate` reads the functions off any graph whose edges carry
 credentials, in one forward pass that keeps for each node the minimal
-credential sets of the paths reaching it.  The library runs it over a
+credential sets of the paths reaching it; it absorbs every set it adds, so
+each function it returns is an antichain.  The library runs it over a
 model's fact rules (`facts`).  `enabling_functions` runs it over a
 reachability automaton, the paper's construction, and decodes the result
 into `Dnf`s over names; it stays public for cross-checks and for the
@@ -36,72 +38,29 @@ from typing import Iterable
 from .automata import EPSILON, Automaton, ReducedEvent
 
 
-def _minimal_sets(sets: Iterable[frozenset]) -> frozenset[frozenset]:
-    pool = set(sets)
-    return frozenset(v for v in pool if not any(w < v for w in pool))
-
-
 @dataclass(frozen=True)
 class Dnf:
-    """Monotone sum-of-products kept as an antichain of minterms.
+    """The printed form of an enabling function: its minterms as sets of
+    credential names, a monotone sum of products.
 
-    No minterms is the constant false; a lone empty minterm is the constant
-    true.  Absorption is applied on construction, so structural equality is
-    semantic equality for monotone formulas.
+    The minterms form an antichain, as every function the library computes
+    does, so structural equality is semantic equality.  No minterms print
+    as the constant false `0`, a lone empty minterm as the constant true `1`.
     """
 
     minterms: frozenset[frozenset]
-
-    def __post_init__(self):
-        object.__setattr__(self, "minterms", _minimal_sets(self.minterms))
-
-    @classmethod
-    def false(cls) -> "Dnf":
-        return cls(frozenset())
-
-    @classmethod
-    def true(cls) -> "Dnf":
-        return cls(frozenset([frozenset()]))
-
-    @classmethod
-    def atom(cls, x) -> "Dnf":
-        return cls(frozenset([frozenset([x])]))
 
     @classmethod
     def of(cls, minterms: Iterable[Iterable]) -> "Dnf":
         return cls(frozenset(frozenset(m) for m in minterms))
 
-    @property
-    def is_false(self) -> bool:
-        return not self.minterms
-
-    @property
-    def is_true(self) -> bool:
-        return frozenset() in self.minterms
-
-    def __or__(self, other: "Dnf") -> "Dnf":
-        return Dnf(self.minterms | other.minterms)
-
-    def __and__(self, other: "Dnf") -> "Dnf":
-        return Dnf(frozenset(m | n for m in self.minterms for n in other.minterms))
-
-    def variables(self) -> frozenset:
-        return frozenset(x for m in self.minterms for x in m)
-
-    def evaluate(self, atoms: Iterable) -> bool:
-        atoms = frozenset(atoms)
-        return any(m <= atoms for m in self.minterms)
-
-    def render(self) -> str:
-        if self.is_false:
+    def __str__(self) -> str:
+        if not self.minterms:
             return "0"
-        if self.is_true:
+        if frozenset() in self.minterms:
             return "1"
         parts = sorted(tuple(sorted(m, key=str)) for m in self.minterms)
         return " + ".join("·".join(str(x) for x in part) for part in parts)
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def credential_mask(names: Iterable[str], credentials: tuple[str, ...]) -> int:

@@ -34,7 +34,9 @@ the rules once and decodes names only for its output.
 The paper's reachability automaton is read off the same rules: the state
 product (`state_product`) walks (zone, held sessions) states breadth first,
 and in each state every rule whose premise the state holds is an edge.
-`build_super_automaton` builds it from the external zone.  Every entry of
+`build_super_automaton` builds it from the external zone: it validates
+the model and compiles the rules itself, and needs no guard, because the
+product it builds raises on an ambiguous transition.  Every other entry of
 the library reaches the rules through `guarded_rules`, which validates the
 model, compiles it and runs the ambiguity guard: a check on the rules
 (`may_be_ambiguous`) and, for the models it flags, the state product from

@@ -6,7 +6,10 @@ what its seniors must not do).  User assignments do not flow: `spec_sets`
 gives a user the closed permission sets of the roles assigned to them
 directly, and a user of a senior role is not also a user of its juniors.
 Each question about the hierarchy is one walk from the role over the
-direct junior or senior edges, which each call builds once.
+direct junior or senior edges, which each call builds once.  A role's
+closed sets are read only by `spec_sets`, which takes them for every role;
+the test oracles hold a second reading of both closures, a fixpoint over
+all hierarchy pairs.
 """
 
 from __future__ import annotations
@@ -105,26 +108,6 @@ def _walk(edges: dict[str, list[str]], role_id: str) -> set[str]:
 def _closed(policy: PolicySpec, edges: dict[str, list[str]], role_id: str) -> list[Role]:
     """The role and every defined role reached from it over `edges`."""
     return [policy.roles[rid] for rid in {role_id} | _walk(edges, role_id) if rid in policy.roles]
-
-
-def _role(policy: PolicySpec, role_id: str) -> Role:
-    if role_id not in policy.roles:
-        raise KeyError(f"unknown role '{role_id}'")
-    return policy.roles[role_id]
-
-
-def closure_allowed(policy: PolicySpec, role_id: str) -> frozenset[Permission]:
-    """Allowed permissions of the role, including those inherited from junior roles."""
-    _role(policy, role_id)
-    juniors, _ = _adjacency(policy)
-    return frozenset(perm for r in _closed(policy, juniors, role_id) for perm in r.allowed)
-
-
-def closure_denied(policy: PolicySpec, role_id: str) -> frozenset[Permission]:
-    """Denied permissions of the role, including those inherited from senior roles."""
-    _role(policy, role_id)
-    _, seniors = _adjacency(policy)
-    return frozenset(perm for r in _closed(policy, seniors, role_id) for perm in r.denied)
 
 
 def spec_sets(policy: PolicySpec) -> SpecSets:

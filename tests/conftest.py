@@ -22,6 +22,7 @@ from accessfix import (
     parse_system,
     reachable_each,
 )
+from oracles import from_edges
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -167,7 +168,7 @@ def plant_cells(cells: int) -> tuple[SystemModel, PolicySpec]:
 
 def make_toy_automaton() -> Automaton:
     """Five-letter example machine: e fires after a, or after d then f."""
-    return Automaton.from_edges(
+    return from_edges(
         "q0",
         [
             ("q0", "a", "q1"),

@@ -5,6 +5,11 @@ event (`enabling_sets`, `event_expr`), which the tests also check one
 candidate set at a time against the definition, and the expected plant
 formulas, expanded from their factored shape with plain itertools.
 
+Automata from (src, event, dst) triples are built here (`from_edges`) and
+their runs checked here (`accepts`): the library's `Automaton` only holds
+the table of its state product.  The library prints a function over names
+(`Dnf`) and never evaluates one; `covers` does, for the oracles.
+
 The all-credential automaton has two constructions here.  The reference
 builder (`reachability_automaton`) walks (zone, session set) states and
 evaluates every door and variant's precondition in each, where the library
@@ -44,7 +49,7 @@ library searches bitmask antichains over its credential index instead.
 The verdict has a second route here: the minterm evaluation the library
 used before it walked the compiled rules (`minterm_verdict`), which tests
 every user's credential mask against every minterm of the enabling
-functions saturated from the user's start zone.
+functions saturated from the user's start zone with its own cover test.
 
 The textual formats have a second lexer here: the per-character scanner
 (`char_tokenize`) the library's one compiled regular expression replaced,
@@ -86,7 +91,6 @@ from accessfix import (
     user_spec_sets,
     users_by_zone,
 )
-from accessfix.enabling import covers_any
 
 TokenSet = frozenset
 
@@ -99,6 +103,45 @@ def tokenize(events) -> TokenSet:
 def _minimal(sets) -> frozenset:
     pool = set(sets)
     return frozenset(v for v in pool if not any(w < v for w in pool))
+
+
+def covers(expr: Dnf, credentials) -> bool:
+    """Whether `credentials` hold every credential of some minterm of `expr`."""
+    return any(m <= credentials for m in expr.minterms)
+
+
+def _reachable(initial, table) -> set:
+    """The states of `table` reachable from `initial`, breadth first."""
+    reachable = {initial}
+    queue = deque([initial])
+    while queue:
+        for target in table.get(queue.popleft(), {}).values():
+            if target not in reachable:
+                reachable.add(target)
+                queue.append(target)
+    return reachable
+
+
+def from_edges(initial, edges) -> Automaton:
+    """The automaton of (src, event, dst) triples, cut to the part reachable
+    from `initial`; `ValueError` when one event leads from a state to two."""
+    table: dict = {}
+    for src, event, dst in edges:
+        row = table.setdefault(src, {})
+        if event in row and row[event] != dst:
+            raise ValueError(f"conflicting transitions for {event!r} from {src!r}")
+        row[event] = dst
+    return Automaton(initial, {s: table.get(s, {}) for s in _reachable(initial, table)})
+
+
+def accepts(a: Automaton, events) -> bool:
+    """Whether the event sequence is executable from the initial state."""
+    state = a.initial
+    for event in events:
+        state = a.successors(state).get(event)
+        if state is None:
+            return False
+    return True
 
 
 def enabling_sets(a: Automaton, e) -> frozenset:
@@ -142,7 +185,7 @@ def event_expr(a: Automaton, e) -> Dnf:
 
 def enabling_function(a: Automaton, reduced) -> Dnf:
     """Credential formula for a reduced event: false when no transition has it."""
-    return enabling_functions(a).get(ReducedEvent(*reduced), Dnf.false())
+    return enabling_functions(a).get(ReducedEvent(*reduced), Dnf(frozenset()))
 
 
 def reachable_reduced_events(a: Automaton) -> frozenset:
@@ -218,7 +261,7 @@ def user_automaton(everything: Automaton, credentials) -> Automaton:
     part reachable from the start.  Callers that check many users or sets
     build `everything` once per model and zone."""
     held = frozenset(credentials) | {EPSILON}
-    return Automaton.from_edges(
+    return from_edges(
         everything.initial,
         (
             (state, event, target)
@@ -329,7 +372,7 @@ def enabling_functions_from_sets(automaton) -> dict:
         for tokens in enabling_sets(automaton, event):
             creds = frozenset(x.credential for x in tokens) - {EPSILON}
             minterms.setdefault(event.reduced(), set()).add(creds | own)
-    return {r: Dnf(frozenset(minterms[r])) for r in sorted(minterms)}
+    return {r: Dnf(_minimal(minterms[r])) for r in sorted(minterms)}
 
 
 def same_language(a, b) -> bool:
@@ -396,7 +439,7 @@ def build_movement_automaton(model) -> Automaton:
             zone = dev.location.zone
             for cred in _alternatives(variant.required):
                 edges.append((zone, PhyLabel(ExtendedEvent(op_name, dev.id, cred)), zone))
-    return Automaton.from_edges(external_zone(model), edges)
+    return from_edges(external_zone(model), edges)
 
 
 def _session_precondition(model, dev, pre, sessions) -> bool:
@@ -554,11 +597,12 @@ def minterm_verdict(model, policy) -> AnomalyReport:
     user)."""
     sets, rules = prepare(model, policy)
     by_zone = {zone: saturate(rules, zone) for zone in users_by_zone(model)}
+    masks = {uid: credential_mask(u.credentials, rules.credentials) for uid, u in model.users.items()}
     implemented = frozenset(
         (uid, event.operation, event.object)
         for uid, user in model.users.items()
         for event, function in by_zone[user.initial_zone].items()
-        if covers_any(credential_mask(user.credentials, rules.credentials), function)
+        if any(m & masks[uid] == m for m in function)
     )
     missing = sets.s_plus - implemented
     dangling = frozenset(
@@ -658,7 +702,7 @@ class RepairConstraint:
 
     def satisfied_by(self, credentials: Iterable[str]) -> bool:
         creds = frozenset(credentials)
-        return all(c.expr.evaluate(creds) != c.negated for c in self.conjuncts)
+        return all(covers(c.expr, creds) != c.negated for c in self.conjuncts)
 
 
 def build_constraint(
@@ -669,10 +713,10 @@ def build_constraint(
     conjuncts = []
     for perm in sorted(plus):
         event = ReducedEvent(*perm)
-        conjuncts.append(Conjunct(event, functions.get(event, Dnf.false()), False))
+        conjuncts.append(Conjunct(event, functions.get(event, Dnf(frozenset())), False))
     for perm in sorted(minus):
         event = ReducedEvent(*perm)
-        conjuncts.append(Conjunct(event, functions.get(event, Dnf.false()), True))
+        conjuncts.append(Conjunct(event, functions.get(event, Dnf(frozenset())), True))
     return RepairConstraint(user=user.id, conjuncts=tuple(conjuncts), eligible=frozenset(eligible))
 
 
@@ -701,7 +745,7 @@ class SolveResult(NamedTuple):
 def to_cnf(constraint) -> CnfFormula:
     """Equisatisfiable clauses whose models, projected onto the credential
     variables, are exactly the models of the constraint within its pool."""
-    mentioned = frozenset(x for c in constraint.conjuncts for x in c.expr.variables())
+    mentioned = frozenset(x for c in constraint.conjuncts for m in c.expr.minterms for x in m)
     frozen = mentioned - constraint.eligible  # fixed to false
     clauses: list[tuple[Lit, ...]] = []
     for i, conjunct in enumerate(constraint.conjuncts):

@@ -3,7 +3,6 @@
 import random
 
 from accessfix import (
-    Automaton,
     BecomesAccount,
     Device,
     DoorRule,
@@ -21,6 +20,7 @@ from accessfix import (
     User,
     Zone,
 )
+from oracles import from_edges
 
 
 def random_automaton(rng: random.Random, max_states: int = 4, max_events: int = 4):
@@ -34,7 +34,7 @@ def random_automaton(rng: random.Random, max_states: int = 4, max_events: int = 
         for event in events:
             if rng.random() < 0.55:
                 edges.append((state, event, rng.choice(states)))
-    return Automaton.from_edges("s0", edges), events
+    return from_edges("s0", edges), events
 
 
 def _subset(rng, pool, max_size=None):

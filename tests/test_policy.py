@@ -8,8 +8,6 @@ from accessfix import (
     PolicyInconsistent,
     PolicySpec,
     Role,
-    closure_allowed,
-    closure_denied,
     spec_sets,
     user_spec_sets,
     validate_policy,
@@ -32,6 +30,13 @@ ADM_PLC = Permission("admin", "PLC")
 ALL_FIVE = frozenset({RUN_MBSL, RUN_IGS, ADM_MBSL, ADM_IGS, ADM_PLC})
 
 
+def _closures(policy, role_id):
+    """The allowed and denied permissions `spec_sets` gives the one user of
+    `role_id`, who holds no other role: the role's closures."""
+    (user,) = policy.roles[role_id].users
+    return user_spec_sets(spec_sets(policy), user)
+
+
 def test_plant_policy_shape(plant_policy):
     assert set(plant_policy.roles) == {"P_o", "P_s"}
     assert plant_policy.hierarchy == frozenset({("P_o", "P_s")})
@@ -39,25 +44,19 @@ def test_plant_policy_shape(plant_policy):
 
 
 def test_closure_allowed(plant_policy):
-    assert closure_allowed(plant_policy, "P_s") == ALL_FIVE
-    assert closure_allowed(plant_policy, "P_o") == frozenset({RUN_MBSL, RUN_IGS})
+    assert _closures(plant_policy, "P_s")[0] == ALL_FIVE
+    assert _closures(plant_policy, "P_o")[0] == frozenset({RUN_MBSL, RUN_IGS})
 
 
 def test_closure_denied(plant_policy):
-    assert closure_denied(plant_policy, "P_o") == frozenset({ADM_MBSL, ADM_IGS, ADM_PLC})
-    assert closure_denied(plant_policy, "P_s") == frozenset()
+    assert _closures(plant_policy, "P_o")[1] == frozenset({ADM_MBSL, ADM_IGS, ADM_PLC})
+    assert _closures(plant_policy, "P_s")[1] == frozenset()
 
 
 def test_isolated_role_closures_are_identity():
     role = Role("r", frozenset({RUN_IGS}), frozenset({ADM_IGS}), frozenset({"u"}))
     policy = PolicySpec(roles={"r": role})
-    assert closure_allowed(policy, "r") == role.allowed
-    assert closure_denied(policy, "r") == role.denied
-
-
-def test_unknown_role_raises(plant_policy):
-    with pytest.raises(KeyError):
-        closure_allowed(plant_policy, "nobody")
+    assert _closures(policy, "r") == (role.allowed, role.denied)
 
 
 def test_spec_sets_match_direct_assignments(plant_policy):
@@ -93,8 +92,8 @@ def test_literal_user_closure_makes_plant_policy_inconsistent(plant_policy):
         seniors = {hi for lo, hi in closed if lo == rid}
         users = frozenset().union(*(plant_policy.roles[r].users for r in {rid} | seniors))
         for user in users:
-            plus |= {(user, p.operation, p.object) for p in closure_allowed(plant_policy, rid)}
-            minus |= {(user, p.operation, p.object) for p in closure_denied(plant_policy, rid)}
+            plus |= {(user, p.operation, p.object) for p in fixpoint_closure_allowed(plant_policy, rid)}
+            minus |= {(user, p.operation, p.object) for p in fixpoint_closure_denied(plant_policy, rid)}
     assert ("Amy", "admin", "PLC") in plus & minus
     assert ("Amy", "admin", "PLC") in spec_sets(plant_policy).s_plus
 
@@ -106,8 +105,9 @@ def test_user_spec_sets_unknown_user(plant_policy):
 
 def test_hierarchy_monotonicity(plant_policy):
     for lo, hi in plant_policy.hierarchy:
-        assert closure_allowed(plant_policy, lo) <= closure_allowed(plant_policy, hi)
-        assert closure_denied(plant_policy, lo) >= closure_denied(plant_policy, hi)
+        lo_allowed, lo_denied = _closures(plant_policy, lo)
+        hi_allowed, hi_denied = _closures(plant_policy, hi)
+        assert lo_allowed <= hi_allowed and lo_denied >= hi_denied
 
 
 def test_adding_hierarchy_edge_never_shrinks_closures():
@@ -117,8 +117,9 @@ def test_adding_hierarchy_edge_never_shrinks_closures():
     base = PolicySpec(roles={"r1": r1, "r2": r2, "r3": r3}, hierarchy=frozenset({("r1", "r2")}))
     grown = PolicySpec(roles=base.roles, hierarchy=base.hierarchy | {("r2", "r3")})
     for rid in base.roles:
-        assert closure_allowed(base, rid) <= closure_allowed(grown, rid)
-        assert closure_denied(base, rid) <= closure_denied(grown, rid)
+        allowed, denied = _closures(base, rid)
+        grown_allowed, grown_denied = _closures(grown, rid)
+        assert allowed <= grown_allowed and denied <= grown_denied
 
 
 def test_transitive_hierarchy_is_closed():
@@ -128,7 +129,7 @@ def test_transitive_hierarchy_is_closed():
         "hi": Role("hi", frozenset(), frozenset(), frozenset({"boss"})),
     }
     policy = PolicySpec(roles=roles, hierarchy=frozenset({("lo", "mid"), ("mid", "hi")}))
-    assert closure_allowed(policy, "hi") == frozenset({RUN_MBSL, RUN_IGS})
+    assert _closures(policy, "hi")[0] == frozenset({RUN_MBSL, RUN_IGS})
     assert spec_sets(policy).s_plus == frozenset({("boss", "run", "MBSL"), ("boss", "run", "IGS")})
 
 
@@ -194,11 +195,11 @@ def _flattened(flatten, policy):
 
 
 def test_the_hierarchy_walk_equals_the_fixpoint():
-    """`validate_policy`'s diagnostics, `closure_allowed`, `closure_denied`
-    and `spec_sets` (or its `PolicyInconsistent` text) against the fixpoint
-    over all hierarchy pairs, on random policies for seeds 0-1999 (each
-    also scrambled into cycles and undefined roles), on the plant's policy
-    in 1-32 cells and on hand-made hierarchies."""
+    """`validate_policy`'s diagnostics and `spec_sets` (or its
+    `PolicyInconsistent` text) against the fixpoint over all hierarchy
+    pairs, on random policies for seeds 0-1999 (each also scrambled into
+    cycles and undefined roles), on the plant's policy in 1-32 cells and on
+    hand-made hierarchies."""
     cases = list(_hand_made_hierarchies())
     cases += [(f"plant in {cells} cells", plant_cells(cells)[1]) for cells in range(1, 33)]
     for seed in range(2000):
@@ -209,9 +210,6 @@ def test_the_hierarchy_walk_equals_the_fixpoint():
     for where, policy in cases:
         diagnostics = validate_policy(policy)
         assert diagnostics == fixpoint_validate_policy(policy), where
-        for rid in policy.roles:
-            assert closure_allowed(policy, rid) == fixpoint_closure_allowed(policy, rid), (where, rid)
-            assert closure_denied(policy, rid) == fixpoint_closure_denied(policy, rid), (where, rid)
         flattened = _flattened(spec_sets, policy)
         assert flattened == _flattened(fixpoint_spec_sets, policy), where
         counts["inconsistent" if isinstance(flattened, str) else "flattened"] += 1

@@ -232,13 +232,13 @@ def test_verify_and_repair_construct_no_formula_over_names(monkeypatch, capsys):
     is built, not even to list a repair.  `accessfix enabling`, which prints
     the formulas, shows that the count sees a construction."""
     built = []
-    original = Dnf.__post_init__
+    original = Dnf.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         built.append(self)
-        original(self)
+        original(self, *args, **kwargs)
 
-    monkeypatch.setattr(Dnf, "__post_init__", counted)
+    monkeypatch.setattr(Dnf, "__init__", counted)
     for argv, exit_code in (
         (["verify", *PLANT], 1),
         (["repair", *PLANT, "--eligibility", "all"], 0),
