@@ -33,7 +33,9 @@ The pipeline is parse -> validate -> verify -> repair:
   the two in turn;
 * `repair` holds the third, `repair_users`, which searches credential
   assignments that remove every anomaly, saturating the prepared rules once
-  per start zone; `repair_all` runs `prepare` and then `repair_users`;
+  per start zone, and lists each user's best ones as `RepairSolution`
+  named tuples (credentials, minimal, distance) in a `RepairResult` named
+  tuple; `repair_all` runs `prepare` and then `repair_users`;
 * `dslparser` and `cli` provide the textual formats and command line.
 """
 

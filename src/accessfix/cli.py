@@ -84,7 +84,9 @@ def _dump_json(payload) -> str:
     It covers exactly the types the commands emit: dicts with string keys,
     lists, strings, booleans, integers and None; a value of any other type,
     a subclass of these included, is a `TypeError`.  Strings go through the
-    C string encoder `json.dumps` uses.
+    C string encoder `json.dumps` uses.  A list of records, non-empty dicts
+    with one set of keys (the repair lists, the triple lists), has its keys
+    sorted and encoded once.
     """
     return _json(payload, "\n") + "\n"
 
@@ -98,8 +100,13 @@ def _json(value, newline: str) -> str:
     if kind is list:
         if not value:
             return "[]"
-        if all(type(item) is str for item in value):
+        first = value[0]
+        if {*map(type, value)} == {str}:
             items = map(encode_basestring_ascii, value)
+        elif type(first) is dict and first and all(
+            type(item) is dict and item.keys() == first.keys() for item in value
+        ):
+            items = _records(value, inner)
         else:
             items = [_json(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
@@ -121,6 +128,31 @@ def _json(value, newline: str) -> str:
     if kind is int:
         return str(value)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _records(records: list[dict], newline: str) -> list[str]:
+    """Dicts with one set of keys as indented JSON objects.  The keys are
+    sorted and encoded once into a template, and each key's values are
+    written a column at a time: a column of strings, integers or booleans
+    in place, any other through `_json`."""
+    inner = newline + "  "
+    keys = sorted(records[0])
+    template = "{" + ",".join(
+        inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
+    ) + newline + "}"
+    columns = []
+    for key in keys:
+        column = [record[key] for record in records]
+        kinds = {*map(type, column)}
+        if kinds == {str}:
+            columns.append(map(encode_basestring_ascii, column))
+        elif kinds == {int}:
+            columns.append(map(str, column))
+        elif kinds == {bool}:
+            columns.append(["true" if item else "false" for item in column])
+        else:
+            columns.append([_json(item, inner) for item in column])
+    return [template % row for row in zip(*columns)]
 
 
 def _fmt_triple(triple) -> str:

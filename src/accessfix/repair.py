@@ -17,12 +17,19 @@ report it:
   covers no denied minterm, so a set it gains by one credential is tested
   only against the denied minterms that hold that credential.
 
-Each size level is ranked by distance from the user's current credentials,
-then by name (the index puts the first name at the highest bit), and the
-walk stops once `cap` repairs are listed: the level that fills the cap is
-not sorted whole, only its best sets are taken, and no level past it is
-built.  The list is therefore in rank order, and a capped list is the best
-prefix of the full one.  Every reported solution is re-checked before being
+Repairs are ranked by size, then by distance from the user's current
+credentials, then by name (the index puts the first name at the highest
+bit).  Adding a credential moves a set one step from the current
+credentials, farther when the user lacks it and nearer when the user holds
+it, so each size level is built one distance bucket at a time from the
+buckets one step either side in the level below.  The walk stops at the
+bucket that fills the cap, and only that bucket is cut by name; when the
+cap falls on a bucket's end, the next non-empty bucket is built only to
+tell whether another repair exists.  This is a k-best enumeration in the
+sense of Eppstein (*Finding the k Shortest Paths*, SIAM J. Comput. 1998):
+the work follows the listed sets, not the size of the level they end in.
+The list is in rank order, and a capped list is the best prefix of the
+full one.  Every reported solution is re-checked before being
 returned: a user holding exactly the solution's credentials must reach, by
 plain reachability over the same compiled rules, every allowed action of
 the user and no denied one.  One walk per user checks all of the user's
@@ -43,7 +50,6 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .analysis import prepare, users_by_zone
@@ -57,8 +63,7 @@ from .sysmodel import SystemModel, User
 Conjunct = tuple[Permission, list[int], bool]
 
 
-@dataclass(frozen=True)
-class RepairSolution:
+class RepairSolution(NamedTuple):
     credentials: frozenset[str]
     minimal: bool
     distance: int  # symmetric difference from the user's current credentials
@@ -97,49 +102,65 @@ def _minimal_repairs(conjuncts: list[Conjunct]) -> tuple[set[int], list[int]]:
     return {s for s in minimal if not covers_any(s, denied)}, denied
 
 
+def _buckets(minimal: set[int], denied: list[int], pool: int, current: int):
+    """Every repair inside `pool`, one non-empty set per (size, distance
+    from `current`) in rank order, built only as far as it is read.
+
+    Adding a credential the user lacks moves a set one step farther from
+    `current`, adding one the user holds one step nearer, so the bucket at
+    distance d of a size is that size's minimal repairs at d plus the
+    children of the previous size's buckets at d - 1 (through lacking
+    credentials) and d + 1 (through held ones).  A size is built one bucket
+    at a time, and the next size only once every bucket of this one is.
+    """
+    by_rank: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
+    for s in minimal:
+        by_rank[s.bit_count()][(s ^ current).bit_count()].append(s)
+    # A repair covers no denied minterm, so a set it gains by one credential
+    # can only cover a denied minterm that holds that credential.
+    singles = [1 << i for i in range(pool.bit_length()) if pool >> i & 1]
+    lacking = [(b, [d for d in denied if d & b]) for b in singles if not b & current]
+    held = [(b, [d for d in denied if d & b]) for b in singles if b & current]
+    size, largest = min(by_rank), max(by_rank)
+    level: dict[int, set[int]] = {}
+    while level or size <= largest:
+        minimal_at = by_rank.get(size, {})
+        built = {}
+        for d in sorted(minimal_at.keys() | {e + step for e in level for step in (1, -1)}):
+            bucket = set(minimal_at.get(d, ()))
+            for parents, gains in ((level.get(d - 1, ()), lacking), (level.get(d + 1, ()), held)):
+                for s in parents:
+                    for b, holding in gains:
+                        if not s & b and not covers_any(s | b, holding):
+                            bucket.add(s | b)
+            if bucket:
+                built[d] = bucket
+                yield bucket
+        level = built
+        size += 1
+
+
 def _ranked(
     minimal: set[int], denied: list[int], pool: int, current: int, cap: int
 ) -> tuple[list[int], bool]:
     """The first `cap` repairs inside `pool` in rank order, and whether
     another exists.
 
-    Rank is size, then distance from `current`, then name.  `minimal` must
-    not be empty.  No level past the one that fills the cap is built, and
-    of that one only the sets listed are sorted.
+    Rank is size, then distance from `current`, then name: the index puts
+    the first name at the highest bit, so within a bucket of `_buckets` the
+    larger mask comes first.  `minimal` must not be empty.  Only the
+    bucket that fills the cap is cut by name, and past it at most one more
+    bucket is built, to tell whether another repair exists.
     """
-    by_size: dict[int, set[int]] = defaultdict(set)
-    for s in minimal:
-        by_size[s.bit_count()].add(s)
-    singles = [1 << i for i in range(pool.bit_length()) if pool >> i & 1]
-    # A repair covers no denied minterm, so a set it gains by one credential
-    # can only cover a denied minterm that holds that credential.
-    holding = {b: [d for d in denied if d & b] for b in singles}
-    width = 1 << pool.bit_length()
-
-    def children(level: set[int]):
-        return (
-            s | b for s in level for b in singles
-            if not s & b and not covers_any(s | b, holding[b])
-        )
-
-    def rank(s: int) -> int:
-        # Distance, then name: the index puts the first name at the highest
-        # bit, and `pool - s` falls as `s` rises and stays below `width`.
-        return (s ^ current).bit_count() * width + pool - s
-
-    size, largest = min(by_size), max(by_size)
-    level: set[int] = set()
     ranked: list[int] = []
-    while level or size <= largest:
-        level |= by_size.get(size, set())
+    buckets = _buckets(minimal, denied, pool, current)
+    for bucket in buckets:
         room = cap - len(ranked)
-        if len(level) > room:
-            return ranked + heapq.nsmallest(room, level, key=rank), True
-        ranked += sorted(level, key=rank)
-        size += 1
+        if len(bucket) > room:
+            return ranked + heapq.nlargest(room, bucket), True
+        ranked += sorted(bucket, reverse=True)
         if len(ranked) == cap:
-            return ranked, size <= largest or next(children(level), None) is not None
-        level = set(children(level))
+            return ranked, next(buckets, None) is not None
     return ranked, False
 
 

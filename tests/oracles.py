@@ -44,7 +44,10 @@ Repair has a second route here as well: the per-user constraint over the
 enabling functions as formulas over names (`build_constraint`), encoded as
 CNF and its models enumerated by DPLL with blocking clauses (`to_cnf`,
 `solve_all`), plus a ranking by brute force over the pool's powerset.  The
-library searches bitmask antichains over its credential index instead.
+library searches bitmask antichains over its credential index instead.  Its
+ranking before the distance buckets is here too (`ranked_by_levels`): every
+size level built whole and sorted, where the library builds a level one
+distance at a time and stops at the bucket that fills the cap.
 
 The verdict has a second route here: the minterm evaluation the library
 used before it walked the compiled rules (`minterm_verdict`), which tests
@@ -56,7 +59,7 @@ The textual formats have a second lexer here: the per-character scanner
 which carries line and column in every token instead of an offset.
 """
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 from itertools import chain, combinations, product
 from typing import Iterable, NamedTuple
@@ -867,6 +870,44 @@ def brute_force_repairs(constraint, current) -> list:
     found = [c for c in powerset(constraint.eligible) if constraint.satisfied_by(c)]
     found.sort(key=lambda c: (len(c), len(c ^ current), tuple(sorted(c))))
     return [(c, not any(other < c for other in found)) for c in found]
+
+
+def ranked_by_levels(
+    minimal: set[int], denied: list[int], pool: int, current: int, cap: int
+) -> tuple[list[int], bool]:
+    """The first `cap` repairs inside `pool` ranked by size, distance from
+    `current`, then name (the larger mask first), and whether another
+    exists: the library's ranking before it built each size one distance
+    at a time.  Each size level is built whole, from its minimal repairs
+    and every repair of the size below plus one credential, and sorted."""
+    by_size = defaultdict(set)
+    for s in minimal:
+        by_size[s.bit_count()].add(s)
+    singles = [1 << i for i in range(pool.bit_length()) if pool >> i & 1]
+
+    def children(level):
+        return (
+            s | b for s in level for b in singles
+            if not s & b and not any(d & (s | b) == d for d in denied)
+        )
+
+    def rank(s):
+        return (s ^ current).bit_count(), -s
+
+    size, largest = min(by_size), max(by_size)
+    level = set()
+    ranked = []
+    while level or size <= largest:
+        level |= by_size.get(size, set())
+        room = cap - len(ranked)
+        if len(level) > room:
+            return ranked + sorted(level, key=rank)[:room], True
+        ranked += sorted(level, key=rank)
+        size += 1
+        if len(ranked) == cap:
+            return ranked, size <= largest or next(children(level), None) is not None
+        level = set(children(level))
+    return ranked, False
 
 
 PUNCTUATION = ("<->", "->", "--", ";", ",", "{", "}", "(", ")", ".", "<", "/")

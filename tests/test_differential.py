@@ -11,12 +11,13 @@ them) against the user's own automaton under each set,
 `verify` (one walk per start zone) against a report built from those
 automata and against the verdict by minterm evaluation over the enabling
 functions, every listed repair against the user's own automaton under the
-repaired credentials, and the ranked repairs against a brute force over the
-credential pool and against the DPLL route.  Models on which an automaton
-is ambiguous (two variants of one operation with one label but different
-sessions, a known fault) are kept: every route must then reject them with
-the same `ModelError`, and the static check `may_be_ambiguous` must flag
-them.
+repaired credentials, the ranked repairs against a brute force over the
+credential pool and against the DPLL route at every cap, and the ranking
+built one distance bucket at a time against the one that sorts each size
+level whole.  Models on which an automaton is ambiguous (two variants of
+one operation with one label but different sessions, a known fault) are
+kept: every route must then reject them with the same `ModelError`, and the
+static check `may_be_ambiguous` must flag them.
 """
 
 import random
@@ -47,6 +48,7 @@ from accessfix import (
     print_policy,
     print_system,
     reachable_each,
+    repair,
     repair_all,
     saturate,
     spec_sets,
@@ -68,6 +70,7 @@ from oracles import (
     enabling_functions_from_sets,
     minterm_verdict,
     parallel_compose,
+    ranked_by_levels,
     reachability_automaton,
     reachable_reduced_events,
     same_language,
@@ -388,9 +391,11 @@ def test_an_enter_operation_sharing_a_door_label_is_flagged():
 
 def test_repair_equals_brute_force_and_the_clause_route():
     """Every user's full repair list against the pool's powerset ranked by
-    (size, distance, names), its set against the DPLL route's models, a list
-    capped at 3 against the full one's prefix, and the blocking triples
-    against the core the DPLL route's satisfiability test yields."""
+    (size, distance, names), its set against the DPLL route's models, the
+    list capped at every k from 1 to its length against the full one's
+    prefix (size and distance boundaries are where a capped ranking can go
+    wrong), and the blocking triples against the core the DPLL route's
+    satisfiability test yields."""
     counts = Counter()
     for seed in SEEDS:
         rng = random.Random(seed)
@@ -404,7 +409,9 @@ def test_repair_equals_brute_force_and_the_clause_route():
         sets, rules = prepared
         for eligibility in ("all", "current"):
             full = repair_users(model, sets, rules, eligibility, 2 ** len(model.credentials))
-            capped = repair_users(model, sets, rules, eligibility, 3)
+            longest = max((len(r.solutions) for r in full.values()), default=0)
+            capped = {k: repair_users(model, sets, rules, eligibility, k)
+                      for k in range(1, longest + 1)}
             for uid, user in sorted(model.users.items()):
                 where = f"randgen seed {seed}, user {uid}, eligibility {eligibility}"
                 pool = model.credentials if eligibility == "all" else user.credentials
@@ -414,13 +421,91 @@ def test_repair_equals_brute_force_and_the_clause_route():
                 assert ranked == brute_force_repairs(constraint, user.credentials), where
                 assert not full[uid].truncated, where
                 assert {creds for creds, _ in ranked} == dpll_models(constraint), where
-                assert capped[uid].solutions == full[uid].solutions[:3], where
-                assert capped[uid].truncated == (len(ranked) > 3), where
+                for k in range(1, len(ranked) + 1):
+                    assert capped[k][uid].solutions == full[uid].solutions[:k], (where, k)
+                    assert capped[k][uid].truncated == (k < len(ranked)), (where, k)
                 if ranked:
                     assert full[uid].blocking == (), where
                 else:
                     assert full[uid].blocking == dpll_unsat_core(constraint), where
                 counts["unsatisfiable" if not ranked else
-                       "truncated at 3" if capped[uid].truncated else "complete at 3"] += 1
+                       "truncated at 3" if len(ranked) > 3 else "complete at 3"] += 1
     print(dict(counts))
     assert counts["unsatisfiable"] and counts["truncated at 3"] and counts["complete at 3"]
+
+
+def _ranking_inputs(monkeypatch, model, policy, eligibility) -> list:
+    """The (minimal, denied, pool, current) that `repair_users` ranks for
+    each user with a repair, in user order."""
+    seen = []
+    ranked = repair._ranked
+
+    def recording(minimal, denied, pool, current, cap):
+        seen.append((minimal, denied, pool, current))
+        return ranked(minimal, denied, pool, current, cap)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repair, "_ranked", recording)
+        repair_users(model, *prepare(model, policy), eligibility, 1)
+    return seen
+
+
+def _bucket_boundaries(listed, current) -> set:
+    """Every k at which the rank key (size, distance) of `listed[k]`
+    differs from that of `listed[k - 1]`."""
+    keys = [(s.bit_count(), (s ^ current).bit_count()) for s in listed]
+    return {k for k in range(1, len(keys)) if keys[k] != keys[k - 1]}
+
+
+def _hold_at_every_cap(args, where) -> int:
+    """`repair._ranked` against `ranked_by_levels` at every cap from 1 to
+    one past the full list; the number of caps checked."""
+    full, truncated = ranked_by_levels(*args, 2 ** 40)
+    assert not truncated
+    for cap in range(1, len(full) + 2):
+        assert repair._ranked(*args, cap) == ranked_by_levels(*args, cap), (where, cap)
+    return len(full) + 1
+
+
+def test_the_bucketed_ranking_equals_the_level_ranking(monkeypatch):
+    """`repair._ranked`, which builds each size one distance at a time,
+    against the ranking that builds and sorts each size whole
+    (`ranked_by_levels`), list and truncation flag alike: at every cap from
+    1 to one past the full list on the random models under both
+    eligibilities and on the plant in one cell; on the plant in 2 and 3
+    cells, whose full lists hold 2 728 to 840 640 sets, at every cap up to
+    100 and on both sides of every (size, distance) boundary among the
+    first 2 000 sets, against that prefix of the reference; and at cap 100
+    on the plant in 8 cells, whose 64 credentials no brute force covers."""
+    checked = Counter()
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        model = random_model(rng)
+        if any(d.severity == "error" for d in validate(model)):
+            continue
+        policy = random_policy(rng, model)
+        if isinstance(_outcome(lambda: prepare(model, policy)), ModelError):
+            continue
+        for eligibility in ("all", "current"):
+            for args in _ranking_inputs(monkeypatch, model, policy, eligibility):
+                checked["random"] += _hold_at_every_cap(args, (seed, eligibility))
+    model, policy = plant_cells(1)
+    for args in _ranking_inputs(monkeypatch, model, policy, "all"):
+        checked["plant"] += _hold_at_every_cap(args, "plant in 1 cell")
+    for cells in (2, 3):
+        model, policy = plant_cells(cells)
+        for args in _ranking_inputs(monkeypatch, model, policy, "all"):
+            listed, more = ranked_by_levels(*args, 2000)
+            assert more
+            caps = set(range(1, 101))
+            caps |= {k + step for k in _bucket_boundaries(listed, args[3]) for step in (-1, 0, 1)}
+            for cap in sorted(caps - {0}):
+                assert repair._ranked(*args, cap) == (listed[:cap], True), (cells, cap)
+                checked["plant"] += 1
+    model, policy = plant_cells(8)
+    for args in _ranking_inputs(monkeypatch, model, policy, "all"):
+        assert repair._ranked(*args, 100) == ranked_by_levels(*args, 100)
+        checked["plant in 8 cells"] += 1
+    print(dict(checked))
+    assert checked["random"] > 5000 and checked["plant"] > 1000
+    assert checked["plant in 8 cells"] == 16

@@ -107,6 +107,24 @@ EDGE_CASES = [
     {"b": 1, "a": 2, "B": 3, "é": 4, "": 5, '"': 6, "\\": 7, "\n": 8},
     {"x": [{"credentials": ["K_OA", "c_PCTom"], "distance": 2, "minimal": True}]},
     [[[["deep"]]], {"d": {"e": {"f": [None]}}}],
+    # Lists of records, which the writer renders with their keys sorted and
+    # encoded once: keys in different insertion orders, a later record with
+    # an extra key or another key set, an empty record among others, and
+    # records holding empty, null, nested, boolean-beside-integer and mixed
+    # values.
+    [{"b": 1, "a": "x"}, {"a": "y", "b": 2}, {"b": 3, "a": "z"}],
+    [{"a": 1, "b": 2}, {"a": 3, "b": 4, "c": 5}],
+    [{"a": 1, "b": 2}, {"a": 3, "c": 4}],
+    [{"a": 1}, {}, {"a": 2}],
+    [{}, {"a": 1}],
+    [{}, {}],
+    [{"a": [], "b": {}, "c": None}, {"a": [], "b": {}, "c": None}],
+    [{"r": {"s": [1, "t"]}, "n": 1}, {"r": {}, "n": 2}],
+    [{"v": True, "w": 1}, {"v": 1, "w": True}, {"v": False, "w": 0}],
+    [{"v": ["a", 1]}, {"v": ["b", None]}, {"v": ["c", ["d"]]}],
+    [{"v": "s"}, {"v": 1}, {"v": None}, {"v": ["s"]}],
+    [{"%s": 1, "%%": "%d", "é": "日本"}, {"%s": 2, "%%": "%", "é": ""}],
+    {"x": [{"user": "u", "operation": "o", "object": "d"}] * 3},
 ]
 
 
@@ -117,8 +135,14 @@ def test_edge_cases_are_written_as_json_dumps_writes_them(payload):
 
 @pytest.mark.parametrize(
     "payload",
-    [(1, 2), 1.5, {"a": (1,)}, {1: "a"}, {"a": 1, 2: "b"}, set(), object(), [b"bytes"]],
-    ids=["tuple", "float", "nested tuple", "int key", "mixed keys", "set", "object", "bytes"],
+    [
+        (1, 2), 1.5, {"a": (1,)}, {1: "a"}, {"a": 1, 2: "b"}, set(), object(), [b"bytes"],
+        [{"a": 1}, {"a": (1,)}], [{"a": 1}, {"a": 1.5}], [{1: "a"}, {1: "b"}],
+    ],
+    ids=[
+        "tuple", "float", "nested tuple", "int key", "mixed keys", "set", "object", "bytes",
+        "tuple in a record", "float in a record", "int key in records",
+    ],
 )
 def test_other_types_are_a_type_error(payload):
     with pytest.raises(TypeError):
