@@ -34,8 +34,9 @@ The pipeline is parse -> validate -> verify -> repair:
 * `repair` holds the third, `repair_users`, which searches credential
   assignments that remove every anomaly, saturating the prepared rules once
   per start zone, and lists each user's best ones as `RepairSolution`
-  named tuples (credentials, minimal, distance) in a `RepairResult` named
-  tuple; `repair_all` runs `prepare` and then `repair_users`;
+  named tuples (credentials, a tuple of names in name order; minimal;
+  distance) in a `RepairResult` named tuple; `repair_all` runs `prepare`
+  and then `repair_users`;
 * `dslparser` and `cli` provide the textual formats and command line.
 """
 
@@ -73,7 +74,6 @@ from .policy import (
     Role,
     SpecSets,
     spec_sets,
-    user_spec_sets,
     validate_policy,
 )
 from .repair import RepairResult, RepairSolution, repair_all, repair_users

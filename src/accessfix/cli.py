@@ -241,7 +241,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
         repairs = {
             uid: [
                 {
-                    "credentials": sorted(s.credentials),
+                    "credentials": list(s.credentials),
                     "minimal": s.minimal,
                     "distance": s.distance,
                 }
@@ -257,7 +257,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
             lines.append(f"user {uid}: {len(result.solutions)} solution(s)"
                          + (" (truncated)" if result.truncated else ""))
             for k, sol in enumerate(result.solutions, 1):
-                creds = "{" + ", ".join(sorted(sol.credentials)) + "}"
+                creds = "{" + ", ".join(sol.credentials) + "}"
                 minimal = "yes" if sol.minimal else "no"
                 lines.append(f"  [{k}] {creds}  distance={sol.distance} minimal={minimal}")
             if not result.solutions and result.blocking:

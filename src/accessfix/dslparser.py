@@ -147,27 +147,18 @@ class _Parser:
         found = "end of input" if token[0] == "eof" else f"'{token[1]}'"
         raise ParseError(_token_span(self.text, self.file, token), expected, found)
 
-    def accept_keyword(self, word: str) -> bool:
+    def accept(self, text: str) -> bool:
+        """Step over a keyword or punctuation: any token spelled `text` but
+        a quoted string."""
         token = self.tokens[self.pos]
-        if token[1] == word and token[0] == "ident":
+        if token[1] == text and token[0] != "string":
             self.pos += 1
             return True
         return False
 
-    def expect_keyword(self, word: str):
-        if not self.accept_keyword(word):
-            self.fail(f'"{word}"')
-
-    def accept_punct(self, punct: str) -> bool:
-        token = self.tokens[self.pos]
-        if token[1] == punct and token[0] == "punct":
-            self.pos += 1
-            return True
-        return False
-
-    def expect_punct(self, punct: str):
-        if not self.accept_punct(punct):
-            self.fail(f'"{punct}"')
+    def expect(self, text: str):
+        if not self.accept(text):
+            self.fail(f'"{text}"')
 
     def expect_ident(self, what: str = "identifier") -> str:
         kind, text, _ = self.tokens[self.pos]
@@ -191,14 +182,22 @@ class _Parser:
         return text
 
     def name_set(self) -> frozenset[str]:
-        self.expect_punct("{")
+        self.expect("{")
         items = []
-        if not self.accept_punct("}"):
+        if not self.accept("}"):
             items.append(self.expect_ident())
-            while self.accept_punct(","):
+            while self.accept(","):
                 items.append(self.expect_ident())
-            self.expect_punct("}")
+            self.expect("}")
         return frozenset(items)
+
+    def new_name(self, kind: str, seen) -> str:
+        """An identifier that is not yet in `seen`."""
+        token = self.current
+        name = self.expect_ident()
+        if name in seen:
+            self.duplicate(kind, name, token)
+        return name
 
     def duplicate(self, kind: str, name: str, token: Token):
         span = _token_span(self.text, self.file, token)
@@ -216,53 +215,45 @@ def parse_system(text: str, filename: str = "<string>") -> SystemModel:
     users: dict[str, User] = {}
 
     while p.current[0] != "eof":
-        if p.accept_keyword("credential"):
-            token = p.current
-            name = p.expect_ident()
-            if name in credentials:
-                p.duplicate("credential", name, token)
-            credentials.add(name)
-            p.expect_punct(";")
-        elif p.accept_keyword("zone"):
-            token = p.current
-            name = p.expect_ident()
-            external = p.accept_keyword("external")
-            if name in zones:
-                p.duplicate("zone", name, token)
-            zones[name] = Zone(name, external)
-            p.expect_punct(";")
-        elif p.accept_keyword("door"):
+        if p.accept("credential"):
+            credentials.add(p.new_name("credential", credentials))
+            p.expect(";")
+        elif p.accept("zone"):
+            name = p.new_name("zone", zones)
+            zones[name] = Zone(name, p.accept("external"))
+            p.expect(";")
+        elif p.accept("door"):
             door_id = p.expect_ident()
             src = p.expect_ident()
-            if p.accept_punct("->"):
+            if p.accept("->"):
                 both = False
-            elif p.accept_punct("<->"):
+            elif p.accept("<->"):
                 both = True
             else:
                 p.fail('"->" or "<->"')
             dst = p.expect_ident()
-            required = p.name_set() if p.accept_keyword("requires") else frozenset()
-            p.expect_punct(";")
+            required = p.name_set() if p.accept("requires") else frozenset()
+            p.expect(";")
             doors.add(DoorRule(door_id, src, dst, required))
             if both:
                 doors.add(DoorRule(door_id, dst, src, required))
-        elif p.accept_keyword("device"):
+        elif p.accept("device"):
             device = _parse_device(p, devices)
             devices[device.id] = device
-        elif p.accept_keyword("link"):
+        elif p.accept("link"):
             a = p.expect_ident()
-            p.expect_punct("--")
+            p.expect("--")
             b = p.expect_ident()
-            p.expect_punct(";")
+            p.expect(";")
             links.add(Link(frozenset((a, b))))
-        elif p.accept_keyword("user"):
+        elif p.accept("user"):
             token = p.current
             name = p.expect_ident()
-            p.expect_keyword("at")
+            p.expect("at")
             zone = p.expect_ident()
-            p.expect_keyword("credentials")
+            p.expect("credentials")
             creds = p.name_set()
-            p.expect_punct(";")
+            p.expect(";")
             if name in users:
                 p.duplicate("user", name, token)
             users[name] = User(name, zone, creds)
@@ -280,52 +271,40 @@ def parse_system(text: str, filename: str = "<string>") -> SystemModel:
 
 
 def _parse_device(p: _Parser, devices: dict[str, Device]) -> Device:
-    token = p.current
-    dev_id = p.expect_ident()
-    if dev_id in devices:
-        p.duplicate("device", dev_id, token)
-    p.expect_keyword("in")
+    dev_id = p.new_name("device", devices)
+    p.expect("in")
     zone = p.expect_ident()
     hosts = []
-    while p.accept_punct("/"):
+    while p.accept("/"):
         hosts.append(p.expect_ident())
-    switch = p.accept_keyword("switch")
-    p.expect_punct("{")
+    switch = p.accept("switch")
+    p.expect("{")
 
     ports: dict[str, Port] = {}
     groups: dict[str, frozenset[str]] = {}
     operations: dict[str, tuple[OperationVariant, ...]] = {}
-    while not p.accept_punct("}"):
-        if p.accept_keyword("port"):
-            ptoken = p.current
-            pid = p.expect_ident()
-            if pid in ports:
-                p.duplicate("port", pid, ptoken)
-            p.expect_keyword("mac")
+    while not p.accept("}"):
+        if p.accept("port"):
+            pid = p.new_name("port", ports)
+            p.expect("mac")
             mac = p.expect_string()
-            p.expect_keyword("ip")
+            p.expect("ip")
             ip = p.expect_string()
-            p.expect_punct(";")
+            p.expect(";")
             ports[pid] = Port(pid, mac, ip, dev_id)
-        elif p.accept_keyword("group"):
-            gtoken = p.current
-            gid = p.expect_ident()
-            if gid in groups:
-                p.duplicate("group", gid, gtoken)
+        elif p.accept("group"):
+            gid = p.new_name("group", groups)
             groups[gid] = p.name_set()
-        elif p.accept_keyword("operation"):
-            otoken = p.current
-            op_name = p.expect_ident()
-            if op_name in operations:
-                p.duplicate("operation", op_name, otoken)
-            p.expect_punct("{")
+        elif p.accept("operation"):
+            op_name = p.new_name("operation", operations)
+            p.expect("{")
             variants = []
-            while not p.accept_punct("}"):
+            while not p.accept("}"):
                 variants.append(_parse_variant(p, dev_id))
             operations[op_name] = tuple(variants)
-        elif p.accept_keyword("filters"):
-            p.expect_punct("{")
-            p.expect_punct("}")
+        elif p.accept("filters"):
+            p.expect("{")
+            p.expect("}")
         else:
             p.fail('"port", "group", "operation", "filters" or "}"')
 
@@ -340,36 +319,36 @@ def _parse_device(p: _Parser, devices: dict[str, Device]) -> Device:
 
 
 def _parse_variant(p: _Parser, dev_id: str) -> OperationVariant:
-    p.expect_keyword("when")
-    if p.accept_keyword("phy_acc"):
+    p.expect("when")
+    if p.accept("phy_acc"):
         pre = PhyAcc()
-    elif p.accept_keyword("loc_acc"):
-        p.expect_punct("(")
+    elif p.accept("loc_acc"):
+        p.expect("(")
         first = p.expect_ident()
-        if p.accept_punct("."):
+        if p.accept("."):
             pre = LocAcc(first, p.expect_ident())
         else:
             pre = LocAcc(dev_id, first)
-        p.expect_punct(")")
-    elif p.accept_keyword("rem_acc"):
-        p.expect_punct("(")
-        if p.accept_keyword("tcp"):
+        p.expect(")")
+    elif p.accept("rem_acc"):
+        p.expect("(")
+        if p.accept("tcp"):
             proto = "tcp"
-        elif p.accept_keyword("udp"):
+        elif p.accept("udp"):
             proto = "udp"
         else:
             p.fail('"tcp" or "udp"')
-        p.expect_punct(",")
+        p.expect(",")
         port = p.expect_number()
-        p.expect_punct(")")
+        p.expect(")")
         pre = RemAcc(proto, port)
     else:
         p.fail('"phy_acc", "loc_acc" or "rem_acc"')
-    required = p.name_set() if p.accept_keyword("requires") else frozenset()
+    required = p.name_set() if p.accept("requires") else frozenset()
     effect = None
-    if p.accept_keyword("becomes"):
+    if p.accept("becomes"):
         effect = BecomesAccount(dev_id, p.expect_ident())
-    p.expect_punct(";")
+    p.expect(";")
     return OperationVariant(pre, required, effect)
 
 
@@ -378,30 +357,27 @@ def parse_policy(text: str, filename: str = "<string>") -> PolicySpec:
     roles: dict[str, Role] = {}
     hierarchy: set[tuple[str, str]] = set()
     while p.current[0] != "eof":
-        if p.accept_keyword("role"):
-            token = p.current
-            rid = p.expect_ident()
-            if rid in roles:
-                p.duplicate("role", rid, token)
-            p.expect_punct("{")
+        if p.accept("role"):
+            rid = p.new_name("role", roles)
+            p.expect("{")
             allowed: frozenset[Permission] = frozenset()
             denied: frozenset[Permission] = frozenset()
             members: frozenset[str] = frozenset()
-            if p.accept_keyword("allow"):
+            if p.accept("allow"):
                 allowed = _parse_perm_list(p)
-                p.expect_punct(";")
-            if p.accept_keyword("deny"):
+                p.expect(";")
+            if p.accept("deny"):
                 denied = _parse_perm_list(p)
-                p.expect_punct(";")
-            if p.accept_keyword("users"):
+                p.expect(";")
+            if p.accept("users"):
                 members = p.name_set()
-            p.expect_punct("}")
+            p.expect("}")
             roles[rid] = Role(rid, allowed, denied, members)
-        elif p.accept_keyword("hierarchy"):
+        elif p.accept("hierarchy"):
             lo = p.expect_ident()
-            p.expect_punct("<")
+            p.expect("<")
             hi = p.expect_ident()
-            p.expect_punct(";")
+            p.expect(";")
             hierarchy.add((lo, hi))
         else:
             p.fail('"role" or "hierarchy"')
@@ -410,17 +386,17 @@ def parse_policy(text: str, filename: str = "<string>") -> PolicySpec:
 
 def _parse_perm_list(p: _Parser) -> frozenset[Permission]:
     perms = [_parse_perm(p)]
-    while p.accept_punct(","):
+    while p.accept(","):
         perms.append(_parse_perm(p))
     return frozenset(perms)
 
 
 def _parse_perm(p: _Parser) -> Permission:
-    p.expect_punct("(")
+    p.expect("(")
     op = p.expect_ident()
-    p.expect_punct(",")
+    p.expect(",")
     ob = p.expect_ident()
-    p.expect_punct(")")
+    p.expect(")")
     return Permission(op, ob)
 
 

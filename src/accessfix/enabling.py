@@ -10,7 +10,8 @@ Inside the library a function is an antichain of credential bitmasks
 (`frozenset[int]`) over one credential index: a sorted tuple of names whose
 first name holds the highest bit, so of two sets of one size the one first
 by name is the larger mask.  `credential_mask` encodes names and
-`credential_names` is the one decoder; names appear only at the edges,
+`credential_names` is the one decoder, which lists the names in index
+order, so a decoded set is already sorted; names appear only at the edges,
 where a function is printed or a repair listed.  `Dnf` is that printed
 form, and nothing in the library computes with it.
 
@@ -75,15 +76,16 @@ def credential_mask(names: Iterable[str], credentials: tuple[str, ...]) -> int:
     return mask
 
 
-def credential_names(mask: int, credentials: tuple[str, ...]) -> frozenset[str]:
-    """The credentials of the index `credentials` whose bits are set in `mask`."""
+def credential_names(mask: int, credentials: tuple[str, ...]) -> tuple[str, ...]:
+    """The credentials of the index `credentials` whose bits are set in
+    `mask`, in index order, which is name order."""
     top = len(credentials) - 1
     names = []
     while mask:
-        low = mask & -mask
-        names.append(credentials[top + 1 - low.bit_length()])
-        mask ^= low
-    return frozenset(names)
+        high = mask.bit_length() - 1
+        names.append(credentials[top - high])
+        mask ^= 1 << high
+    return tuple(names)
 
 
 def covers_any(mask: int, minterms: Iterable[int]) -> bool:

@@ -90,12 +90,6 @@ class Rules(NamedTuple):
     enable: dict[Fact, list[tuple[ReducedEvent, int]]]  # premise -> (action, own credential)
 
 
-def _cred_alternatives(required: frozenset[str]) -> tuple[str, ...]:
-    if not required:
-        return (EPSILON,)
-    return tuple(sorted(required))
-
-
 def _session_for_account(model: SystemModel, device_id: str, account: str) -> Session:
     dev = model.devices[device_id]
     groups = frozenset(g for g, members in dev.groups.items() if account in members)
@@ -115,9 +109,10 @@ def compile_rules(model: SystemModel) -> Rules:
     ordered: list[Rule] = []
 
     def rule(premises, fact, action, required):
+        # One alternative per required credential; none required is mask 0.
+        owns = [credential_mask((cred,), credentials) for cred in sorted(required)] or [0]
         for premise in premises:
-            for cred in _cred_alternatives(required):
-                own = credential_mask((cred,), credentials)  # EPSILON is outside the index: mask 0
+            for own in owns:
                 ordered.append(Rule(premise, action, own, fact))
 
     for door in sorted(model.doors, key=lambda r: (r.door, r.src, r.dst)):

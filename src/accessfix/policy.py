@@ -133,9 +133,3 @@ def spec_sets(policy: PolicySpec) -> SpecSets:
         raise PolicyInconsistent(overlap)
     return SpecSets(frozenset(plus), frozenset(minus))
 
-
-def user_spec_sets(sets: SpecSets, user_id: str) -> tuple[frozenset[Permission], frozenset[Permission]]:
-    """Project one user's triples down to permission pairs."""
-    plus = frozenset(Permission(op, ob) for u, op, ob in sets.s_plus if u == user_id)
-    minus = frozenset(Permission(op, ob) for u, op, ob in sets.s_minus if u == user_id)
-    return plus, minus

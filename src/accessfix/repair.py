@@ -19,10 +19,11 @@ report it:
 
 Repairs are ranked by size, then by distance from the user's current
 credentials, then by name (the index puts the first name at the highest
-bit).  Adding a credential moves a set one step from the current
-credentials, farther when the user lacks it and nearer when the user holds
-it, so each size level is built one distance bucket at a time from the
-buckets one step either side in the level below.  The walk stops at the
+bit), and each listed set is decoded into a tuple of names in name order.
+Adding a credential moves a set one step from the current credentials,
+farther when the user lacks it and nearer when the user holds it, so each
+size level is built one distance bucket at a time from the buckets one
+step either side in the level below.  The walk stops at the
 bucket that fills the cap, and only that bucket is cut by name; when the
 cap falls on a bucket's end, the next non-empty bucket is built only to
 tell whether another repair exists.  This is a k-best enumeration in the
@@ -40,8 +41,10 @@ automata.
 
 The policy and the model enter through `analysis.prepare`, as they do for
 the verdict, so repair rejects what verify rejects.  `repair_users`, the
-last stage, then saturates the prepared rules once per start zone and
-shares the enabling functions among every user starting there;
+last stage, resolves the eligible pool and reads every user's allowed and
+denied actions off the flattened policy once per call, then saturates the
+prepared rules once per start zone and shares the enabling functions among
+every user starting there;
 `repair_all` is `prepare` and `repair_users`, and the command line passes
 `repair_users` the rules the verdict walked.
 """
@@ -55,7 +58,7 @@ from typing import NamedTuple
 from .analysis import prepare, users_by_zone
 from .enabling import _absorb, covers_any, credential_mask, credential_names
 from .facts import Functions, Rules, reachable_each, saturate
-from .policy import Permission, PolicySpec, SpecSets, Triple, user_spec_sets
+from .policy import Permission, PolicySpec, SpecSets, Triple
 from .sysmodel import SystemModel, User
 
 # One allowed (negated false) or denied (negated true) action of a user,
@@ -64,7 +67,7 @@ Conjunct = tuple[Permission, list[int], bool]
 
 
 class RepairSolution(NamedTuple):
-    credentials: frozenset[str]
+    credentials: tuple[str, ...]  # in name order
     minimal: bool
     distance: int  # symmetric difference from the user's current credentials
 
@@ -76,7 +79,7 @@ class RepairResult(NamedTuple):
 
 
 def _conjuncts(
-    functions: Functions, plus: frozenset[Permission], minus: frozenset[Permission], pool: int
+    functions: Functions, plus: set[Permission], minus: set[Permission], pool: int
 ) -> list[Conjunct]:
     """The allowed actions `plus`, then the denied ones `minus`, each in
     sorted order."""
@@ -164,20 +167,6 @@ def _ranked(
     return ranked, False
 
 
-def _resolve_eligible(model: SystemModel, user: User, eligibility) -> frozenset[str]:
-    if eligibility == "current":
-        return frozenset(user.credentials)
-    if eligibility == "all":
-        return frozenset(model.credentials)
-    if isinstance(eligibility, str):
-        raise ValueError(f"unknown eligibility mode '{eligibility}'")
-    explicit = frozenset(eligibility)
-    unknown = explicit - model.credentials
-    if unknown:
-        raise ValueError(f"eligible credentials not in the model: {sorted(unknown)}")
-    return explicit
-
-
 def _unsat_core(user_id: str, conjuncts: list[Conjunct]) -> tuple[Triple, ...]:
     """Deletion-based minimal subset of conjuncts that is already unsatisfiable."""
     core = list(conjuncts)
@@ -189,24 +178,21 @@ def _unsat_core(user_id: str, conjuncts: list[Conjunct]) -> tuple[Triple, ...]:
 
 
 def _repair(
-    model: SystemModel,
-    sets: SpecSets,
     rules: Rules,
     functions: Functions,
-    user_id: str,
-    eligibility,
+    user: User,
+    plus: set[Permission],
+    minus: set[Permission],
+    pool: int | None,
     cap: int,
 ) -> RepairResult:
-    user = model.users[user_id]
-    eligible = _resolve_eligible(model, user, eligibility)
-    pool = credential_mask(eligible, rules.credentials)
-    plus, minus = user_spec_sets(sets, user_id)
+    current = credential_mask(user.credentials, rules.credentials)
+    pool = current if pool is None else pool
     conjuncts = _conjuncts(functions, plus, minus, pool)
     minimal, denied = _minimal_repairs(conjuncts)
     if not minimal:
-        return RepairResult((), False, _unsat_core(user_id, conjuncts))
+        return RepairResult((), False, _unsat_core(user.id, conjuncts))
 
-    current = credential_mask(user.credentials, rules.credentials)
     ranked, truncated = _ranked(minimal, denied, pool, current, cap)
     # One walk re-checks every listed set: bit j of `sound` is set when a
     # user holding exactly `ranked[j]` reaches every allowed action and no
@@ -221,9 +207,7 @@ def _repair(
     for j, mask in enumerate(ranked):
         creds = credential_names(mask, rules.credentials)
         if not sound >> j & 1:
-            raise RuntimeError(
-                f"search returned an unsound repair for {user_id}: {sorted(creds)}"
-            )
+            raise RuntimeError(f"search returned an unsound repair for {user.id}: {list(creds)}")
         solutions.append(RepairSolution(creds, mask in minimal, (mask ^ current).bit_count()))
     return RepairResult(tuple(solutions), truncated, ())
 
@@ -233,14 +217,35 @@ def repair_users(
 ) -> dict[str, RepairResult]:
     """Independent per-user repair over prepared rules (`analysis.prepare`),
     saturated once per start zone; the same rules re-check every user's
-    solutions."""
+    solutions.
+
+    `eligibility` is "current" (each user's own credentials), "all" or a
+    collection of credential names; it is resolved once, before any user.
+    """
     if cap < 1:
         raise ValueError("cap must be at least one")
+    if eligibility == "current":
+        pool = None
+    elif eligibility == "all":
+        pool = (1 << len(rules.credentials)) - 1
+    elif isinstance(eligibility, str):
+        raise ValueError(f"unknown eligibility mode '{eligibility}'")
+    else:
+        eligible = frozenset(eligibility)
+        unknown = eligible - model.credentials
+        if unknown:
+            raise ValueError(f"eligible credentials not in the model: {sorted(unknown)}")
+        pool = credential_mask(eligible, rules.credentials)
+    # Each user's allowed and denied actions, read off the policy in one pass.
+    spec: dict[str, tuple[set[Permission], set[Permission]]] = defaultdict(lambda: (set(), set()))
+    for side, triples in enumerate((sets.s_plus, sets.s_minus)):
+        for user_id, operation, obj in triples:
+            spec[user_id][side].add(Permission(operation, obj))
     results = {}
     for zone, users in users_by_zone(model).items():
         functions = saturate(rules, zone)
         for user in users:
-            results[user.id] = _repair(model, sets, rules, functions, user.id, eligibility, cap)
+            results[user.id] = _repair(rules, functions, user, *spec[user.id], pool, cap)
     return dict(sorted(results.items()))
 
 

@@ -74,6 +74,7 @@ from accessfix import (
     LocAcc,
     ModelError,
     ParseError,
+    Permission,
     PhyAcc,
     PolicyInconsistent,
     RemAcc,
@@ -91,7 +92,6 @@ from accessfix import (
     prepare,
     root_device,
     saturate,
-    user_spec_sets,
     users_by_zone,
 )
 
@@ -676,6 +676,14 @@ def fixpoint_spec_sets(policy) -> SpecSets:
     if plus & minus:
         raise PolicyInconsistent(plus & minus)
     return SpecSets(frozenset(plus), frozenset(minus))
+
+
+def user_spec_sets(sets: SpecSets, user_id: str) -> tuple[frozenset, frozenset]:
+    """One user's triples projected down to permission pairs, one scan of
+    the triples per user (the library groups every user's in one pass)."""
+    plus = frozenset(Permission(op, ob) for u, op, ob in sets.s_plus if u == user_id)
+    minus = frozenset(Permission(op, ob) for u, op, ob in sets.s_minus if u == user_id)
+    return plus, minus
 
 
 # The repair constraint over names, and its clause route.  The library reads

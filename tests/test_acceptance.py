@@ -93,14 +93,16 @@ def test_criterion_3_verification_sets(plant, plant_policy):
 def test_criterion_4_tom_repair_rows(plant, plant_policy):
     with criterion(4, "Tom's two repairs within his current credentials, in order"):
         result = repair_all(plant, plant_policy, eligibility="current")["Tom"]
-        assert [s.credentials for s in result.solutions] == [TOM_FIX_SMALL, TOM_FIX_LARGE]
+        assert [s.credentials for s in result.solutions] == [
+            tuple(sorted(TOM_FIX_SMALL)), tuple(sorted(TOM_FIX_LARGE))
+        ]
 
 
 def test_criterion_5_amy_repair_with_full_pool(plant, plant_policy):
     with criterion(5, "Amy's repairs over the full pool all require the runner credential"):
         result = repair_all(plant, plant_policy, eligibility="all")["Amy"]
         solutions = [s.credentials for s in result.solutions]
-        assert AMY_FIX in solutions
+        assert tuple(sorted(AMY_FIX)) in solutions
         assert solutions and all("c_IGSusr" in s for s in solutions)
         for creds in solutions:
             report = verify(plant.with_user_credentials("Amy", creds), plant_policy)

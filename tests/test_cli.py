@@ -164,6 +164,21 @@ def test_repair_cap_zero_is_an_error_without_users(tmp_path, capsys):
     assert err == "error: cap must be at least one\n"
 
 
+def test_repair_bad_eligibility_is_an_error_without_users(tmp_path, capsys):
+    model = tmp_path / "nousers.ins"
+    model.write_text("credential k;\nzone O external;\n")
+    empty = tmp_path / "empty.rbac"
+    empty.write_text("")
+    pool = tmp_path / "pool.txt"
+    pool.write_text("zzz\n")
+    code, _, err = run(
+        capsys, "repair", "--system", str(model), "--policy", str(empty),
+        "--eligibility", f"file:{pool}",
+    )
+    assert code == 3
+    assert err == "error: eligible credentials not in the model: ['zzz']\n"
+
+
 def test_repair_cap_one_lists_the_best_repair(capsys):
     code, out, _ = run(
         capsys, "repair", "--system", PLANT, "--policy", POLICY,

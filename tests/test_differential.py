@@ -418,9 +418,14 @@ def test_repair_equals_brute_force_and_the_clause_route():
                 functions = decoded(saturate(rules, user.initial_zone), rules.credentials)
                 constraint = build_constraint(functions, sets, user, pool)
                 ranked = [(s.credentials, s.minimal) for s in full[uid].solutions]
-                assert ranked == brute_force_repairs(constraint, user.credentials), where
+                assert ranked == [
+                    (tuple(sorted(creds)), minimal)
+                    for creds, minimal in brute_force_repairs(constraint, user.credentials)
+                ], where
                 assert not full[uid].truncated, where
-                assert {creds for creds, _ in ranked} == dpll_models(constraint), where
+                assert {creds for creds, _ in ranked} == {
+                    tuple(sorted(creds)) for creds in dpll_models(constraint)
+                }, where
                 for k in range(1, len(ranked) + 1):
                     assert capped[k][uid].solutions == full[uid].solutions[:k], (where, k)
                     assert capped[k][uid].truncated == (k < len(ranked)), (where, k)

@@ -62,6 +62,42 @@ def test_duplicate_declaration_rejected():
     assert "duplicate" in err.value.found
 
 
+def test_duplicate_group_and_operation_names_rejected():
+    with pytest.raises(ParseError) as err:
+        parse_system("device D in Z { group g { } group g { } }", "f.ins")
+    assert str(err.value) == "f.ins:1:35: expected a new group name, found duplicate 'g'"
+    with pytest.raises(ParseError) as err:
+        parse_system("device D in Z { operation o { } operation o { } }", "f.ins")
+    assert str(err.value) == "f.ins:1:43: expected a new operation name, found duplicate 'o'"
+
+
+# A quoted string spelled like a keyword or punctuation is never taken as
+# one: (parse, text, message, span length).
+QUOTED_LOOKALIKES = [
+    (parse_system, 'device d in "Z" { }', "f:1:13: expected identifier, found 'Z'", 1),
+    (parse_system, 'door d A "->" B;', """f:1:10: expected "->" or "<->", found '->'""", 2),
+    (parse_system, 'zone A "external";', """f:1:8: expected ";", found 'external'""", 8),
+    (parse_system, 'device D in Z "{" }', """f:1:15: expected "{", found '{'""", 1),
+    (
+        parse_system,
+        '"zone" A;',
+        'f:1:1: expected a declaration ("credential", "zone", "door", "device", "link" or "user"),'
+        " found 'zone'",
+        4,
+    ),
+    (parse_policy, '"role" r { }', """f:1:1: expected "role" or "hierarchy", found 'role'""", 4),
+    (parse_policy, 'role r { allow ("(", x); }', "f:1:17: expected identifier, found '('", 1),
+]
+
+
+@pytest.mark.parametrize("parse, text, message, length", QUOTED_LOOKALIKES)
+def test_quoted_text_is_never_a_keyword_or_punctuation(parse, text, message, length):
+    with pytest.raises(ParseError) as err:
+        parse(text, "f")
+    assert str(err.value) == message
+    assert err.value.span.length == length
+
+
 def test_comments_and_keywords():
     model = parse_system("// nothing here\nzone A external; // trailing\n")
     assert model.zones["A"].external

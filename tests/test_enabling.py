@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from accessfix import Dnf, ReducedEvent
-from conftest import C_AMY, C_TOM, UNIVERSE
+from accessfix import Dnf, ReducedEvent, compile_rules, credential_mask, credential_names
+from conftest import C_AMY, C_TOM, UNIVERSE, plant_cells
 from oracles import (
     PLANT_FORMULAS,
     brute_force_enabling_sets,
@@ -127,3 +127,17 @@ def test_function_evaluation_equals_user_reachability(plant_automaton, plant_fun
         reachable = reachable_reduced_events(user_automaton(plant_automaton, subset))
         for reduced, expr in plant_functions.items():
             assert covers(expr, subset) == (reduced in reachable)
+
+
+def test_credential_names_decode_masks_in_name_order():
+    """On random masks over the index of the plant in 8 cells (64
+    credentials), the decoder lists the names sorted and the encoder takes
+    them back to the same mask."""
+    index = compile_rules(plant_cells(8)[0]).credentials
+    assert len(index) == 64
+    rng = random.Random(18)
+    for mask in [0, (1 << 64) - 1] + [rng.getrandbits(64) for _ in range(200)]:
+        names = credential_names(mask, index)
+        assert names == tuple(sorted(names))
+        assert len(names) == mask.bit_count()
+        assert credential_mask(names, index) == mask

@@ -9,7 +9,6 @@ from accessfix import (
     PolicySpec,
     Role,
     spec_sets,
-    user_spec_sets,
     validate_policy,
 )
 from conftest import plant_cells
@@ -19,6 +18,7 @@ from oracles import (
     fixpoint_closure_denied,
     fixpoint_spec_sets,
     fixpoint_validate_policy,
+    user_spec_sets,
 )
 from randgen import random_model, random_policy
 

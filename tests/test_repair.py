@@ -10,12 +10,21 @@ from accessfix import (
     Role,
     SpecSets,
     parse_policy,
+    parse_system,
     repair,
     repair_all,
     spec_sets,
     verify,
 )
-from conftest import AMY_FIX, AMY_FIX_MIN, C_TOM, TOM_FIX_LARGE, TOM_FIX_SMALL, UNIVERSE
+from conftest import (
+    AMY_FIX,
+    AMY_FIX_MIN,
+    C_TOM,
+    TOM_FIX_LARGE,
+    TOM_FIX_SMALL,
+    UNIVERSE,
+    plant_cells,
+)
 from oracles import CnfFormula, build_constraint, powerset, solve_all, to_cnf
 
 
@@ -85,7 +94,7 @@ def test_solve_all_caps_and_flags_truncation():
 def test_repair_tom_current_matches_published_rows(plant, plant_policy):
     result = repair_all(plant, plant_policy, eligibility="current")["Tom"]
     creds = [s.credentials for s in result.solutions]
-    assert creds == [TOM_FIX_SMALL, TOM_FIX_LARGE]
+    assert creds == [tuple(sorted(TOM_FIX_SMALL)), tuple(sorted(TOM_FIX_LARGE))]
     assert result.solutions[0].minimal
     assert not result.solutions[1].minimal
     assert [s.distance for s in result.solutions] == [2, 1]
@@ -94,12 +103,12 @@ def test_repair_tom_current_matches_published_rows(plant, plant_policy):
 def test_repair_amy_all_credentials(plant, plant_policy):
     result = repair_all(plant, plant_policy, eligibility="all")["Amy"]
     solutions = [s.credentials for s in result.solutions]
-    assert AMY_FIX in solutions
+    assert tuple(sorted(AMY_FIX)) in solutions
     assert all("c_IGSusr" in s for s in solutions)
     mandatory = frozenset({"K_OA", "c_PLCusr", "c_IGSadm", "c_IGSusr", "c_MBSLadm"})
     for sol in result.solutions:
         if sol.minimal:
-            assert mandatory <= sol.credentials
+            assert mandatory <= set(sol.credentials)
 
 
 def test_capped_list_is_the_best_prefix(plant, plant_policy):
@@ -172,7 +181,7 @@ def test_recheck_rejects_a_set_missing_an_allowed_action(monkeypatch, plant, pla
 def test_repair_of_conformant_user_returns_current_set_first(plant, plant_policy):
     repaired = plant.with_user_credentials("Tom", TOM_FIX_SMALL)
     result = repair_all(repaired, plant_policy, eligibility="current")["Tom"]
-    assert result.solutions[0].credentials == TOM_FIX_SMALL
+    assert result.solutions[0].credentials == tuple(sorted(TOM_FIX_SMALL))
     assert result.solutions[0].distance == 0
 
 
@@ -184,6 +193,18 @@ def test_repair_explicit_eligibility(plant, plant_policy):
     assert all("c_PCAmy" not in s.credentials for s in result.solutions)
     with pytest.raises(ValueError):
         repair_all(plant, plant_policy, eligibility=frozenset({"mystery"}))
+
+
+def test_eligibility_is_checked_on_a_model_without_users():
+    """The pool is resolved once per call, before any user, so a bad one is
+    an error even when there is no user to repair."""
+    model = parse_system("credential k;\nzone O external;\n")
+    policy = PolicySpec()
+    assert repair_all(model, policy, "all") == {}
+    with pytest.raises(ValueError, match="unknown eligibility mode 'bogus'"):
+        repair_all(model, policy, "bogus")
+    with pytest.raises(ValueError, match=r"eligible credentials not in the model: \['zzz'\]"):
+        repair_all(model, policy, frozenset({"zzz"}))
 
 
 def test_unsatisfiable_user_reports_blocking_triples(plant, plant_policy):
@@ -216,7 +237,7 @@ def test_repair_all_on_correct_system_has_distance_zero_first(plant, plant_polic
     results = repair_all(repaired, plant_policy, eligibility="current")
     for uid, result in results.items():
         assert result.solutions[0].distance == 0
-        assert result.solutions[0].credentials == repaired.users[uid].credentials
+        assert result.solutions[0].credentials == tuple(sorted(repaired.users[uid].credentials))
 
 
 def test_repair_rejects_the_policy_verify_rejects(plant):
@@ -245,10 +266,10 @@ def test_per_user_independence(plant, plant_policy):
 
 def test_minimal_flag_matches_brute_force(plant, plant_policy):
     result = repair_all(plant, plant_policy, eligibility="all")["Amy"]
-    solutions = {s.credentials for s in result.solutions}
+    solutions = [set(s.credentials) for s in result.solutions]
     for sol in result.solutions:
         proper_subsets_solving = [
-            other for other in solutions if other < sol.credentials
+            other for other in solutions if other < set(sol.credentials)
         ]
         assert sol.minimal == (not proper_subsets_solving)
 
@@ -275,3 +296,25 @@ def test_randomized_solver_equals_brute_force(plant, plant_functions, plant_poli
             frozenset(v for v, val in m.items() if val) for m in result.assignments
         }
         assert got == expected
+
+
+def test_users_sharing_roles_get_their_originals_repairs():
+    """Many users per role: each user of the plant in two cells is cloned
+    three times into the same roles, with the same credentials and start
+    zone, and every clone's repairs equal its original's, blocking
+    requirements read under the original's name."""
+    model, policy = plant_cells(2)
+    clones = {f"{uid}_{k}": uid for uid in model.users for k in range(3)}
+    users = dict(model.users)
+    users.update({cid: replace(model.users[uid], id=cid) for cid, uid in clones.items()})
+    roles = {
+        rid: replace(role, users=role.users | {cid for cid, uid in clones.items() if uid in role.users})
+        for rid, role in policy.roles.items()
+    }
+    cloned = replace(model, users=users)
+    for eligibility in ("current", "all"):
+        results = repair_all(cloned, replace(policy, roles=roles), eligibility)
+        for cid, uid in clones.items():
+            blocking = tuple((uid, op, ob) for _, op, ob in results[cid].blocking)
+            assert results[cid]._replace(blocking=blocking) == results[uid], (eligibility, cid)
+        assert any(results[uid].blocking for uid in model.users) == (eligibility == "current")

@@ -215,7 +215,7 @@ def test_repair_builds_no_automaton_and_compiles_once_for_its_rechecks(monkeypat
         assert all(rules is compiled[0] for rules, _ in walks), eligibility
         verdict = len(_verdict_walks(PLANT[1]))
         walked = [
-            [sorted(credential_names(mask, rules.credentials)) for mask in masks]
+            [list(credential_names(mask, rules.credentials)) for mask in masks]
             for rules, masks in walks[verdict:]
         ]
         expected = [
