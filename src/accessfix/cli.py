@@ -7,6 +7,7 @@ without a repair, 2 parse or I/O error, 3 semantic or policy inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -25,7 +26,12 @@ EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call to `main` and
+    reused by every later call in the process: `parse_args` returns a fresh
+    namespace each time, and usage errors and `--help` look up the standard
+    streams only when they print."""
     parser = argparse.ArgumentParser(
         prog="accessfix",
         description="Verify access-control implementations and compute credential repairs.",

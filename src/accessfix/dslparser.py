@@ -102,9 +102,13 @@ def _token_span(text: str, file: str, token: Token) -> SourceSpan:
 
 def _tokenize(text: str, file: str) -> list[Token]:
     # The scan stops at the first character that starts no token, or at the
-    # blanks and comments that end the text.
+    # blanks and comments that end the text.  Each spelling is kept as one
+    # string object per file, so a name's every occurrence in the model is
+    # the same object; `sys.intern` would keep them past the model's life.
+    # The token's group is the only group a match sets, so `lastindex`.
+    spelling = {}.setdefault
     tokens = [
-        (m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+        (m.lastgroup, spelling(value := m[i := m.lastindex], value), m.start(i))
         for m in iter(_TOKEN.scanner(text).match, None)
     ]
     tail = 0

@@ -26,7 +26,7 @@ Triple = tuple[str, str, str]  # (user, operation, object)
 Permission = ReducedEvent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Role:
     id: str
     allowed: frozenset[Permission] = frozenset()
@@ -34,7 +34,7 @@ class Role:
     users: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicySpec:
     roles: dict[str, Role] = field(default_factory=dict)
     # (junior, senior) pairs; any acyclic relation is accepted and closed
@@ -42,7 +42,7 @@ class PolicySpec:
     hierarchy: frozenset[tuple[str, str]] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpecSets:
     """The policy flattened to per-user allowed (s_plus) and denied (s_minus) triples."""
 

@@ -1,8 +1,9 @@
 """Concrete system description: rooms, doors, devices, network links, users.
 
-Models are plain immutable dataclasses and are never mutated after
-construction; `validate` reports problems as a diagnostic list instead of
-raising so that every issue can be surfaced in one pass.
+Models are immutable dataclasses with slots (no per-instance `__dict__`)
+and are never mutated after construction; `validate` reports problems as a
+diagnostic list instead of raising so that every issue can be surfaced in
+one pass.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from typing import Iterable, Union
 PROTOCOLS = ("tcp", "udp")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Zone:
     id: str
     external: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoorRule:
     """One direction of a door; a two-way door is two rules.
 
@@ -33,7 +34,7 @@ class DoorRule:
     required: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Port:
     id: str
     mac: str
@@ -41,7 +42,7 @@ class Port:
     owner: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
     """Undirected cable between two ports."""
 
@@ -52,12 +53,12 @@ class Link:
         return cls(frozenset((a, b)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhyAcc:
     """Requires the user to be in the device's room."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocAcc:
     """Requires a session on `device` under an account of group `group`."""
 
@@ -65,7 +66,7 @@ class LocAcc:
     group: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemAcc:
     """Requires a session on some host with a network path to the device."""
 
@@ -76,13 +77,13 @@ class RemAcc:
 Precondition = Union[PhyAcc, LocAcc, RemAcc]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BecomesAccount:
     device: str
     account: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperationVariant:
     """A way of performing an operation.
 
@@ -96,7 +97,7 @@ class OperationVariant:
     effect: BecomesAccount | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Location:
     """Zone plus the hosting chain (outermost host first) for software objects."""
 
@@ -104,7 +105,7 @@ class Location:
     hosts: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Device:
     id: str
     location: Location
@@ -117,14 +118,14 @@ class Device:
     filters: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class User:
     id: str
     initial_zone: str
     credentials: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemModel:
     credentials: frozenset[str] = frozenset()
     zones: dict[str, Zone] = field(default_factory=dict)
@@ -140,7 +141,7 @@ class SystemModel:
         return replace(self, users=users)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     severity: str  # "error" or "warning"
     location: str

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -370,3 +371,67 @@ def test_output_does_not_depend_on_the_hash_seed(command):
     assert len(results) == 1
     code, out = results.pop()
     assert code in (0, 1) and json.loads(out)
+
+
+def run_or_exit(capsys, argv):
+    """`run`, with a usage exit's code in place of the return value."""
+    try:
+        code = main(argv)
+    except SystemExit as exited:
+        code = exited.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_in_process_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    """One process serves a sequence of calls through `main`, usage errors
+    and `--help` between them, and every call answers as it does alone in a
+    fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    verify = ["verify", "--system", PLANT, "--policy", POLICY]
+    repair = ["repair", "--system", PLANT, "--policy", POLICY, "--eligibility", "current",
+              "--format", "json"]
+    sequence = [
+        ["validate", "--system", PLANT, "--policy", POLICY],
+        verify,
+        repair,
+        ["automaton", "--system", PLANT],
+        ["enabling", "--system", PLANT, "--format", "json"],
+        ["verify", "--system", PLANT, "--policy", POLICY, "--cap", "3"],
+        ["repair", "--help"],
+        ["verify", "--system", str(tmp_path / "none.ins"), "--policy", POLICY],
+        verify,
+        repair,
+    ]
+    src = str(Path(accessfix.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    got = [run_or_exit(capsys, argv) for argv in sequence]
+    alone = []
+    for argv in sequence:
+        done = subprocess.run([sys.executable, "-m", "accessfix.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        alone.append((done.returncode, done.stdout, done.stderr))
+    assert [code for code, _, _ in got] == [0, 1, 1, 0, 0, 2, 0, 2, 1, 1]
+    assert got == alone
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    """Calls after the first reuse the command line's parser."""
+    run(capsys, "enabling", "--system", PLANT)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    calls = [
+        ["validate", "--system", PLANT, "--policy", POLICY],
+        ["verify", "--system", PLANT, "--policy", POLICY],
+        ["repair", "--system", PLANT, "--policy", POLICY, "--cap", "1"],
+        ["automaton", "--system", PLANT],
+        ["enabling", "--system", PLANT],
+    ] * 2
+    assert [run(capsys, *argv)[0] for argv in calls] == [0, 1, 0, 0, 0] * 2
+    assert built == []

@@ -1,13 +1,18 @@
 import random
+from dataclasses import fields, is_dataclass
 
 import pytest
 
+import accessfix.policy
+import accessfix.sysmodel
 from accessfix import (
     ParseError,
     parse_policy,
     parse_system,
     print_policy,
     print_system,
+    spec_sets,
+    validate,
 )
 from randgen import random_model, random_policy
 
@@ -167,3 +172,43 @@ def test_random_policy_round_trip(seed):
     text = print_policy(policy)
     assert parse_policy(text) == policy
     assert print_policy(parse_policy(text)) == text
+
+
+def test_a_credential_name_is_one_object_across_the_model(plant):
+    """The scanner keeps one string per spelling, so every name a user, a
+    door or a variant holds is the declared credential itself."""
+    declared = {name: name for name in plant.credentials}
+    held = [name for user in plant.users.values() for name in user.credentials]
+    held += [name for door in plant.doors for name in door.required]
+    held += [
+        name
+        for device in plant.devices.values()
+        for variants in device.operations.values()
+        for variant in variants
+        for name in variant.required
+    ]
+    assert held and {*held} <= declared.keys()
+    assert all(name is declared[name] for name in held)
+
+
+def test_model_records_have_no_instance_dict(plant, plant_policy):
+    """Every record of a parsed model and policy, of their diagnostics and
+    of the flattened policy is slotted."""
+    broken = parse_system("zone A; zone B;\n", "broken.ins")
+    roots = [plant, plant_policy, spec_sets(plant_policy), validate(broken)]
+    seen, stack = set(), roots
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple, frozenset)):
+            stack.extend(value)
+        elif is_dataclass(value):
+            assert not hasattr(value, "__dict__"), type(value).__name__
+            seen.add(type(value))
+            stack.extend(getattr(value, f.name) for f in fields(value))
+    records = {
+        cls for module in (accessfix.sysmodel, accessfix.policy) for cls in vars(module).values()
+        if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == module.__name__
+    }
+    assert seen == records
