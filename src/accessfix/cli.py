@@ -241,7 +241,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
     results = repair_mod.repair_users(model, sets, rules, eligibility, args.cap)
 
     anomalous_users = {t[0] for t in report.missing | report.forbidden}
-    ok = all(results[uid].solutions for uid in anomalous_users if uid in results)
+    ok = all(results[uid].solutions for uid in anomalous_users)
 
     if args.fmt == "json":
         repairs = {

@@ -295,7 +295,7 @@ def _parse_device(p: _Parser, devices: dict[str, Device]) -> Device:
             p.expect("ip")
             ip = p.expect_string()
             p.expect(";")
-            ports[pid] = Port(pid, mac, ip, dev_id)
+            ports[pid] = Port(mac, ip)
         elif p.accept("group"):
             gid = p.new_name("group", groups)
             groups[gid] = p.name_set()

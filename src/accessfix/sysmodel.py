@@ -3,7 +3,10 @@
 Models are immutable dataclasses with slots (no per-instance `__dict__`)
 and are never mutated after construction; `validate` reports problems as a
 diagnostic list instead of raising so that every issue can be surfaced in
-one pass.
+one pass.  Each fact is held once: a port's id and owner are its key and
+the declaring device, and a hosted device's whole hosting chain is the
+`Location.hosts` its path gives, which `validate` checks against the
+direct host's.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ class DoorRule:
 
 @dataclass(frozen=True, slots=True)
 class Port:
-    id: str
+    """A network port; its id is its key in the declaring device's ports."""
+
     mac: str
     ip: str
-    owner: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,7 +102,10 @@ class OperationVariant:
 
 @dataclass(frozen=True, slots=True)
 class Location:
-    """Zone plus the hosting chain (outermost host first) for software objects."""
+    """Zone plus the hosting chain of a software object: every host from the
+    outermost physical device to the direct host.  `validate` requires the
+    chain to be the direct host's chain followed by the direct host, so its
+    first entry is the root device."""
 
     zone: str
     hosts: tuple[str, ...] = ()
@@ -113,9 +119,6 @@ class Device:
     ports: dict[str, Port] = field(default_factory=dict)
     groups: dict[str, frozenset[str]] = field(default_factory=dict)
     operations: dict[str, tuple[OperationVariant, ...]] = field(default_factory=dict)
-    # Filtering rules are accepted only as an empty block; anything else is
-    # rejected by validate().
-    filters: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,16 +171,9 @@ def external_zone(model: SystemModel) -> str:
 
 
 def root_device(model: SystemModel, device_id: str) -> Device:
-    """Physical device ultimately hosting `device_id` (itself if not hosted)."""
-    dev = model.devices[device_id]
-    seen = {device_id}
-    while dev.location.hosts:
-        host = dev.location.hosts[-1]
-        if host in seen or host not in model.devices:
-            raise ModelError(f"unresolvable hosting chain for device '{device_id}'")
-        seen.add(host)
-        dev = model.devices[host]
-    return dev
+    """Physical device ultimately hosting `device_id` (itself if not hosted):
+    the first entry of its hosting chain, on a model `validate` accepts."""
+    return model.devices[(model.devices[device_id].location.hosts or (device_id,))[0]]
 
 
 def validate(model: SystemModel) -> list[Diagnostic]:
@@ -216,37 +212,26 @@ def validate(model: SystemModel) -> list[Diagnostic]:
         loc = f"device {dev.id}"
         if dev.location.zone not in model.zones:
             error(loc, f"unknown zone '{dev.location.zone}'")
-        chain_ok = True
         for host in dev.location.hosts:
             if host not in model.devices:
                 error(loc, f"unknown hosting device '{host}'")
-                chain_ok = False
-        if chain_ok and dev.location.hosts:
-            # walk direct hosts to detect cycles
-            seen = {dev.id}
-            cur = dev
-            while cur.location.hosts:
-                host = cur.location.hosts[-1]
-                if host in seen:
-                    error(loc, "cyclic hosting chain")
-                    chain_ok = False
-                    break
-                if host not in model.devices:
-                    chain_ok = False
-                    break
-                seen.add(host)
-                cur = model.devices[host]
-            direct = dev.location.hosts[-1]
-            if chain_ok and model.devices[direct].location.zone != dev.location.zone:
-                error(loc, f"zone differs from hosting device '{direct}'")
+        # Each step to the direct host shortens the chain by one, so no
+        # chain that passes this check can be cyclic.
+        if dev.location.hosts and dev.location.hosts[-1] in model.devices:
+            direct = model.devices[dev.location.hosts[-1]]
+            chain = direct.location.hosts + (direct.id,)
+            if dev.location.hosts != chain:
+                path = "/".join((direct.location.zone,) + direct.location.hosts)
+                error(loc, f"hosting chain must be {'/'.join(chain)}: "
+                           f"hosting device '{direct.id}' is in {path}")
+            if direct.location.zone != dev.location.zone:
+                error(loc, f"zone differs from hosting device '{direct.id}'")
         if dev.switch and dev.operations:
             error(loc, "switch devices cannot declare operations")
-        for pid, port in sorted(dev.ports.items()):
+        for pid in sorted(dev.ports):
             ploc = f"{loc}/port {pid}"
             if dev.location.hosts:
                 error(ploc, "hosted devices use their hosting device's ports")
-            if port.owner != dev.id:
-                error(ploc, f"port owner '{port.owner}' is not the declaring device")
             if pid in port_owner:
                 error(ploc, f"port id also declared by device {port_owner[pid]}")
             else:
@@ -274,8 +259,6 @@ def validate(model: SystemModel) -> list[Diagnostic]:
                         error(vloc, f"becomes references unknown device '{var.effect.device}'")
                     elif not any(var.effect.account in members for members in target.groups.values()):
                         error(vloc, f"account '{var.effect.account}' belongs to no group of {var.effect.device}")
-        if dev.filters:
-            error(loc, "filtering rules are not supported; the filters block must be empty")
 
     known_ports = {pid for dev in model.devices.values() for pid in dev.ports}
     for link in sorted(model.links, key=lambda l: tuple(sorted(l.endpoints))):
@@ -304,10 +287,9 @@ def validate(model: SystemModel) -> list[Diagnostic]:
         )
         if not has_rem:
             continue
-        try:
-            root = root_device(model, dev.id)
-        except (ModelError, KeyError):
-            continue  # already reported above
+        root = model.devices.get((dev.location.hosts or (dev.id,))[0])
+        if root is None:
+            continue  # an unknown host, already reported above
         if not any(pid in linked_ports for pid in root.ports):
             warning(
                 f"device {dev.id}",

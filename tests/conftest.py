@@ -126,11 +126,11 @@ def plant_cells(cells: int) -> tuple[SystemModel, PolicySpec]:
         doors |= {replace(r, door=n(r.door), src=n(r.src), dst=n(r.dst), required=names(r.required))
                   for r in plant.doors}
         for dev in plant.devices.values():
-            ports = {n(p.id): Port(n(p.id), n(p.mac), n(p.ip), n(dev.id)) for p in dev.ports.values()}
+            ports = {n(pid): Port(n(p.mac), n(p.ip)) for pid, p in dev.ports.items()}
             if dev.switch:
                 for end in ("up", "down"):
                     pid = f"{dev.id}_{end}{i}"
-                    ports[pid] = Port(pid, f"MAC_{pid}", f"IP_{pid}", n(dev.id))
+                    ports[pid] = Port(f"MAC_{pid}", f"IP_{pid}")
                 if i:
                     links.add(Link.between(f"{dev.id}_up{i - 1}", f"{dev.id}_down{i}"))
             operations = {}

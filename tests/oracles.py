@@ -90,7 +90,6 @@ from accessfix import (
     external_zone,
     lan_classes,
     prepare,
-    root_device,
     saturate,
     users_by_zone,
 )
@@ -203,15 +202,26 @@ def _session(model, effect) -> Session:
     return Session(owner.id, groups)
 
 
+def root_of(model, device_id) -> str:
+    """The physical device hosting `device_id` (itself if not hosted), found
+    by walking direct hosts, the last entry of each hosting chain, up to a
+    device that is not hosted.  Loops on a cyclic chain, which `validate`
+    rejects."""
+    dev = model.devices[device_id]
+    while dev.location.hosts:
+        dev = model.devices[dev.location.hosts[-1]]
+    return dev.id
+
+
 def _precondition_holds(model, dev, pre, zone, sessions, classes) -> bool:
     if isinstance(pre, PhyAcc):
         return zone == dev.location.zone
     if isinstance(pre, LocAcc):
         return any(s.device == pre.device and pre.group in s.groups for s in sessions)
     if isinstance(pre, RemAcc):
-        target = classes.get(root_device(model, dev.id).id, frozenset())
+        target = classes.get(root_of(model, dev.id), frozenset())
         return any(
-            not target.isdisjoint(classes.get(root_device(model, s.device).id, ()))
+            not target.isdisjoint(classes.get(root_of(model, s.device), ()))
             for s in sessions
         )
     raise TypeError(f"unknown precondition {pre!r}")
@@ -449,9 +459,9 @@ def _session_precondition(model, dev, pre, sessions) -> bool:
     if isinstance(pre, LocAcc):
         return any(s.device == pre.device and pre.group in s.groups for s in sessions)
     if isinstance(pre, RemAcc):
-        target = root_device(model, dev.id).id
+        target = root_of(model, dev.id)
         return any(
-            bfs_network_path(model, root_device(model, s.device).id, target, pre.protocol, pre.port)
+            bfs_network_path(model, root_of(model, s.device), target, pre.protocol, pre.port)
             for s in sessions
         )
     raise TypeError(f"unknown precondition {pre!r}")

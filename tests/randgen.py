@@ -73,7 +73,7 @@ def random_model(rng: random.Random) -> SystemModel:
             ports = {}
             for j in range(rng.randint(0, 2)):
                 pid = f"p{i}_{j}"
-                ports[pid] = Port(pid, f"M{i}{j}", f"I{i}{j}", dev_id)
+                ports[pid] = Port(f"M{i}{j}", f"I{i}{j}")
                 all_ports.append(pid)
         switch = not location.hosts and rng.random() < 0.2
         groups = {}

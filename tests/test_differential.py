@@ -43,6 +43,7 @@ from accessfix import (
     enabling_functions,
     external_zone,
     may_be_ambiguous,
+    parse_policy,
     parse_system,
     prepare,
     print_policy,
@@ -231,6 +232,40 @@ def test_the_plants_verdict_equals_the_minterm_verdict_and_the_users_automata():
         assert report == _automata_verdict(model, policy, _all_credential_automata(model)), cells
         assert report == minterm_verdict(model, policy), cells
         assert len(report.missing) == 3 * cells and len(report.forbidden) == cells
+
+
+# A VM inside the soft-PLC IGS, itself inside PLC: remote access to the VM
+# is decided by PLC, the root of its hosting chain, which is cabled.
+NESTED_VM = """
+device VM in B/PLC/IGS {
+    group adm { root }
+    operation login { when rem_acc(tcp, 22) requires {c_IGSadm} becomes root; }
+    operation poll {
+        when rem_acc(tcp, 502) requires {c_IGSusr};
+        when loc_acc(adm);
+    }
+}
+"""
+NESTED_VM_POLICY = "role V { allow (poll, VM); deny (login, VM); users { Tom, Amy } }\n"
+
+
+def test_a_chain_two_hosts_deep_agrees_with_the_reference(plant_text, policy_text):
+    """The state product from every zone, the product route and the verdict
+    on the plant with `NESTED_VM`, against the oracles, which find a root by
+    walking direct hosts instead of reading the chain's first entry."""
+    model = parse_system(plant_text + NESTED_VM)
+    policy = parse_policy(policy_text + NESTED_VM_POLICY)
+    assert validate(model) == []
+    rules = compile_rules(model)
+    for zone in sorted(model.zones):
+        assert state_product(rules, zone) == reachability_automaton(model, zone), zone
+    assert _check_product_route(model) == "same language"
+    report = verify(model, policy)
+    assert report == _automata_verdict(model, policy, _all_credential_automata(model))
+    assert report == minterm_verdict(model, policy)
+    # Tom polls through his PC session, and Amy logs in to the VM from hers.
+    assert ("Tom", "poll", "VM") not in report.missing | report.dangling
+    assert ("Amy", "login", "VM") in report.forbidden
 
 
 def test_enabling_functions_equal_the_event_level_definition(plant, plant_automaton):

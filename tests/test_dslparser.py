@@ -37,6 +37,14 @@ def test_missing_semicolon_error_position():
     assert err.value.found == "end of input"
 
 
+def test_a_filter_rule_is_a_parse_error():
+    """Only the empty filters block parses, so no model holds a filter rule."""
+    with pytest.raises(ParseError) as err:
+        parse_system("zone O external;\ndevice PC in O {\n    filters { tcp any; }\n}\n", "f.ins")
+    assert (err.value.span.line, err.value.span.column) == (3, 15)
+    assert str(err.value) == "f.ins:3:15: expected \"}\", found 'tcp'"
+
+
 def test_error_messages_are_reproducible():
     first = second = None
     try:

@@ -1,11 +1,14 @@
 import random
 from dataclasses import replace
 
+import pytest
+
 from accessfix import (
     DoorRule,
     Zone,
     lan_classes,
     parse_system,
+    root_device,
     validate,
 )
 from oracles import bfs_network_path
@@ -31,12 +34,51 @@ def test_dangling_door_zone_is_one_error(plant):
     assert "X" in diagnostics[0].message
 
 
-def test_nonempty_filters_is_one_error(plant):
-    devices = dict(plant.devices)
-    devices["PC"] = replace(devices["PC"], filters=("tcp any",))
-    diagnostics = validate(replace(plant, devices=devices))
-    assert len(diagnostics) == 1
-    assert "filters" in diagnostics[0].message
+# Each case: the devices of a model with zones O and A, and the exact
+# diagnostics `validate` gives for them.
+HOSTING_FAULTS = [
+    ("unknown host", "device APP in O/Ghost", ["error: device APP: unknown hosting device 'Ghost'"]),
+    (
+        "chain contradicting its direct host",
+        "device PC in O; device Other in O; device VM in O/PC; device APP in O/Other/VM",
+        ["error: device APP: hosting chain must be PC/VM: hosting device 'VM' is in O/PC"],
+    ),
+    (
+        "device hosting itself",
+        "device A1 in O/A1",
+        ["error: device A1: hosting chain must be A1/A1: hosting device 'A1' is in O/A1"],
+    ),
+    (
+        "two devices hosting each other",
+        "device A1 in O/B1; device B1 in O/A1",
+        [
+            "error: device A1: hosting chain must be A1/B1: hosting device 'B1' is in O/A1",
+            "error: device B1: hosting chain must be B1/A1: hosting device 'A1' is in O/B1",
+        ],
+    ),
+    (
+        "zone differing from the direct host's",
+        "device PC in O; device VM in A/PC",
+        ["error: device VM: zone differs from hosting device 'PC'"],
+    ),
+]
+
+
+@pytest.mark.parametrize("case, devices, expected", HOSTING_FAULTS, ids=[c[0] for c in HOSTING_FAULTS])
+def test_hosting_faults_are_diagnosed(case, devices, expected):
+    text = "zone O external;\nzone A;\n" + "".join(f"{d} {{ }}\n" for d in devices.split("; "))
+    assert [str(d) for d in validate(parse_system(text))] == expected
+
+
+def test_a_chain_three_hosts_deep_is_clean_and_rooted_at_its_first_entry():
+    model = parse_system(
+        "zone O external;\n"
+        "device PC in O { }\ndevice VM in O/PC { }\n"
+        "device APP in O/PC/VM { }\ndevice SVC in O/PC/VM/APP { }\n"
+    )
+    assert validate(model) == []
+    assert model.devices["SVC"].location.hosts == ("PC", "VM", "APP")
+    assert root_device(model, "SVC") is model.devices["PC"]
 
 
 def test_two_external_zones_rejected(plant):
