@@ -1,21 +1,27 @@
 """Textual syntax for system models (.ins) and policies (.rbac).
 
-One compiled regular expression scans a whole file into `(kind, text,
-offset)` tuples before a recursive-descent parser reads them.  Each match
-skips blanks and `//` comments, then takes one token: an identifier (a letter
-or `_`, then letters, digits or `_`), a number (decimal digits, the Unicode
-ones `int` reads included), a quoted string (which may span lines), or
-punctuation.  The scan takes time linear in the text.  It stops at a
-character that starts no token, and since it runs before parsing, that
-character is reported ahead of an earlier syntax error.  Line and column
-are worked out from the offset only when a `ParseError` is raised.
-Canonical printers sort declarations by kind and id, so print-parse-print is
-byte-idempotent and parse(print(x)) is structurally equal to x.
+One compiled regular expression reads a whole file with one `findall` call.
+Each match skips blanks and `//` comments, then takes one token: an
+identifier (a letter or `_`, then letters, digits or `_`), a number (decimal
+digits, the Unicode ones `int` reads included), a quoted string with its
+quotes (it may span lines), punctuation, or else one character that starts
+no token, or the end of the text.  The recursive-descent parser reads these
+token strings and tells them apart by their first character; a string keeps
+its quotes, so it never equals a keyword.  Valid text never has a position
+worked out.  When any check fails, the parser scans the text again with
+`_tokenize`, which keeps each token's kind and offset.  That scan raises for
+a character that starts no token, so such a character is reported ahead of
+an earlier syntax error; otherwise the failing token's offset is read by its
+index, and turned into a line and column.  Both scans take time linear in
+the text.  Canonical printers sort declarations by kind and id, so
+print-parse-print is byte-idempotent and parse(print(x)) is structurally
+equal to x.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .policy import Permission, PolicySpec, Role
@@ -42,23 +48,17 @@ KEYWORDS = frozenset(
     filters user at credentials role allow deny users hierarchy
     """.split()
 )
+_PUNCT = frozenset("<-> -> -- ; , { } ( ) . < /".split())
 
-# Blanks and comments, each matched in exactly one way, so the engine's
-# backtracking after the last token (at the end of the text, or at a
-# character that starts no token) is linear in what it skipped.  A run of
-# blanks is maximal, and a comment ends only at a newline or the end of the
-# text: a run that could stop anywhere would let the engine try every split
-# of the blanks, and a comment that could stop early would let it lex the
-# comment's tail.  For the same reason a `/` token is never followed by `/`.
+# Blanks and comments, each matched in exactly one way: a run of blanks is
+# maximal, and a comment ends only at a newline or the end of the text.  The
+# token group's last two alternatives, any one character and the end of the
+# text, make every match succeed right after the maximal skip, so the engine
+# never backtracks into it, and `findall`, which searches, never passes over
+# a character.  An identifier's first character is checked when it is read:
+# `\w` also admits non-letters such as `²`.
 _SKIP = r"(?:[ \t\r\n]+(?![ \t\r\n])|//[^\n]*(?![^\n]))*"
-_BLANKS = re.compile(_SKIP)
-_TOKEN = re.compile(
-    _SKIP
-    + r"(?:(?P<ident>[^\W\d]\w*)"
-    r"|(?P<number>\d+)"
-    r'|"(?P<string>[^"]*)"'
-    r"|(?P<punct><->|->|--|[;,{}().<]|/(?!/)))"
-)
+_TOKEN = re.compile(_SKIP + r'([^\W\d]\w*|\d+|"[^"]*"|<->|->|--|[;,{}().</]|.|\Z)')
 
 
 @dataclass(frozen=True)
@@ -101,89 +101,97 @@ def _token_span(text: str, file: str, token: Token) -> SourceSpan:
 
 
 def _tokenize(text: str, file: str) -> list[Token]:
-    # The scan stops at the first character that starts no token, or at the
-    # blanks and comments that end the text.  Each spelling is kept as one
-    # string object per file, so a name's every occurrence in the model is
-    # the same object; `sys.intern` would keep them past the model's life.
-    # The token's group is the only group a match sets, so `lastindex`.
-    spelling = {}.setdefault
-    tokens = [
-        (m.lastgroup, spelling(value := m[i := m.lastindex], value), m.start(i))
-        for m in iter(_TOKEN.scanner(text).match, None)
-    ]
-    tail = 0
-    if tokens:
-        kind, value, offset = tokens[-1]
-        tail = offset + len(value) + (kind == "string")
-    stop = _BLANKS.match(text, tail).end()
-    if not text.isascii():
-        # `\w` also admits non-letters such as `²` as an identifier's first
-        # character; only text outside ASCII can hold one.
-        for kind, value, offset in tokens:
-            if kind == "ident" and not (value[0].isalpha() or value[0] == "_"):
-                stop = offset
-                break
-    if stop < len(text):
-        span = _source_span(text, file, stop)
-        if text[stop] == '"':
-            raise ParseError(span, "closing '\"'", "end of input")
-        raise ParseError(span, "a token", f"'{text[stop]}'")
-    # At the end of the text the offset stays at the start of a trailing
-    # comment, which reads as the end of input.
+    """The tokens with their kinds and offsets, the last one eof; raises at
+    the first character that starts no token."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        value, offset = match[1], match.start(1)
+        first = value[:1]
+        if first == '"' and len(value) > 1:
+            tokens.append(("string", value[1:-1], offset + 1))
+        elif first.isdecimal():
+            tokens.append(("number", value, offset))
+        elif first.isalpha() or first == "_":
+            tokens.append(("ident", value, offset))
+        elif value in _PUNCT:
+            tokens.append(("punct", value, offset))
+        elif value:
+            span = _source_span(text, file, offset)
+            if value == '"':
+                raise ParseError(span, "closing '\"'", "end of input")
+            raise ParseError(span, "a token", f"'{first}'")
+        else:
+            break
+    # The last match is the end of the text, and starts right after the last
+    # token.  The end's offset stays at the start of a trailing comment,
+    # which reads as the end of input.
+    tail = match.start()
     comment = text.find("//", max(tail, text.rfind("\n", tail) + 1))
     tokens.append(("eof", "", comment if comment >= 0 else len(text)))
     return tokens
 
 
 class _Parser:
+    """Reads the token strings of one `findall`; "" is the end of the text."""
+
     def __init__(self, text: str, file: str):
         self.text = text
         self.file = file
-        self.tokens = _tokenize(text, file)
+        self.tokens = _TOKEN.findall(text)
         self.pos = 0
+        # Each checked identifier's one string, so that a name's every
+        # occurrence in the model is the same object; `sys.intern` would
+        # keep them past the model's life.
+        self.names: dict[str, str] = {}
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
-    def fail(self, expected: str, token: Token | None = None):
-        token = token or self.current
-        found = "end of input" if token[0] == "eof" else f"'{token[1]}'"
+    def fail(self, expected: str, at: int | None = None, found: str | None = None):
+        """Raises the error of the token at index `at`, the current one by
+        default, unless the offset scan raises first."""
+        token = _tokenize(self.text, self.file)[self.pos if at is None else at]
+        if found is None:
+            found = "end of input" if token[0] == "eof" else f"'{token[1]}'"
         raise ParseError(_token_span(self.text, self.file, token), expected, found)
 
     def accept(self, text: str) -> bool:
-        """Step over a keyword or punctuation: any token spelled `text` but
-        a quoted string."""
-        token = self.tokens[self.pos]
-        if token[1] == text and token[0] != "string":
+        """Step over a keyword or punctuation spelled `text`."""
+        if self.tokens[self.pos] == text:
             self.pos += 1
             return True
         return False
 
     def expect(self, text: str):
-        if not self.accept(text):
+        if self.tokens[self.pos] != text:
             self.fail(f'"{text}"')
-
-    def expect_ident(self, what: str = "identifier") -> str:
-        kind, text, _ = self.tokens[self.pos]
-        if kind != "ident" or text in KEYWORDS:
-            self.fail(what)
         self.pos += 1
-        return text
+
+    def expect_ident(self) -> str:
+        token = self.tokens[self.pos]
+        name = self.names.get(token)
+        if name is None:
+            if not (token[:1].isalpha() or token[:1] == "_") or token in KEYWORDS:
+                self.fail("identifier")
+            name = self.names[token] = token
+        self.pos += 1
+        return name
 
     def expect_number(self) -> int:
-        kind, text, _ = self.tokens[self.pos]
-        if kind != "number":
+        token = self.tokens[self.pos]
+        if not token.isdecimal():
             self.fail("a number")
+        try:
+            number = int(token)
+        except ValueError:  # more digits than `int` converts
+            self.fail(f"a number of at most {sys.get_int_max_str_digits()} digits",
+                      found=f"{len(token)} digits")
         self.pos += 1
-        return int(text)
+        return number
 
     def expect_string(self) -> str:
-        kind, text, _ = self.tokens[self.pos]
-        if kind != "string":
+        token = self.tokens[self.pos]
+        if token[:1] != '"' or len(token) < 2:
             self.fail("a quoted string")
         self.pos += 1
-        return text
+        return token[1:-1]
 
     def name_set(self) -> frozenset[str]:
         self.expect("{")
@@ -197,20 +205,20 @@ class _Parser:
 
     def new_name(self, kind: str, seen) -> str:
         """An identifier that is not yet in `seen`."""
-        token = self.current
+        at = self.pos
         name = self.expect_ident()
         if name in seen:
-            self.duplicate(kind, name, token)
+            self.duplicate(kind, name, at)
         return name
 
-    def duplicate(self, kind: str, name: str, token: Token):
-        span = _token_span(self.text, self.file, token)
-        raise ParseError(span, f"a new {kind} name", f"duplicate '{name}'")
+    def duplicate(self, kind: str, name: str, at: int):
+        self.fail(f"a new {kind} name", at, f"duplicate '{name}'")
 
 
 def parse_system(text: str, filename: str = "<string>") -> SystemModel:
     """Parse a .ins file; only syntax is checked here (run validate() after)."""
     p = _Parser(text, filename)
+    tokens = p.tokens
     credentials: set[str] = set()
     zones: dict[str, Zone] = {}
     doors: set[DoorRule] = set()
@@ -218,15 +226,19 @@ def parse_system(text: str, filename: str = "<string>") -> SystemModel:
     links: set[Link] = set()
     users: dict[str, User] = {}
 
-    while p.current[0] != "eof":
-        if p.accept("credential"):
+    while keyword := tokens[p.pos]:
+        p.pos += 1
+        if keyword == "device":
+            device = _parse_device(p, devices)
+            devices[device.id] = device
+        elif keyword == "credential":
             credentials.add(p.new_name("credential", credentials))
             p.expect(";")
-        elif p.accept("zone"):
+        elif keyword == "zone":
             name = p.new_name("zone", zones)
             zones[name] = Zone(name, p.accept("external"))
             p.expect(";")
-        elif p.accept("door"):
+        elif keyword == "door":
             door_id = p.expect_ident()
             src = p.expect_ident()
             if p.accept("->"):
@@ -241,17 +253,14 @@ def parse_system(text: str, filename: str = "<string>") -> SystemModel:
             doors.add(DoorRule(door_id, src, dst, required))
             if both:
                 doors.add(DoorRule(door_id, dst, src, required))
-        elif p.accept("device"):
-            device = _parse_device(p, devices)
-            devices[device.id] = device
-        elif p.accept("link"):
+        elif keyword == "link":
             a = p.expect_ident()
             p.expect("--")
             b = p.expect_ident()
             p.expect(";")
             links.add(Link(frozenset((a, b))))
-        elif p.accept("user"):
-            token = p.current
+        elif keyword == "user":
+            at = p.pos
             name = p.expect_ident()
             p.expect("at")
             zone = p.expect_ident()
@@ -259,10 +268,10 @@ def parse_system(text: str, filename: str = "<string>") -> SystemModel:
             creds = p.name_set()
             p.expect(";")
             if name in users:
-                p.duplicate("user", name, token)
+                p.duplicate("user", name, at)
             users[name] = User(name, zone, creds)
         else:
-            p.fail('a declaration ("credential", "zone", "door", "device", "link" or "user")')
+            p.fail('a declaration ("credential", "zone", "door", "device", "link" or "user")', p.pos - 1)
 
     return SystemModel(
         credentials=frozenset(credentials),
@@ -275,6 +284,7 @@ def parse_system(text: str, filename: str = "<string>") -> SystemModel:
 
 
 def _parse_device(p: _Parser, devices: dict[str, Device]) -> Device:
+    tokens = p.tokens
     dev_id = p.new_name("device", devices)
     p.expect("in")
     zone = p.expect_ident()
@@ -287,8 +297,16 @@ def _parse_device(p: _Parser, devices: dict[str, Device]) -> Device:
     ports: dict[str, Port] = {}
     groups: dict[str, frozenset[str]] = {}
     operations: dict[str, tuple[OperationVariant, ...]] = {}
-    while not p.accept("}"):
-        if p.accept("port"):
+    while (keyword := tokens[p.pos]) != "}":
+        p.pos += 1
+        if keyword == "operation":
+            op_name = p.new_name("operation", operations)
+            p.expect("{")
+            variants = []
+            while not p.accept("}"):
+                variants.append(_parse_variant(p, dev_id))
+            operations[op_name] = tuple(variants)
+        elif keyword == "port":
             pid = p.new_name("port", ports)
             p.expect("mac")
             mac = p.expect_string()
@@ -296,21 +314,15 @@ def _parse_device(p: _Parser, devices: dict[str, Device]) -> Device:
             ip = p.expect_string()
             p.expect(";")
             ports[pid] = Port(mac, ip)
-        elif p.accept("group"):
+        elif keyword == "group":
             gid = p.new_name("group", groups)
             groups[gid] = p.name_set()
-        elif p.accept("operation"):
-            op_name = p.new_name("operation", operations)
-            p.expect("{")
-            variants = []
-            while not p.accept("}"):
-                variants.append(_parse_variant(p, dev_id))
-            operations[op_name] = tuple(variants)
-        elif p.accept("filters"):
+        elif keyword == "filters":
             p.expect("{")
             p.expect("}")
         else:
-            p.fail('"port", "group", "operation", "filters" or "}"')
+            p.fail('"port", "group", "operation", "filters" or "}"', p.pos - 1)
+    p.pos += 1
 
     return Device(
         id=dev_id,
@@ -324,9 +336,11 @@ def _parse_device(p: _Parser, devices: dict[str, Device]) -> Device:
 
 def _parse_variant(p: _Parser, dev_id: str) -> OperationVariant:
     p.expect("when")
-    if p.accept("phy_acc"):
+    kind = p.tokens[p.pos]
+    p.pos += 1
+    if kind == "phy_acc":
         pre = PhyAcc()
-    elif p.accept("loc_acc"):
+    elif kind == "loc_acc":
         p.expect("(")
         first = p.expect_ident()
         if p.accept("."):
@@ -334,7 +348,7 @@ def _parse_variant(p: _Parser, dev_id: str) -> OperationVariant:
         else:
             pre = LocAcc(dev_id, first)
         p.expect(")")
-    elif p.accept("rem_acc"):
+    elif kind == "rem_acc":
         p.expect("(")
         if p.accept("tcp"):
             proto = "tcp"
@@ -347,7 +361,7 @@ def _parse_variant(p: _Parser, dev_id: str) -> OperationVariant:
         p.expect(")")
         pre = RemAcc(proto, port)
     else:
-        p.fail('"phy_acc", "loc_acc" or "rem_acc"')
+        p.fail('"phy_acc", "loc_acc" or "rem_acc"', p.pos - 1)
     required = p.name_set() if p.accept("requires") else frozenset()
     effect = None
     if p.accept("becomes"):
@@ -358,10 +372,12 @@ def _parse_variant(p: _Parser, dev_id: str) -> OperationVariant:
 
 def parse_policy(text: str, filename: str = "<string>") -> PolicySpec:
     p = _Parser(text, filename)
+    tokens = p.tokens
     roles: dict[str, Role] = {}
     hierarchy: set[tuple[str, str]] = set()
-    while p.current[0] != "eof":
-        if p.accept("role"):
+    while keyword := tokens[p.pos]:
+        p.pos += 1
+        if keyword == "role":
             rid = p.new_name("role", roles)
             p.expect("{")
             allowed: frozenset[Permission] = frozenset()
@@ -377,14 +393,14 @@ def parse_policy(text: str, filename: str = "<string>") -> PolicySpec:
                 members = p.name_set()
             p.expect("}")
             roles[rid] = Role(rid, allowed, denied, members)
-        elif p.accept("hierarchy"):
+        elif keyword == "hierarchy":
             lo = p.expect_ident()
             p.expect("<")
             hi = p.expect_ident()
             p.expect(";")
             hierarchy.add((lo, hi))
         else:
-            p.fail('"role" or "hierarchy"')
+            p.fail('"role" or "hierarchy"', p.pos - 1)
     return PolicySpec(roles=roles, hierarchy=frozenset(hierarchy))
 
 

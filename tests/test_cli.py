@@ -262,6 +262,24 @@ def test_non_decimal_port_digit_exits_2_with_a_position(tmp_path, capsys):
     assert err == f"error: {bad}:2:49: expected a token, found '²'\n"
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python's int reads decimal text of any length")
+def test_a_port_too_long_for_int_exits_2_with_a_position(tmp_path, capsys):
+    """A number with more digits than `int` converts is a syntax error at its
+    token; one digit fewer parses, and `validate` finds the port out of range."""
+    limit = sys.get_int_max_str_digits()
+    bad = tmp_path / "bad.ins"
+    text = "zone O external;\ndevice D in O {{ operation o {{ when rem_acc(tcp, {}); }} }}\n"
+    bad.write_text(text.format("1" * (limit + 1)))
+    code, out, err = run(capsys, "validate", "--system", str(bad), "--policy", POLICY)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}:2:49: expected a number of at most {limit} digits, found {limit + 1} digits\n"
+    bad.write_text(text.format("1" * limit))
+    code, out, _ = run(capsys, "validate", "--system", str(bad), "--policy", POLICY)
+    assert code == 3
+    assert f"port number {'1' * limit} out of range" in out
+
+
 def test_semantically_broken_model_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.ins"
     bad.write_text("zone A;\n")  # no external zone

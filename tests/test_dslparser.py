@@ -45,6 +45,14 @@ def test_a_filter_rule_is_a_parse_error():
     assert str(err.value) == "f.ins:3:15: expected \"}\", found 'tcp'"
 
 
+def test_an_unclosed_quote_is_no_string_even_where_one_is_expected():
+    """A quote that no other closes is read as a character that starts no
+    token, never as an empty string, so the port below does not parse."""
+    with pytest.raises(ParseError) as err:
+        parse_system('device D in Z { port p mac "m" ip "; }', "f.ins")
+    assert str(err.value) == "f.ins:1:35: expected closing '\"', found end of input"
+
+
 def test_error_messages_are_reproducible():
     first = second = None
     try:

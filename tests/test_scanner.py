@@ -6,9 +6,14 @@ expression and keeps an offset, turned into a line and column by
 `_token_span`.  On every input both must give the same token kinds, texts
 and positions, or the same `ParseError`, except for two faults of the old
 lexer: it did not count newlines inside a string, and it read a digit that
-is not decimal (`²`) into a number that `int` cannot read.
+is not decimal (`²`) into a number that `int` cannot read.  The parsers read
+the token strings of one `findall` and rescan with `_tokenize` only for an
+error; `parse_golden.json` holds, as digests, what they make of every corpus
+text and its mutations.
 """
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -99,8 +104,11 @@ def _mutations(text, rng, count):
             yield text[:at] + text[at + 1 :]
 
 
+PARSE_GOLDEN = FIXTURES / "parse_golden.json"
+
+
 def _corpus_texts():
-    yield "fixtures", [path.read_text() for path in sorted(Path(FIXTURES).iterdir())]
+    yield "fixtures", [path.read_text() for path in sorted(FIXTURES.iterdir()) if path != PARSE_GOLDEN]
     cells = [plant_cells(n) for n in (1, 2, 3)]
     yield "plant_cells", [print_system(m) for m, _ in cells] + [print_policy(p) for _, p in cells]
     for first in range(0, 300, 100):
@@ -138,6 +146,40 @@ def test_scanner_agrees_on_edge_cases(text):
     assert_same_tokens(text)
 
 
+def _parse_digest(corpus):
+    """sha256 of what `parse_system` and `parse_policy` make of each text of
+    `corpus` and of six seeded mutations of it: the canonical print of what
+    parsed, or the error's message and span length."""
+    rng = random.Random(corpus)
+    digest = hashlib.sha256()
+    for text in CORPORA[corpus]:
+        for variant in [text, *_mutations(text, rng, 6)]:
+            for parse, canonical in ((parse_system, print_system), (parse_policy, print_policy)):
+                try:
+                    outcome = "parsed " + canonical(parse(variant, FILE))
+                except ParseError as err:
+                    outcome = f"error {err} {err.span.length}"
+                digest.update(outcome.encode() + b"\0")
+    return digest.hexdigest()
+
+
+def write_parse_golden():
+    """Rewrites tests/fixtures/parse_golden.json from the parsers as they are:
+    PYTHONPATH=src:tests python -c 'import test_scanner as t; t.write_parse_golden()'
+
+    The fixtures corpus reads every fixture file but this one, so a changed
+    `cli_golden.json` changes its digest too."""
+    digests = {corpus: _parse_digest(corpus) for corpus in sorted(CORPORA)}
+    PARSE_GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_parsers_give_the_recorded_models_and_errors(corpus):
+    """Every model and every error, message and span, of both parsers on the
+    corpus and its mutations, held to the digests in parse_golden.json."""
+    assert _parse_digest(corpus) == json.loads(PARSE_GOLDEN.read_text())[corpus]
+
+
 # Blanks and comments after the last token.  A skip pattern that can split a
 # run of blanks in more than one way backtracks through every split when the
 # scanner's final match fails: about 2**63 steps for 64 trailing spaces.
@@ -157,13 +199,14 @@ def test_trailing_blanks_and_comments_scan_in_linear_time():
     # instead of hanging the suite.
     script = (
         "import ast, sys\n"
-        "from accessfix import ParseError\n"
+        "from accessfix import ParseError, parse_system\n"
         "from accessfix.dslparser import _tokenize\n"
         "for text in ast.literal_eval(sys.stdin.read()):\n"
-        "    try:\n"
-        "        _tokenize(text, 'f.ins')\n"
-        "    except ParseError:\n"
-        "        pass\n"
+        "    for scan in (_tokenize, parse_system):\n"
+        "        try:\n"
+        "            scan(text, 'f.ins')\n"
+        "        except ParseError:\n"
+        "            pass\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(accessfix.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", script], input=repr(TRAILING), text=True,
