@@ -21,9 +21,10 @@ The pipeline is parse -> validate -> verify -> repair:
   every state, and restrict that to each user's credentials, the paper's
   per-user automaton, as the independent route that holds the compiled
   rules to the paper's semantics;
-* `enabling` holds the forward pass that computes those antichains, the
-  index's encoder and its one decoder (`credential_names`), and `Dnf`, the
-  printed form of a function over names, which nothing computes with;
+* `enabling` holds the forward pass that computes those antichains,
+  taking credential sets smallest first so that no kept set is displaced,
+  the index's encoder and its one decoder (`credential_names`), and `Dnf`,
+  the printed form of a function over names, which nothing computes with;
 * `automata` holds the automaton's events and states, `Automaton`, the
   record of the table the state product builds, and its DOT rendering;
   its `ReducedEvent`, an action, is also the policy's `Permission`;

@@ -17,22 +17,25 @@ form, and nothing in the library computes with it.
 
 `_propagate` reads the functions off any graph whose edges carry
 credentials, in one forward pass that keeps for each node the minimal
-credential sets of the paths reaching it; it absorbs every set it adds, so
-each function it returns is an antichain.  The library runs it over a
-model's fact rules (`facts`).  `enabling_functions` runs it over a
-reachability automaton, the paper's construction, and decodes the result
-into `Dnf`s over names; it stays public for cross-checks and for the
-benchmark's per-stage figures.  On an automaton the pass is exact: a run
-reaching a state where e is enabled has a prefix avoiding e that also ends
-where e is enabled, and its credentials are a subset of the run's.  The
-paper's per-event enabling sets, from which the tests derive the same
+credential sets of the paths reaching it.  Every antichain here is built
+smallest first: the pass takes sets in order of size, and `_minimal`, which
+also keeps each step of repair's product, sorts its candidates by size.  A
+set once kept is never a superset of a later one, so nothing kept is ever
+removed, and each function the pass returns is an antichain.  The library
+runs it over a model's fact rules (`facts`).  `enabling_functions` runs it
+over a reachability automaton, the paper's construction, and decodes the
+result into `Dnf`s over names; it stays public for cross-checks and for
+the benchmark's per-stage figures.  On an automaton the pass is exact: a
+run reaching a state where e is enabled has a prefix avoiding e that also
+ends where e is enabled, and its credentials are a subset of the run's.
+The paper's per-event enabling sets, from which the tests derive the same
 functions, live with the test oracles.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -96,48 +99,63 @@ def covers_any(mask: int, minterms: Iterable[int]) -> bool:
     return False
 
 
-def _absorb(antichain: set[int], creds: int) -> bool:
-    """Add a credential bitmask to an antichain of minimal bitmasks, unless
-    it or a subset of it is there already; report whether it was added."""
-    if creds in antichain:
-        return False
-    for kept in antichain:
-        if kept & creds == kept:
-            return False
-    antichain.difference_update([kept for kept in antichain if kept & creds == creds])
-    antichain.add(creds)
-    return True
+def _minimal(candidates: Iterable[int]) -> list[int]:
+    """The minimal credential bitmasks among `candidates`, smallest first.
+
+    Taken in order of size, a set is kept unless a kept one is its subset;
+    a later set is never smaller than a kept one, so no kept set is ever
+    displaced (Bayardo and Panda, SDM 2011).
+    """
+    kept: list[int] = []
+    for creds in sorted(candidates, key=int.bit_count):
+        for held in kept:  # covers_any inlined: a call costs more than the test
+            if held & creds == held:
+                break
+        else:
+            kept.append(creds)
+    return kept
 
 
 def _propagate(start, steps, enables) -> dict[ReducedEvent, frozenset[int]]:
     """Enabling functions read off a graph whose edges carry credentials.
 
-    One worklist pass keeps, for every node reached from `start`, the
-    antichain of minimal credential bitmasks of the paths reaching it;
-    `steps(node)` yields (successor, own credential mask).  Then every
-    action in `enables(node)`, a (reduced event, own credential mask) pair,
-    absorbs each of the node's masks with its own.  The functions come out
-    sorted by action.
+    One pass keeps, for every node reached from `start`, the antichain of
+    minimal credential bitmasks of the paths reaching it; `steps(node)`
+    yields (successor, own credential mask).  Pending (node, set) pairs wait
+    in one list per set size, and the sizes are walked upward, a bucket
+    queue keyed by size (Dial, CACM 1969): a popped set is kept unless its
+    node already holds it or a subset of it, and a kept set is never
+    displaced, because every later set is at least as large.  A step whose
+    own credentials are already in the set leaves its size unchanged, so
+    the list being walked grows while it is walked.  Then every action in
+    `enables(node)`, a (reduced event, own credential mask) pair, takes the
+    node's sets with its own credentials, and `_minimal` keeps the minimal
+    ones.  The functions come out sorted by action.
     """
-    reach: dict = defaultdict(set)
-    reach[start].add(0)
-    queue = deque([(start, 0)])
-    while queue:
-        node, creds = queue.popleft()
-        if creds not in reach[node]:  # absorbed since being queued
-            continue
-        for target, own in steps(node):
-            grown = creds | own
-            if _absorb(reach[target], grown):
-                queue.append((target, grown))
+    reach: dict = defaultdict(list)
+    pending: dict[int, list] = defaultdict(list)
+    pending[0].append((start, 0))
+    while pending:
+        queue = pending.pop(min(pending))
+        for node, creds in queue:  # also reads the pairs appended below
+            kept = reach[node]
+            for held in kept:  # covers_any inlined, as in _minimal
+                if held & creds == held:
+                    break
+            else:
+                kept.append(creds)
+                for target, own in steps(node):
+                    grown = creds | own
+                    if grown == creds:
+                        queue.append((target, creds))
+                    else:
+                        pending[grown.bit_count()].append((target, grown))
 
-    minterms: dict[ReducedEvent, set[int]] = {}
+    candidates: dict[ReducedEvent, set[int]] = defaultdict(set)
     for node, antichain in reach.items():
         for event, own in enables(node):
-            kept = minterms.setdefault(event, set())
-            for creds in antichain:
-                _absorb(kept, creds | own)
-    return {r: frozenset(minterms[r]) for r in sorted(minterms)}
+            candidates[event].update([creds | own for creds in antichain])
+    return {r: frozenset(_minimal(candidates[r])) for r in sorted(candidates)}
 
 
 def enabling_functions(a: Automaton) -> dict[ReducedEvent, Dnf]:

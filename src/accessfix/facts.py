@@ -13,9 +13,10 @@ lost.  So reachability is linear Datalog over three kinds of fact:
 A derivation is a chain of rules from the start zone, and the credentials
 it uses are its rules' own credentials.  Keeping per fact the antichain of
 minimal credential sets of its derivations (the PosBool provenance of the
-fact) and letting every action absorb its premise's sets, each with the
-action's own credential, yields the same enabling functions the reachability
-automaton gives, without building the product of zones and session sets.
+fact) and letting every action take its premise's sets, each with the
+action's own credential, and keep the minimal ones, yields the same
+enabling functions the reachability automaton gives, without building the
+product of zones and session sets.
 It is exact because a run enabling an action contains the one chain of
 steps that derives the action's premise, and that chain is itself a run.
 For fixed credential sets the same rules reduce to plain reachability, one

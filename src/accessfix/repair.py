@@ -10,7 +10,9 @@ report it:
 
 * the minimal repairs are the antichain product of the allowed conjuncts'
   minterms that lie inside the eligible pool, less every set covering a
-  minterm of a denied conjunct;
+  minterm of a denied conjunct; each step of the product keeps the minimal
+  sets of {s | m} smallest first (`enabling._minimal`), so no set it keeps
+  is removed again;
 * a repair of size k+1 is either minimal or a repair of size k plus one
   credential, and a set covering a denied minterm is pruned together with
   all its supersets, so one walk up by size reaches every repair; a repair
@@ -56,7 +58,7 @@ from collections import defaultdict
 from typing import NamedTuple
 
 from .analysis import prepare, users_by_zone
-from .enabling import _absorb, covers_any, credential_mask, credential_names
+from .enabling import _minimal, covers_any, credential_mask, credential_names
 from .facts import Functions, Rules, reachable_each, saturate
 from .policy import Permission, PolicySpec, SpecSets, Triple
 from .sysmodel import SystemModel, User
@@ -94,14 +96,10 @@ def _minimal_repairs(conjuncts: list[Conjunct]) -> tuple[set[int], list[int]]:
     """The minimal repairs, empty when the conjuncts are unsatisfiable within
     the pool, and the denied minterms inside the pool."""
     denied = [m for _, minterms, negated in conjuncts if negated for m in minterms]
-    minimal = {0}
+    minimal = [0]
     for _, minterms, negated in conjuncts:
         if not negated:
-            product: set[int] = set()
-            for m in minterms:
-                for s in minimal:
-                    _absorb(product, s | m)
-            minimal = product
+            minimal = _minimal({s | m for m in minterms for s in minimal})
     return {s for s in minimal if not covers_any(s, denied)}, denied
 
 

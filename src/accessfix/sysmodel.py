@@ -250,7 +250,9 @@ def validate(model: SystemModel) -> list[Diagnostic]:
                     if pre.protocol not in PROTOCOLS:
                         error(vloc, f"unknown protocol '{pre.protocol}'")
                     if not 1 <= pre.port <= 65535:
-                        error(vloc, f"port number {pre.port} out of range")
+                        digits = len(str(abs(pre.port)))
+                        port = pre.port if digits <= 20 else f"of {digits} digits"
+                        error(vloc, f"port number {port} out of range")
                 for cred in sorted(var.required - model.credentials):
                     error(vloc, f"unknown credential '{cred}'")
                 if var.effect is not None:

@@ -49,6 +49,12 @@ ranking before the distance buckets is here too (`ranked_by_levels`): every
 size level built whole and sorted, where the library builds a level one
 distance at a time and stops at the bucket that fills the cap.
 
+The antichains have a second construction here: by absorption
+(`absorbing_propagate`, `absorbing_saturate`, `absorbing_minimal_repairs`),
+where each set is added as it arrives and displaces the supersets already
+kept.  The library takes sets smallest first instead, so a kept set is
+never displaced.
+
 The verdict has a second route here: the minterm evaluation the library
 used before it walked the compiled rules (`minterm_verdict`), which tests
 every user's credential mask against every minterm of the enabling
@@ -927,6 +933,74 @@ def ranked_by_levels(
         level = set(children(level))
     return ranked, False
 
+
+
+# The antichains as the library built them before it took sets smallest
+# first: each set is absorbed as it arrives, in breadth-first order, and
+# displaces the supersets already kept.
+
+
+def absorb(antichain: set[int], creds: int) -> bool:
+    """Add a credential bitmask to an antichain of minimal bitmasks, unless
+    it or a subset of it is there already; report whether it was added."""
+    if creds in antichain:
+        return False
+    for kept in antichain:
+        if kept & creds == kept:
+            return False
+    antichain.difference_update([kept for kept in antichain if kept & creds == creds])
+    antichain.add(creds)
+    return True
+
+
+def absorbing_propagate(start, steps, enables) -> dict[ReducedEvent, frozenset[int]]:
+    """`enabling._propagate` by absorption: a breadth-first worklist keeps
+    each node's antichain, skipping a queued set absorbed since it was
+    queued, and each action then absorbs its nodes' sets with its own
+    credentials."""
+    reach: dict = defaultdict(set)
+    reach[start].add(0)
+    queue = deque([(start, 0)])
+    while queue:
+        node, creds = queue.popleft()
+        if creds not in reach[node]:  # absorbed since being queued
+            continue
+        for target, own in steps(node):
+            grown = creds | own
+            if absorb(reach[target], grown):
+                queue.append((target, grown))
+
+    minterms: dict[ReducedEvent, set[int]] = {}
+    for node, antichain in reach.items():
+        for event, own in enables(node):
+            kept = minterms.setdefault(event, set())
+            for creds in antichain:
+                absorb(kept, creds | own)
+    return {r: frozenset(minterms[r]) for r in sorted(minterms)}
+
+
+def absorbing_saturate(rules, zone: str) -> dict[ReducedEvent, frozenset[int]]:
+    """`facts.saturate` by absorption."""
+    return absorbing_propagate(
+        ("zone", zone),
+        lambda fact: rules.derive.get(fact, ()),
+        lambda fact: rules.enable.get(fact, ()),
+    )
+
+
+def absorbing_minimal_repairs(conjuncts) -> tuple[set[int], list[int]]:
+    """`repair._minimal_repairs` by absorption: each allowed conjunct's
+    minterms absorbed into the product one set at a time."""
+    denied = [m for _, minterms, negated in conjuncts if negated for m in minterms]
+    minimal = {0}
+    for _, minterms, negated in conjuncts:
+        if not negated:
+            step: set[int] = set()
+            for m in minterms:
+                for s in minimal:
+                    absorb(step, s | m)
+            minimal = step
+    return {s for s in minimal if not any(d & s == d for d in denied)}, denied
 
 PUNCTUATION = ("<->", "->", "--", ";", ",", "{", "}", "(", ")", ".", "<", "/")
 

@@ -277,7 +277,7 @@ def test_a_port_too_long_for_int_exits_2_with_a_position(tmp_path, capsys):
     bad.write_text(text.format("1" * limit))
     code, out, _ = run(capsys, "validate", "--system", str(bad), "--policy", POLICY)
     assert code == 3
-    assert f"port number {'1' * limit} out of range" in out
+    assert f"port number of {limit} digits out of range" in out
 
 
 def test_semantically_broken_model_exits_3(tmp_path, capsys):

@@ -14,10 +14,12 @@ functions, every listed repair against the user's own automaton under the
 repaired credentials, the ranked repairs against a brute force over the
 credential pool and against the DPLL route at every cap, and the ranking
 built one distance bucket at a time against the one that sorts each size
-level whole.  Models on which an automaton is ambiguous (two variants of
-one operation with one label but different sessions, a known fault) are
-kept: every route must then reject them with the same `ModelError`, and the
-static check `may_be_ambiguous` must flag them.
+level whole, and the antichains of the saturation and of the repair
+product, built smallest first, against those built by absorption.  Models
+on which an automaton is ambiguous (two variants of one operation with one
+label but different sessions, a known fault) are kept: every route must
+then reject them with the same `ModelError`, and the static check
+`may_be_ambiguous` must flag them.
 """
 
 import random
@@ -61,6 +63,8 @@ from accessfix.facts import state_product
 from accessfix.repair import repair_users
 from conftest import plant_cells
 from oracles import (
+    absorbing_minimal_repairs,
+    absorbing_saturate,
     brute_force_repairs,
     build_access_automaton,
     build_constraint,
@@ -549,3 +553,47 @@ def test_the_bucketed_ranking_equals_the_level_ranking(monkeypatch):
     print(dict(checked))
     assert checked["random"] > 5000 and checked["plant"] > 1000
     assert checked["plant in 8 cells"] == 16
+
+
+def _hold_to_absorption(model, policy, where, checked: Counter) -> None:
+    """`saturate` from every zone of the model, and every product that
+    `repair_users` asks `repair._minimal_repairs` for under the pools `all`
+    and `current`, against the absorbing routes; the action order too."""
+    rules = compile_rules(model)
+    for zone in sorted(model.zones):
+        expected = absorbing_saturate(rules, zone)
+        assert list(saturate(rules, zone).items()) == list(expected.items()), (where, zone)
+        checked["start zones"] += 1
+    if isinstance(_outcome(lambda: prepare(model, policy)), ModelError):
+        return
+    products = []
+    minimal_repairs = repair._minimal_repairs
+
+    def recording(conjuncts):
+        products.append(conjuncts)
+        return minimal_repairs(conjuncts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repair, "_minimal_repairs", recording)
+        for eligibility in ("all", "current"):
+            repair_users(model, *prepare(model, policy), eligibility, 1)
+    for conjuncts in products:
+        assert minimal_repairs(conjuncts) == absorbing_minimal_repairs(conjuncts), where
+    checked["products"] += len(products)
+
+
+def test_smallest_first_antichains_equal_the_absorbing_ones():
+    """The saturation and the repair product keep each antichain by taking
+    sets smallest first; they must equal the routes that absorb each set as
+    it arrives, on randgen seeds 0-1999 and on the plant in 1-8 cells."""
+    checked = Counter()
+    for seed in range(2000):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        if any(d.severity == "error" for d in validate(model)):
+            continue
+        _hold_to_absorption(model, random_policy(rng, model), f"randgen seed {seed}", checked)
+    for cells in range(1, 9):
+        _hold_to_absorption(*plant_cells(cells), f"plant in {cells} cells", checked)
+    print(dict(checked))
+    assert checked["start zones"] > 3000 and checked["products"] > 3000

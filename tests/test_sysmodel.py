@@ -81,6 +81,13 @@ def test_a_chain_three_hosts_deep_is_clean_and_rooted_at_its_first_entry():
     assert root_device(model, "SVC") is model.devices["PC"]
 
 
+@pytest.mark.parametrize("port, shown", [("9" * 20, "9" * 20), ("9" * 21, "of 21 digits")])
+def test_a_port_out_of_range_is_named_whole_up_to_20_digits(port, shown):
+    text = f"zone O external;\ndevice D in O {{ operation o {{ when rem_acc(tcp, {port}); }} }}\n"
+    errors = [d.message for d in validate(parse_system(text)) if d.severity == "error"]
+    assert errors == [f"port number {shown} out of range"]
+
+
 def test_two_external_zones_rejected(plant):
     zones = dict(plant.zones)
     zones["A"] = Zone("A", external=True)
