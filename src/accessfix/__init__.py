@@ -38,7 +38,7 @@ The pipeline is parse -> validate -> verify -> repair:
   named tuples (credentials, a tuple of names in name order; minimal;
   distance) in a `RepairResult` named tuple; `repair_all` runs `prepare`
   and then `repair_users`;
-* `dslparser` and `cli` provide the textual formats and command line.
+* `dslparser` parses the textual formats, and `cli` is the command line.
 """
 
 from .analysis import (
@@ -57,7 +57,7 @@ from .automata import (
     SuperState,
     to_dot,
 )
-from .dslparser import ParseError, SourceSpan, parse_policy, parse_system, print_policy, print_system
+from .dslparser import ParseError, SourceSpan, parse_policy, parse_system
 from .enabling import Dnf, credential_mask, credential_names, enabling_functions
 from .facts import (
     build_super_automaton,

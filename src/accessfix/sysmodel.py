@@ -11,7 +11,7 @@ direct host's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 PROTOCOLS = ("tcp", "udp")
@@ -50,10 +50,6 @@ class Link:
     """Undirected cable between two ports."""
 
     endpoints: frozenset[str]
-
-    @classmethod
-    def between(cls, a: str, b: str) -> "Link":
-        return cls(frozenset((a, b)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,12 +132,6 @@ class SystemModel:
     devices: dict[str, Device] = field(default_factory=dict)
     links: frozenset[Link] = frozenset()
     users: dict[str, User] = field(default_factory=dict)
-
-    def with_user_credentials(self, user_id: str, credentials: Iterable[str]) -> "SystemModel":
-        """Functional update of one user's credential set."""
-        users = dict(self.users)
-        users[user_id] = replace(users[user_id], credentials=frozenset(credentials))
-        return replace(self, users=users)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,3 +1,4 @@
+from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
@@ -88,6 +89,12 @@ def plant_functions(plant_automaton):
     return enabling_functions(plant_automaton)
 
 
+def with_credentials(model: SystemModel, user_id: str, credentials: Iterable[str]) -> SystemModel:
+    """The model with one user's credentials replaced by `credentials`."""
+    user = replace(model.users[user_id], credentials=frozenset(credentials))
+    return replace(model, users={**model.users, user_id: user})
+
+
 def implemented(model: SystemModel, user_id: str) -> frozenset:
     """The user's implementation set, as (user, operation, object) triples:
     the actions in the user's bit of a `reachable_each` walk over the
@@ -132,7 +139,7 @@ def plant_cells(cells: int) -> tuple[SystemModel, PolicySpec]:
                     pid = f"{dev.id}_{end}{i}"
                     ports[pid] = Port(f"MAC_{pid}", f"IP_{pid}")
                 if i:
-                    links.add(Link.between(f"{dev.id}_up{i - 1}", f"{dev.id}_down{i}"))
+                    links.add(Link(frozenset((f"{dev.id}_up{i - 1}", f"{dev.id}_down{i}"))))
             operations = {}
             for op_name, variants in dev.operations.items():
                 operations[op_name] = tuple(

@@ -13,8 +13,6 @@ from accessfix import (
     ReducedEvent,
     parse_policy,
     parse_system,
-    print_policy,
-    print_system,
     repair_all,
     verify,
     SpecSets,
@@ -26,6 +24,7 @@ from conftest import (
     UNIVERSE,
     implemented,
     make_toy_automaton,
+    with_credentials,
 )
 from oracles import (
     PLANT_FORMULAS,
@@ -43,6 +42,7 @@ from oracles import (
     tokenize,
     user_automaton,
 )
+from printers import print_policy, print_system
 from randgen import random_automaton, random_model, random_policy
 
 
@@ -105,7 +105,7 @@ def test_criterion_5_amy_repair_with_full_pool(plant, plant_policy):
         assert tuple(sorted(AMY_FIX)) in solutions
         assert solutions and all("c_IGSusr" in s for s in solutions)
         for creds in solutions:
-            report = verify(plant.with_user_credentials("Amy", creds), plant_policy)
+            report = verify(with_credentials(plant, "Amy", creds), plant_policy)
             assert not [t for t in report.missing | report.forbidden if t[0] == "Amy"]
 
 

@@ -12,7 +12,14 @@ from accessfix import (
     spec_sets,
     verify,
 )
-from conftest import AMY_FIX, TOM_FIX_SMALL, UNIVERSE, implemented, plant_cells
+from conftest import (
+    AMY_FIX,
+    TOM_FIX_SMALL,
+    UNIVERSE,
+    implemented,
+    plant_cells,
+    with_credentials,
+)
 from oracles import reachable_reduced_events, user_automaton
 
 
@@ -36,7 +43,7 @@ def test_amy_implementation_set_exactly(plant):
 
 
 def test_credential_less_user_reaches_nothing(plant):
-    stripped = plant.with_user_credentials("Tom", frozenset())
+    stripped = with_credentials(plant, "Tom", frozenset())
     assert implemented(stripped, "Tom") == frozenset()
 
 
@@ -46,7 +53,7 @@ def test_strategies_agree_on_samples(plant, plant_automaton):
     creds = sorted(UNIVERSE)
     for _ in range(16):
         subset = frozenset(rng.sample(creds, rng.randint(0, 8)))
-        model = plant.with_user_credentials("Amy", subset)
+        model = with_credentials(plant, "Amy", subset)
         reachable = reachable_reduced_events(user_automaton(plant_automaton, subset))
         by_automaton = frozenset(("Amy", r.operation, r.object) for r in reachable)
         assert implemented(model, "Amy") == by_automaton
@@ -85,9 +92,7 @@ def test_verify_empty_policy_is_correct(plant):
 
 
 def test_verify_after_repair_is_correct(plant, plant_policy):
-    repaired = plant.with_user_credentials("Tom", TOM_FIX_SMALL).with_user_credentials(
-        "Amy", AMY_FIX
-    )
+    repaired = with_credentials(with_credentials(plant, "Tom", TOM_FIX_SMALL), "Amy", AMY_FIX)
     report = verify(repaired, plant_policy)
     assert report.verdict == "correct"
     assert report.missing == report.forbidden == frozenset()
@@ -99,8 +104,8 @@ def test_growing_credentials_shrinks_missing_grows_forbidden(plant, plant_policy
     for _ in range(12):
         small = frozenset(rng.sample(creds, rng.randint(0, 8)))
         big = small | frozenset(rng.sample(creds, rng.randint(0, 8)))
-        low = verify(plant.with_user_credentials("Tom", small), plant_policy)
-        high = verify(plant.with_user_credentials("Tom", big), plant_policy)
+        low = verify(with_credentials(plant, "Tom", small), plant_policy)
+        high = verify(with_credentials(plant, "Tom", big), plant_policy)
         tom_missing_low = {t for t in low.missing if t[0] == "Tom"}
         tom_missing_high = {t for t in high.missing if t[0] == "Tom"}
         assert tom_missing_high <= tom_missing_low

@@ -12,7 +12,7 @@ from accessfix import (
     enabling_functions,
     to_dot,
 )
-from conftest import ALL_REDUCED, UNIVERSE
+from conftest import ALL_REDUCED, UNIVERSE, with_credentials
 from oracles import (
     accepts,
     build_access_automaton,
@@ -73,7 +73,7 @@ def test_amy_cannot_login_plc(plant):
 
 
 def test_credential_less_user_is_stuck_outside(plant):
-    model = plant.with_user_credentials("Tom", frozenset())
+    model = with_credentials(plant, "Tom", frozenset())
     automaton = build_user_automaton(model, "Tom")
     assert reachable_reduced_events(automaton) == frozenset()
     assert len(automaton.states) == 1

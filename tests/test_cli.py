@@ -72,12 +72,10 @@ def test_verify_empty_policy_is_correct(tmp_path, capsys):
 
 
 def test_verify_repaired_system(tmp_path, capsys, plant, plant_policy):
-    from accessfix import print_system
-    from conftest import AMY_FIX, TOM_FIX_SMALL
+    from printers import print_system
+    from conftest import AMY_FIX, TOM_FIX_SMALL, with_credentials
 
-    repaired = plant.with_user_credentials("Tom", TOM_FIX_SMALL).with_user_credentials(
-        "Amy", AMY_FIX
-    )
+    repaired = with_credentials(with_credentials(plant, "Tom", TOM_FIX_SMALL), "Amy", AMY_FIX)
     fixed = tmp_path / "repaired.ins"
     fixed.write_text(print_system(repaired))
     code, out, _ = run(capsys, "verify", "--system", str(fixed), "--policy", POLICY)
@@ -98,12 +96,10 @@ def test_repair_text_output_is_stable(capsys):
 
 
 def test_repair_on_correct_system_is_all_distance_zero(tmp_path, capsys, plant):
-    from accessfix import print_system
-    from conftest import AMY_FIX_MIN, TOM_FIX_SMALL
+    from printers import print_system
+    from conftest import AMY_FIX_MIN, TOM_FIX_SMALL, with_credentials
 
-    repaired = plant.with_user_credentials("Tom", TOM_FIX_SMALL).with_user_credentials(
-        "Amy", AMY_FIX_MIN
-    )
+    repaired = with_credentials(with_credentials(plant, "Tom", TOM_FIX_SMALL), "Amy", AMY_FIX_MIN)
     fixed = tmp_path / "repaired.ins"
     fixed.write_text(print_system(repaired))
     code, out, _ = run(

@@ -28,9 +28,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from accessfix import print_policy, print_system  # noqa: E402
 from accessfix.cli import main  # noqa: E402
 from conftest import FIXTURES, plant_cells  # noqa: E402
+from printers import print_policy, print_system  # noqa: E402
 from randgen import random_model, random_policy  # noqa: E402
 
 GOLDEN = FIXTURES / "cli_golden.json"

@@ -48,8 +48,6 @@ from accessfix import (
     parse_policy,
     parse_system,
     prepare,
-    print_policy,
-    print_system,
     reachable_each,
     repair,
     repair_all,
@@ -81,6 +79,7 @@ from oracles import (
     same_language,
     user_automaton,
 )
+from printers import print_policy, print_system
 from randgen import random_model, random_policy
 
 SEEDS = range(300)

@@ -9,11 +9,10 @@ from accessfix import (
     ParseError,
     parse_policy,
     parse_system,
-    print_policy,
-    print_system,
     spec_sets,
     validate,
 )
+from printers import print_policy, print_system
 from randgen import random_model, random_policy
 
 

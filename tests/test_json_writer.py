@@ -11,8 +11,9 @@ import random
 
 import pytest
 
-from accessfix import cli, print_policy, print_system
+from accessfix import cli
 from conftest import FIXTURES
+from printers import print_policy, print_system
 from randgen import random_model, random_policy
 
 

@@ -1,5 +1,6 @@
 """The README's library and command-line examples run as printed."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -8,7 +9,8 @@ import accessfix
 from accessfix.cli import main
 from conftest import FIXTURES
 
-README = Path(__file__).parent.parent / "README.md"
+ROOT = Path(__file__).parent.parent
+README = ROOT / "README.md"
 
 
 def test_library_example_prints_the_plants_ten_functions(monkeypatch, capsys, plant_functions):
@@ -31,6 +33,29 @@ def test_every_listed_entry_point_imports_from_the_package():
     assert len(names) >= 15
     missing = [name for name in names if not hasattr(accessfix, name)]
     assert missing == []
+
+
+def test_the_package_exports_only_what_the_program_uses():
+    """Each name `accessfix/__init__.py` imports is used by another module of
+    the package (a whole-word occurrence besides its own definition), by the
+    benchmark or by the README's `## Library` section, so the package exports
+    nothing that only the tests call."""
+    package = Path(accessfix.__file__).parent
+    tree = ast.parse((package / "__init__.py").read_text())
+    exports = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+               for alias in node.names]
+    modules = [p.read_text() for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    benchmark = " ".join(path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py")))
+    library = re.search(r"^## Library\n(.*?)^## ", README.read_text(), re.M | re.S).group(1)
+
+    def used(name: str) -> bool:
+        word = re.compile(rf"\b{name}\b")
+        definition = re.compile(rf"^(?:def|class) {name}\b|^{name} *[:=]", re.M)
+        uses = sum(len(word.findall(text)) - len(definition.findall(text)) for text in modules)
+        return uses > 0 or bool(word.search(benchmark)) or bool(word.search(library))
+
+    assert len(exports) >= 50
+    assert [name for name in exports if not used(name)] == []
 
 
 def _worked_example(command: str) -> tuple[list, list]:

@@ -24,6 +24,7 @@ from conftest import (
     TOM_FIX_SMALL,
     UNIVERSE,
     plant_cells,
+    with_credentials,
 )
 from oracles import CnfFormula, build_constraint, powerset, solve_all, to_cnf
 
@@ -125,7 +126,7 @@ def test_repair_solutions_reverify(plant, plant_policy):
     for uid in ("Tom", "Amy"):
         result = repair_all(plant, plant_policy, eligibility="all")[uid]
         for sol in result.solutions:
-            report = verify(plant.with_user_credentials(uid, sol.credentials), plant_policy)
+            report = verify(with_credentials(plant, uid, sol.credentials), plant_policy)
             assert not [t for t in report.missing | report.forbidden if t[0] == uid]
 
 
@@ -179,7 +180,7 @@ def test_recheck_rejects_a_set_missing_an_allowed_action(monkeypatch, plant, pla
 
 
 def test_repair_of_conformant_user_returns_current_set_first(plant, plant_policy):
-    repaired = plant.with_user_credentials("Tom", TOM_FIX_SMALL)
+    repaired = with_credentials(plant, "Tom", TOM_FIX_SMALL)
     result = repair_all(repaired, plant_policy, eligibility="current")["Tom"]
     assert result.solutions[0].credentials == tuple(sorted(TOM_FIX_SMALL))
     assert result.solutions[0].distance == 0
@@ -231,9 +232,7 @@ def test_repair_all_covers_every_user(plant, plant_policy):
 
 
 def test_repair_all_on_correct_system_has_distance_zero_first(plant, plant_policy):
-    repaired = plant.with_user_credentials("Tom", TOM_FIX_SMALL).with_user_credentials(
-        "Amy", AMY_FIX_MIN
-    )
+    repaired = with_credentials(with_credentials(plant, "Tom", TOM_FIX_SMALL), "Amy", AMY_FIX_MIN)
     results = repair_all(repaired, plant_policy, eligibility="current")
     for uid, result in results.items():
         assert result.solutions[0].distance == 0
@@ -259,7 +258,7 @@ def test_repair_rejects_the_policy_verify_rejects(plant):
 def test_per_user_independence(plant, plant_policy):
     # Fixing Tom does not change Amy's verification outcome.
     before = verify(plant, plant_policy)
-    after = verify(plant.with_user_credentials("Tom", TOM_FIX_SMALL), plant_policy)
+    after = verify(with_credentials(plant, "Tom", TOM_FIX_SMALL), plant_policy)
     amy = lambda report: {t for t in report.missing | report.forbidden if t[0] == "Amy"}
     assert amy(before) == amy(after)
 

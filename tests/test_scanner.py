@@ -23,10 +23,11 @@ from pathlib import Path
 import pytest
 
 import accessfix
-from accessfix import ParseError, SourceSpan, parse_policy, parse_system, print_policy, print_system
+from accessfix import ParseError, SourceSpan, parse_policy, parse_system
 from accessfix.dslparser import _token_span, _tokenize
 from conftest import FIXTURES, plant_cells
 from oracles import char_tokenize
+from printers import print_policy, print_system
 from randgen import random_model, random_policy
 
 FILE = "f.ins"

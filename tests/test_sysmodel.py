@@ -11,6 +11,7 @@ from accessfix import (
     root_device,
     validate,
 )
+from conftest import with_credentials
 from oracles import bfs_network_path
 from randgen import random_model
 
@@ -96,7 +97,7 @@ def test_two_external_zones_rejected(plant):
 
 
 def test_unknown_user_credential_flagged(plant):
-    broken = plant.with_user_credentials("Tom", {"K_OA", "c_bogus"})
+    broken = with_credentials(plant, "Tom", {"K_OA", "c_bogus"})
     diagnostics = validate(broken)
     assert [d for d in diagnostics if "c_bogus" in d.message]
 
