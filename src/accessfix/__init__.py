@@ -7,8 +7,9 @@ The pipeline is parse -> validate -> verify -> repair:
   action triples (`spec_sets`), one walk of the role hierarchy per role;
 * `facts` compiles the system into single-premise rules over zone, session
   and network-class facts, the one reading of its doors, variants and
-  preconditions, and `facts.guarded_rules` is the one way from a model to
-  them: it validates the model, compiles it and runs the ambiguity guard.
+  preconditions, indexed as every walk below reads them, and
+  `facts.guarded_rules` is the one way from a model to them: it validates
+  the model, compiles it and runs the ambiguity guard.
   Under fixed credential sets the rules give the reachable actions in one
   walk, one bit per set, for the verdict and for repair's re-checks, and
   the repair search saturates them into one monotone credential formula

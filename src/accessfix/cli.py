@@ -174,8 +174,12 @@ def _report_text(report: analysis.AnomalyReport, model) -> list[str]:
         lines.append("missing (allowed but not implemented):")
         lines.extend(f"  {_fmt_triple(t)}" for t in sorted(report.missing))
     for triple in sorted(report.dangling):
-        what = "an action" if triple[0] in model.users else "a user"
-        lines.append(f"warning: {_fmt_triple(triple)} names {what} the system does not define")
+        user = model.users.get(triple[0])
+        what = (
+            "a user the system does not define" if user is None
+            else f"an action no credentials reach from zone {user.initial_zone}"
+        )
+        lines.append(f"warning: {_fmt_triple(triple)} names {what}")
     return lines
 
 

@@ -16,7 +16,8 @@ where a function is printed or a repair listed.  `Dnf` is that printed
 form, and nothing in the library computes with it.
 
 `_propagate` reads the functions off any graph whose edges carry
-credentials, in one forward pass that keeps for each node the minimal
+credentials, given as two mappings from a node to its steps and to its
+actions, in one forward pass that keeps for each node the minimal
 credential sets of the paths reaching it.  Every antichain here is built
 smallest first: the pass takes sets in order of size, and `_minimal`, which
 also keeps each step of repair's product, sorts its candidates by size.  A
@@ -116,19 +117,19 @@ def _minimal(candidates: Iterable[int]) -> list[int]:
     return kept
 
 
-def _propagate(start, steps, enables) -> dict[ReducedEvent, frozenset[int]]:
+def _propagate(start, derive, enable) -> dict[ReducedEvent, frozenset[int]]:
     """Enabling functions read off a graph whose edges carry credentials.
 
     One pass keeps, for every node reached from `start`, the antichain of
-    minimal credential bitmasks of the paths reaching it; `steps(node)`
-    yields (successor, own credential mask).  Pending (node, set) pairs wait
+    minimal credential bitmasks of the paths reaching it; `derive[node]`
+    lists (successor, own credential mask).  Pending (node, set) pairs wait
     in one list per set size, and the sizes are walked upward, a bucket
     queue keyed by size (Dial, CACM 1969): a popped set is kept unless its
     node already holds it or a subset of it, and a kept set is never
     displaced, because every later set is at least as large.  A step whose
     own credentials are already in the set leaves its size unchanged, so
     the list being walked grows while it is walked.  Then every action in
-    `enables(node)`, a (reduced event, own credential mask) pair, takes the
+    `enable[node]`, a (reduced event, own credential mask) pair, takes the
     node's sets with its own credentials, and `_minimal` keeps the minimal
     ones.  The functions come out sorted by action.
     """
@@ -144,7 +145,7 @@ def _propagate(start, steps, enables) -> dict[ReducedEvent, frozenset[int]]:
                     break
             else:
                 kept.append(creds)
-                for target, own in steps(node):
+                for target, own in derive.get(node, ()):
                     grown = creds | own
                     if grown == creds:
                         queue.append((target, creds))
@@ -153,7 +154,7 @@ def _propagate(start, steps, enables) -> dict[ReducedEvent, frozenset[int]]:
 
     candidates: dict[ReducedEvent, set[int]] = defaultdict(set)
     for node, antichain in reach.items():
-        for event, own in enables(node):
+        for event, own in enable.get(node, ()):
             candidates[event].update([creds | own for creds in antichain])
     return {r: frozenset(_minimal(candidates[r])) for r in sorted(candidates)}
 
@@ -168,11 +169,10 @@ def enabling_functions(a: Automaton) -> dict[ReducedEvent, Dnf]:
     """
     credentials = tuple(sorted({event.credential for event in a.alphabet} - {EPSILON}))
     own = {event: credential_mask((event.credential,), credentials) for event in a.alphabet}
-    functions = _propagate(
-        a.initial,
-        lambda state: [(target, own[event]) for event, target in a.successors(state).items()],
-        lambda state: [(event.reduced(), own[event]) for event in a.successors(state)],
-    )
+    rows = {state: a.successors(state).items() for state in a.states}
+    derive = {s: [(target, own[e]) for e, target in row] for s, row in rows.items()}
+    enable = {s: [(e.reduced(), own[e]) for e, _ in row] for s, row in rows.items()}
+    functions = _propagate(a.initial, derive, enable)
     return {
         r: Dnf.of(credential_names(m, credentials) for m in function)
         for r, function in functions.items()

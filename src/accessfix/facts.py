@@ -30,7 +30,8 @@ preconditions, and it fixes the library's one credential index: the
 model's sorted credentials, the first name at the highest bit (see
 `enabling`).  Every function `saturate` returns is an antichain of masks
 over that index, and the walks take masks over it, so a command compiles
-the rules once and decodes names only for its output.
+the rules once and decodes names only for its output.  It compiles them
+straight into `Rules`, the one index all four walks below read.
 
 The paper's reachability automaton is read off the same rules: the state
 product (`state_product`) walks (zone, held sessions) states breadth first,
@@ -58,7 +59,7 @@ from .automata import (
     SuperState,
     _require_valid,
 )
-from .enabling import _propagate, credential_mask, credential_names
+from .enabling import _propagate, credential_mask
 from .sysmodel import (
     LocAcc,
     ModelError,
@@ -74,21 +75,14 @@ Functions = dict[ReducedEvent, frozenset[int]]  # action -> antichain of credent
 Fact = tuple  # ("zone", zone id), ("session", Session) or ("lan", class index)
 
 
-class Rule(NamedTuple):
-    premise: Fact
-    action: ReducedEvent | None  # None for a session's step to a network class
-    own: int  # one bit of the credential index, or 0 when the rule needs none
-    fact: Fact | None  # None when the action leaves the user's state as it is
-
-
 class Rules(NamedTuple):
-    """A model compiled to rules over the credential index `credentials`."""
+    """A model compiled to rules over the credential index `credentials`,
+    indexed as the walks read them, every list in the rules' order."""
 
     credentials: tuple[str, ...]
-    ordered: list[Rule]  # every rule, in the order `compile_rules` gives
-    # Indexes of `ordered`, each list in its order:
     derive: dict[Fact, list[tuple[Fact, int]]]  # premise -> (fact, own credential)
     enable: dict[Fact, list[tuple[ReducedEvent, int]]]  # premise -> (action, own credential)
+    actions: list[tuple[Fact, ExtendedEvent, Fact | None]]  # (premise, label, fact or None)
 
 
 def _session_for_account(model: SystemModel, device_id: str, account: str) -> Session:
@@ -105,16 +99,23 @@ def compile_rules(model: SystemModel) -> Rules:
     The rules come in one order: doors by (door, source, destination), the
     sessions' rules, then the variants by device, operation and declaration;
     within a door or variant, by premise and then credential alternative.
+    Each rule goes straight into its lists; a session's steps to its
+    network classes are only in `derive`.
     """
     credentials = tuple(sorted(model.credentials))
-    ordered: list[Rule] = []
+    derive: dict[Fact, list] = defaultdict(list)
+    enable: dict[Fact, list] = defaultdict(list)
+    actions = []
 
     def rule(premises, fact, action, required):
         # One alternative per required credential; none required is mask 0.
-        owns = [credential_mask((cred,), credentials) for cred in sorted(required)] or [0]
+        owns = [(credential_mask((c,), credentials), c) for c in sorted(required)] or [(0, EPSILON)]
         for premise in premises:
-            for own in owns:
-                ordered.append(Rule(premise, action, own, fact))
+            for own, name in owns:
+                enable[premise].append((action, own))
+                actions.append((premise, ExtendedEvent(*action, name), fact))
+                if fact is not None:
+                    derive[premise].append((fact, own))
 
     for door in sorted(model.doors, key=lambda r: (r.door, r.src, r.dst)):
         rule([("zone", door.src)], ("zone", door.dst), ReducedEvent("enter", door.dst), door.required)
@@ -140,7 +141,8 @@ def compile_rules(model: SystemModel) -> Rules:
         return [("lan", i) for i in sorted(classes.get(root_device(model, device_id).id, ()))]
 
     for session in sessions:
-        ordered.extend(Rule(("session", session), None, 0, lan) for lan in lans(session.device))
+        for lan in lans(session.device):
+            derive[("session", session)].append((lan, 0))
     for dev, op_name, variant in variants:
         pre = variant.precondition
         if isinstance(pre, PhyAcc):
@@ -158,24 +160,12 @@ def compile_rules(model: SystemModel) -> Rules:
             "session", _session_for_account(model, effect.device, effect.account)
         )
         rule(premises, fact, ReducedEvent(op_name, dev.id), variant.required)
-
-    derive: dict[Fact, list] = defaultdict(list)
-    enable: dict[Fact, list] = defaultdict(list)
-    for premise, action, own, fact in ordered:
-        if action is not None:
-            enable[premise].append((action, own))
-        if fact is not None:
-            derive[premise].append((fact, own))
-    return Rules(credentials, ordered, dict(derive), dict(enable))
+    return Rules(credentials, dict(derive), dict(enable), actions)
 
 
 def saturate(rules: Rules, zone: str) -> Functions:
     """Enabling function of every action derivable from `zone`, sorted."""
-    return _propagate(
-        ("zone", zone),
-        lambda fact: rules.derive.get(fact, ()),
-        lambda fact: rules.enable.get(fact, ()),
-    )
+    return _propagate(("zone", zone), rules.derive, rules.enable)
 
 
 def reachable_each(rules: Rules, zone: str, masks: Sequence[int]) -> dict[ReducedEvent, int]:
@@ -188,8 +178,9 @@ def reachable_each(rules: Rules, zone: str, masks: Sequence[int]) -> dict[Reduce
     traversal: Then et al., VLDB 2014): each fact keeps the bitset of the
     sets that derive it, and a rule passes its premise's bitset on, masked
     by the bitset of the sets that hold its own credential, all of them
-    when it needs none.  A fact is walked again only for the sets it newly
-    gained.
+    when it needs none.  A fact is pushed each time it gains sets and,
+    popped, passes on its whole bitset: what it passed on before is already
+    in its successors' bitsets, so only the sets it gained since add any.
     """
     held = {0: (1 << len(masks)) - 1}  # own credential -> the sets holding it
     for j, mask in enumerate(masks):
@@ -200,20 +191,15 @@ def reachable_each(rules: Rules, zone: str, masks: Sequence[int]) -> dict[Reduce
 
     start: Fact = ("zone", zone)
     derived_by = {start: held[0]}
-    pending = dict(derived_by)  # fact -> sets it gained since it was last walked
     stack = [start]
     while stack:
         fact = stack.pop()
-        gained = pending.pop(fact)
+        bits = derived_by[fact]
         for derived, own in rules.derive.get(fact, ()):
-            new = gained & held.get(own, 0) & ~derived_by.get(derived, 0)
+            new = bits & held.get(own, 0) & ~derived_by.get(derived, 0)
             if new:
                 derived_by[derived] = derived_by.get(derived, 0) | new
-                if derived in pending:
-                    pending[derived] |= new
-                else:
-                    pending[derived] = new
-                    stack.append(derived)
+                stack.append(derived)
     actions: dict[ReducedEvent, int] = defaultdict(int)
     for fact, bits in derived_by.items():
         for event, own in rules.enable.get(fact, ()):
@@ -228,22 +214,14 @@ def state_product(rules: Rules, zone: str) -> Automaton:
     `zone`: the breadth-first product of the rules over (zone, held sessions)
     states.
 
-    A state holds its zone, its sessions and the network classes they reach.
-    Every action rule whose premise it holds is an edge labelled with the
-    action and the rule's own credential, to the state with the rule's fact
-    added (the state itself when the rule derives none).  A label with two
-    targets raises `ModelError`; states are walked breadth first and rules
-    in their order, which fixes the conflict reported.
+    A state holds its zone, its sessions and the network classes they reach,
+    read off the sessions' steps in `derive`.  Every rule of `actions`
+    whose premise it holds is an edge with the rule's label, to the state
+    with the rule's fact added (the state itself when the rule derives
+    none).  A label with two targets raises `ModelError`; states are walked
+    breadth first and rules in their order, which fixes the conflict
+    reported.
     """
-    lans: dict[Fact, list[Fact]] = defaultdict(list)  # session -> its network classes
-    steps = []  # (premise, label, fact) of every action rule
-    for premise, action, own, fact in rules.ordered:
-        if action is None:
-            lans[premise].append(fact)
-        else:
-            name = next(iter(credential_names(own, rules.credentials)), EPSILON)  # one name or none
-            steps.append((premise, ExtendedEvent(*action, name), fact))
-
     start = SuperState(zone, frozenset())
     table: dict[SuperState, dict[ExtendedEvent, SuperState]] = {}
     queue = deque([start])
@@ -255,9 +233,10 @@ def state_product(rules: Rules, zone: str) -> Automaton:
         table[state] = row
         held = {("zone", state.zone)}
         for session in state.sessions:
-            held.add(("session", session))
-            held.update(lans.get(("session", session), ()))
-        for premise, event, fact in steps:
+            holds = ("session", session)
+            held.add(holds)
+            held.update(lan for lan, _ in rules.derive.get(holds, ()) if lan[0] == "lan")
+        for premise, event, fact in rules.actions:
             if premise not in held:
                 continue
             if fact is None:
@@ -285,8 +264,8 @@ def may_be_ambiguous(rules: Rules) -> bool:
     credential, derive different facts, no fact counting as a fact of its
     own.  A state's target for a rule depends only on the rule's fact."""
     derives: dict = {}  # label -> the fact its first rule derives
-    for _, action, own, fact in rules.ordered:
-        if action is not None and derives.setdefault((action, own), fact) != fact:
+    for _, label, fact in rules.actions:
+        if derives.setdefault(label, fact) != fact:
             return True
     return False
 

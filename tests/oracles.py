@@ -953,7 +953,7 @@ def absorb(antichain: set[int], creds: int) -> bool:
     return True
 
 
-def absorbing_propagate(start, steps, enables) -> dict[ReducedEvent, frozenset[int]]:
+def absorbing_propagate(start, derive, enable) -> dict[ReducedEvent, frozenset[int]]:
     """`enabling._propagate` by absorption: a breadth-first worklist keeps
     each node's antichain, skipping a queued set absorbed since it was
     queued, and each action then absorbs its nodes' sets with its own
@@ -965,14 +965,14 @@ def absorbing_propagate(start, steps, enables) -> dict[ReducedEvent, frozenset[i
         node, creds = queue.popleft()
         if creds not in reach[node]:  # absorbed since being queued
             continue
-        for target, own in steps(node):
+        for target, own in derive.get(node, ()):
             grown = creds | own
             if absorb(reach[target], grown):
                 queue.append((target, grown))
 
     minterms: dict[ReducedEvent, set[int]] = {}
     for node, antichain in reach.items():
-        for event, own in enables(node):
+        for event, own in enable.get(node, ()):
             kept = minterms.setdefault(event, set())
             for creds in antichain:
                 absorb(kept, creds | own)
@@ -981,11 +981,7 @@ def absorbing_propagate(start, steps, enables) -> dict[ReducedEvent, frozenset[i
 
 def absorbing_saturate(rules, zone: str) -> dict[ReducedEvent, frozenset[int]]:
     """`facts.saturate` by absorption."""
-    return absorbing_propagate(
-        ("zone", zone),
-        lambda fact: rules.derive.get(fact, ()),
-        lambda fact: rules.enable.get(fact, ()),
-    )
+    return absorbing_propagate(("zone", zone), rules.derive, rules.enable)
 
 
 def absorbing_minimal_repairs(conjuncts) -> tuple[set[int], list[int]]:

@@ -11,14 +11,17 @@ from contextlib import contextmanager
 
 from accessfix import (
     ReducedEvent,
+    compile_rules,
     parse_policy,
     parse_system,
     repair_all,
+    repair_users,
     verify,
     SpecSets,
 )
 from conftest import (
     AMY_FIX,
+    C_TOM,
     TOM_FIX_LARGE,
     TOM_FIX_SMALL,
     UNIVERSE,
@@ -29,6 +32,7 @@ from conftest import (
 from oracles import (
     PLANT_FORMULAS,
     brute_force_enabling_sets,
+    brute_force_repairs,
     build_constraint,
     build_user_automaton,
     covers,
@@ -139,8 +143,11 @@ def test_criterion_7_strategy_agreement_all_subsets(plant, plant_automaton, plan
 
 
 def test_criterion_8_repair_soundness_and_completeness(plant, plant_automaton, plant_functions):
-    with criterion(8, "solver equals subset enumeration and re-verifies on 50 random policies"):
+    with criterion(
+        8, "repair and solver equal subset enumeration and re-verify on 50 random policies"
+    ):
         tom = plant.users["Tom"]
+        rules = compile_rules(plant)
         reduced = sorted(plant_functions)
         rng = random.Random(2024)
         accepted = 0
@@ -159,7 +166,13 @@ def test_criterion_8_repair_soundness_and_completeness(plant, plant_automaton, p
             result = solve_all(to_cnf(constraint), sorted(UNIVERSE), cap=300)
             got = {frozenset(v for v, val in m.items() if val) for m in result.assignments}
             assert got == expected
-            for creds in got:
+            repairs = repair_users(plant, sets, rules, UNIVERSE, 2 ** len(UNIVERSE))["Tom"]
+            listed = [(s.credentials, s.minimal) for s in repairs.solutions]
+            assert listed == [
+                (tuple(sorted(creds)), minimal)
+                for creds, minimal in brute_force_repairs(constraint, C_TOM)
+            ]
+            for creds, _ in listed:
                 reachable = reachable_reduced_events(user_automaton(plant_automaton, creds))
                 assert plus <= reachable
                 assert not (minus & reachable)

@@ -338,8 +338,8 @@ def test_undecodable_input_exits_2(tmp_path, capsys, where):
 
 def test_dangling_warning_names_a_user_the_system_lacks(tmp_path, capsys):
     """A policy user the model lacks is reported as such, in text, while an
-    action the system does not define keeps its own warning; JSON lists both
-    as dangling."""
+    action no credentials reach from the user's start zone keeps its own
+    warning; JSON lists both as dangling."""
     policy = tmp_path / "bob.rbac"
     policy.write_text(
         "role r { allow (run, IGS), (run, NOWHERE); users { Tom, Bob } }\n"
@@ -351,7 +351,7 @@ def test_dangling_warning_names_a_user_the_system_lacks(tmp_path, capsys):
     assert warnings == [
         "warning: (Bob, run, IGS) names a user the system does not define",
         "warning: (Bob, run, NOWHERE) names a user the system does not define",
-        "warning: (Tom, run, NOWHERE) names an action the system does not define",
+        "warning: (Tom, run, NOWHERE) names an action no credentials reach from zone O",
     ]
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
@@ -360,6 +360,24 @@ def test_dangling_warning_names_a_user_the_system_lacks(tmp_path, capsys):
         {"user": "Bob", "operation": "run", "object": "NOWHERE"},
         {"user": "Tom", "operation": "run", "object": "NOWHERE"},
     ]
+
+
+def test_dangling_warning_for_an_action_the_system_defines(tmp_path, capsys):
+    """An action the system defines but no credentials reach, a device in a
+    zone no door leads to, gets the same warning as an undefined one."""
+    system, policy = tmp_path / "g.ins", tmp_path / "g.rbac"
+    system.write_text(
+        "zone O external;\nzone Z;\n"
+        "device G in Z { operation run { when phy_acc; } }\n"
+        "user U at O credentials {};\n"
+    )
+    policy.write_text("role r { allow (run, G); users { U } }\n")
+    code, out, _ = run(capsys, "verify", "--system", str(system), "--policy", str(policy))
+    assert (code, out) == (
+        0,
+        "verdict: correct\n"
+        "warning: (U, run, G) names an action no credentials reach from zone O\n",
+    )
 
 
 @pytest.mark.parametrize(

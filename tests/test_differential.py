@@ -338,6 +338,39 @@ def test_the_fact_walk_equals_the_users_automaton():
     assert counts["equal"] >= 2000 and counts["ambiguous"]
 
 
+def test_a_wide_walk_equals_its_one_set_walks():
+    """`reachable_each` over 64 sets at once, as wide as a repair re-check
+    walks, against one walk per set: bit j of the wide walk holds the
+    actions the walk of `masks[j]` alone derives, from every zone of the
+    plant in one to three cells and of every random model `validate`
+    accepts.  The sets are seeded random masks plus the empty set, every
+    credential and a duplicate; only a walk this wide has facts gain sets
+    several times before they are walked."""
+    models = [(f"plant in {cells} cells", plant_cells(cells)[0]) for cells in range(1, 4)]
+    for seed in SEEDS:
+        model = random_model(random.Random(seed))
+        if not any(d.severity == "error" for d in validate(model)):
+            models.append((f"randgen seed {seed}", model))
+    rng = random.Random(64)
+    walks = 0
+    for where, model in models:
+        rules = compile_rules(model)
+        width = len(rules.credentials)
+        for zone in sorted(model.zones):
+            masks = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(61)]
+            masks.append(rng.choice(masks))
+            rng.shuffle(masks)
+            each = reachable_each(rules, zone, masks)
+            for j, mask in enumerate(masks):
+                alone = set(reachable_each(rules, zone, [mask]))
+                assert {event for event, bits in each.items() if bits >> j & 1} == alone, (
+                    where, zone, j, mask,
+                )
+            assert all(bits >> len(masks) == 0 for bits in each.values()), (where, zone)
+            walks += 1
+    assert walks >= 500
+
+
 FLAGGED_BUT_UNAMBIGUOUS = """
 credential c;
 zone O external;

@@ -1,4 +1,3 @@
-import random
 from dataclasses import replace
 
 import pytest
@@ -271,30 +270,6 @@ def test_minimal_flag_matches_brute_force(plant, plant_policy):
             other for other in solutions if other < set(sol.credentials)
         ]
         assert sol.minimal == (not proper_subsets_solving)
-
-
-def test_randomized_solver_equals_brute_force(plant, plant_functions, plant_policy):
-    tom = plant.users["Tom"]
-    reduced = sorted(plant_functions)
-    rng = random.Random(99)
-    done = 0
-    while done < 15:
-        plus = frozenset(rng.sample(reduced, rng.randint(0, 3)))
-        minus = frozenset(rng.sample(reduced, rng.randint(0, 3)))
-        if plus & minus:
-            continue
-        done += 1
-        sets = SpecSets(
-            s_plus=frozenset(("Tom", e.operation, e.object) for e in plus),
-            s_minus=frozenset(("Tom", e.operation, e.object) for e in minus),
-        )
-        constraint = build_constraint(plant_functions, sets, tom, UNIVERSE)
-        expected = {c for c in powerset(UNIVERSE) if constraint.satisfied_by(c)}
-        result = solve_all(to_cnf(constraint), sorted(UNIVERSE), cap=300)
-        got = {
-            frozenset(v for v, val in m.items() if val) for m in result.assignments
-        }
-        assert got == expected
 
 
 def test_users_sharing_roles_get_their_originals_repairs():
