@@ -31,8 +31,8 @@ The pipeline is parse -> validate -> verify -> repair:
   its `ReducedEvent`, an action, is also the policy's `Permission`;
 * `analysis` holds the first two of the three stages the command line
   runs: `prepare`, the one way a policy enters, and `anomalies`, which
-  compares every user's implemented actions with the policy; `verify` runs
-  the two in turn;
+  tests each policy triple on the actions its user implements; `verify`
+  runs the two in turn;
 * `repair` holds the third, `repair_users`, which searches credential
   assignments that remove every anomaly, saturating the prepared rules once
   per start zone, and lists each user's best ones as `RepairSolution`

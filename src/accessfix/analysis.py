@@ -9,8 +9,8 @@ library: it validates the policy, flattens it, and has `facts.guarded_rules`
 validate the model, run the ambiguity guard and compile the rules, once
 each; verify and repair both start from it.  `anomalies` walks the rules
 once per start zone of the users, one bit per user starting there plus one
-for every credential (`facts.reachable_each`): bit j gives the j-th user's
-implemented actions.  `verify` is `prepare` and then `anomalies`.
+for every credential (`facts.reachable_each`), and tests each policy triple
+on its user's bit and on that one.  `verify` is `prepare` and `anomalies`.
 
 `missing` are allowed actions the system does not enable, `forbidden` are
 denied actions the system enables anyway, and a missing triple whose action
@@ -62,31 +62,27 @@ def prepare(model: SystemModel, policy: PolicySpec) -> tuple[SpecSets, Rules]:
 
 
 def anomalies(model: SystemModel, sets: SpecSets, rules: Rules) -> AnomalyReport:
-    """Compare every user's implemented actions with the flattened policy.
+    """Test each triple of the flattened policy on its user's actions.
 
     One walk per start zone: bit j is the zone's j-th user, and the highest
     bit the set of every credential, which reaches every action some
-    credentials reach from that zone.
+    credentials reach from that zone.  A user the model lacks reaches none.
     """
-    implemented: set[Triple] = set()
-    defined: dict[str, set[ReducedEvent]] = {}  # start zone -> actions some credentials reach
     everything = (1 << len(rules.credentials)) - 1
+    walks = {}  # user id -> (the zone's reached bitsets, the user's bit, every credential's bit)
     for zone, users in users_by_zone(model).items():
         masks = [credential_mask(u.credentials, rules.credentials) for u in users]
         reached = reachable_each(rules, zone, [*masks, everything])
-        defined[zone] = {event for event, bits in reached.items() if bits >> len(users)}
-        for event, bits in reached.items():
-            for j, user in enumerate(users):
-                if bits >> j & 1:
-                    implemented.add((user.id, event.operation, event.object))
-    missing = sets.s_plus - implemented
-    dangling = frozenset(
-        (uid, op, ob)
-        for uid, op, ob in missing
-        if uid not in model.users
-        or ReducedEvent(op, ob) not in defined[model.users[uid].initial_zone]
-    )
-    return AnomalyReport(missing - dangling, sets.s_minus & implemented, dangling)
+        walks.update((u.id, (reached, 1 << j, 1 << len(users))) for j, u in enumerate(users))
+    found = {}  # policy triple -> (its user reaches its action, every credential does)
+    for triple in sets.s_plus | sets.s_minus:
+        reached, user, every = walks.get(triple[0], ({}, 0, 0))
+        bits = reached.get(ReducedEvent(*triple[1:]), 0)
+        found[triple] = (bits & user, bits & every)
+    missing = frozenset(t for t in sets.s_plus if not found[t][0])
+    dangling = frozenset(t for t in missing if not found[t][1])
+    forbidden = frozenset(t for t in sets.s_minus if found[t][0])
+    return AnomalyReport(missing - dangling, forbidden, dangling)
 
 
 def verify(model: SystemModel, policy: PolicySpec) -> AnomalyReport:

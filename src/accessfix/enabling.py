@@ -129,7 +129,7 @@ def _propagate(start, derive, enable) -> dict[ReducedEvent, frozenset[int]]:
     displaced, because every later set is at least as large.  A step whose
     own credentials are already in the set leaves its size unchanged, so
     the list being walked grows while it is walked.  Then every action in
-    `enable[node]`, a (reduced event, own credential mask) pair, takes the
+    `enable[node]`, a (reduced event, own mask, target) triple, takes the
     node's sets with its own credentials, and `_minimal` keeps the minimal
     ones.  The functions come out sorted by action.
     """
@@ -154,7 +154,7 @@ def _propagate(start, derive, enable) -> dict[ReducedEvent, frozenset[int]]:
 
     candidates: dict[ReducedEvent, set[int]] = defaultdict(set)
     for node, antichain in reach.items():
-        for event, own in enable.get(node, ()):
+        for event, own, _ in enable.get(node, ()):
             candidates[event].update([creds | own for creds in antichain])
     return {r: frozenset(_minimal(candidates[r])) for r in sorted(candidates)}
 
@@ -171,7 +171,7 @@ def enabling_functions(a: Automaton) -> dict[ReducedEvent, Dnf]:
     own = {event: credential_mask((event.credential,), credentials) for event in a.alphabet}
     rows = {state: a.successors(state).items() for state in a.states}
     derive = {s: [(target, own[e]) for e, target in row] for s, row in rows.items()}
-    enable = {s: [(e.reduced(), own[e]) for e, _ in row] for s, row in rows.items()}
+    enable = {s: [(e.reduced(), own[e], target) for e, target in row] for s, row in rows.items()}
     functions = _propagate(a.initial, derive, enable)
     return {
         r: Dnf.of(credential_names(m, credentials) for m in function)

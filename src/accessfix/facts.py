@@ -31,11 +31,13 @@ model's sorted credentials, the first name at the highest bit (see
 `enabling`).  Every function `saturate` returns is an antichain of masks
 over that index, and the walks take masks over it, so a command compiles
 the rules once and decodes names only for its output.  It compiles them
-straight into `Rules`, the one index all four walks below read.
+straight into `Rules`, the one index all four walks below read: per
+premise its steps (`derive`) and its actions with their facts (`enable`).
 
 The paper's reachability automaton is read off the same rules: the state
 product (`state_product`) walks (zone, held sessions) states breadth first,
-and in each state every rule whose premise the state holds is an edge.
+and in each state every rule whose premise the state holds is an edge,
+premise by premise in compile order, labelled with names from the index.
 `build_super_automaton` builds it from the external zone: it validates
 the model and compiles the rules itself, and needs no guard, because the
 product it builds raises on an ambiguous transition.  Every other entry of
@@ -77,12 +79,11 @@ Fact = tuple  # ("zone", zone id), ("session", Session) or ("lan", class index)
 
 class Rules(NamedTuple):
     """A model compiled to rules over the credential index `credentials`,
-    indexed as the walks read them, every list in the rules' order."""
+    indexed by premise as the walks read them, all in the rules' order."""
 
     credentials: tuple[str, ...]
     derive: dict[Fact, list[tuple[Fact, int]]]  # premise -> (fact, own credential)
-    enable: dict[Fact, list[tuple[ReducedEvent, int]]]  # premise -> (action, own credential)
-    actions: list[tuple[Fact, ExtendedEvent, Fact | None]]  # (premise, label, fact or None)
+    enable: dict[Fact, list[tuple[ReducedEvent, int, Fact | None]]]  # -> (action, own, fact)
 
 
 def _session_for_account(model: SystemModel, device_id: str, account: str) -> Session:
@@ -105,15 +106,13 @@ def compile_rules(model: SystemModel) -> Rules:
     credentials = tuple(sorted(model.credentials))
     derive: dict[Fact, list] = defaultdict(list)
     enable: dict[Fact, list] = defaultdict(list)
-    actions = []
 
     def rule(premises, fact, action, required):
         # One alternative per required credential; none required is mask 0.
-        owns = [(credential_mask((c,), credentials), c) for c in sorted(required)] or [(0, EPSILON)]
+        owns = [credential_mask((c,), credentials) for c in sorted(required)] or [0]
         for premise in premises:
-            for own, name in owns:
-                enable[premise].append((action, own))
-                actions.append((premise, ExtendedEvent(*action, name), fact))
+            for own in owns:
+                enable[premise].append((action, own, fact))
                 if fact is not None:
                     derive[premise].append((fact, own))
 
@@ -160,7 +159,7 @@ def compile_rules(model: SystemModel) -> Rules:
             "session", _session_for_account(model, effect.device, effect.account)
         )
         rule(premises, fact, ReducedEvent(op_name, dev.id), variant.required)
-    return Rules(credentials, dict(derive), dict(enable), actions)
+    return Rules(credentials, dict(derive), dict(enable))
 
 
 def saturate(rules: Rules, zone: str) -> Functions:
@@ -202,7 +201,7 @@ def reachable_each(rules: Rules, zone: str, masks: Sequence[int]) -> dict[Reduce
                 stack.append(derived)
     actions: dict[ReducedEvent, int] = defaultdict(int)
     for fact, bits in derived_by.items():
-        for event, own in rules.enable.get(fact, ()):
+        for event, own, _ in rules.enable.get(fact, ()):
             reached = bits & held.get(own, 0)
             if reached:
                 actions[event] |= reached
@@ -215,13 +214,14 @@ def state_product(rules: Rules, zone: str) -> Automaton:
     states.
 
     A state holds its zone, its sessions and the network classes they reach,
-    read off the sessions' steps in `derive`.  Every rule of `actions`
-    whose premise it holds is an edge with the rule's label, to the state
-    with the rule's fact added (the state itself when the rule derives
-    none).  A label with two targets raises `ModelError`; states are walked
-    breadth first and rules in their order, which fixes the conflict
-    reported.
+    read off the sessions' steps in `derive`.  Every action of `enable`
+    whose premise it holds is an edge, labelled with the action and the
+    name of its own credential, to the state with its fact added (the state
+    itself when it has none).  A label with two targets raises `ModelError`;
+    states are walked breadth first, and in each the premises in `enable`'s
+    order, never a set's, which fixes the conflict reported.
     """
+    names = {0: EPSILON} | {credential_mask((c,), rules.credentials): c for c in rules.credentials}
     start = SuperState(zone, frozenset())
     table: dict[SuperState, dict[ExtendedEvent, SuperState]] = {}
     queue = deque([start])
@@ -236,19 +236,21 @@ def state_product(rules: Rules, zone: str) -> Automaton:
             holds = ("session", session)
             held.add(holds)
             held.update(lan for lan, _ in rules.derive.get(holds, ()) if lan[0] == "lan")
-        for premise, event, fact in rules.actions:
+        for premise, entries in rules.enable.items():
             if premise not in held:
                 continue
-            if fact is None:
-                target = state
-            elif fact[0] == "zone":
-                target = SuperState(fact[1], state.sessions)
-            else:
-                target = SuperState(state.zone, state.sessions | {fact[1]})
-            if row.setdefault(event, target) != target:
-                raise ModelError(f"ambiguous transition {event} from state '{state.label()}'")
-            if target not in table:
-                queue.append(target)
+            for action, own, fact in entries:
+                if fact is None:
+                    target = state
+                elif fact[0] == "zone":
+                    target = SuperState(fact[1], state.sessions)
+                else:
+                    target = SuperState(state.zone, state.sessions | {fact[1]})
+                event = ExtendedEvent(*action, names[own])
+                if row.setdefault(event, target) != target:
+                    raise ModelError(f"ambiguous transition {event} from state '{state.label()}'")
+                if target not in table:
+                    queue.append(target)
     return Automaton(start, table)
 
 
@@ -260,13 +262,14 @@ def build_super_automaton(model: SystemModel) -> Automaton:
 
 def may_be_ambiguous(rules: Rules) -> bool:
     """Static necessary condition for a state product with an ambiguous
-    transition: two action rules with one label, their action and own
-    credential, derive different facts, no fact counting as a fact of its
-    own.  A state's target for a rule depends only on the rule's fact."""
-    derives: dict = {}  # label -> the fact its first rule derives
-    for _, label, fact in rules.actions:
-        if derives.setdefault(label, fact) != fact:
-            return True
+    transition: two entries of `enable` with one label, their action and
+    own credential's mask, derive different facts, no fact counting as a
+    fact of its own.  A state's target for a rule depends only on its fact."""
+    derives: dict = {}  # (action, own credential) -> the fact its first rule derives
+    for entries in rules.enable.values():
+        for action, own, fact in entries:
+            if derives.setdefault((action, own), fact) != fact:
+                return True
     return False
 
 

@@ -972,7 +972,7 @@ def absorbing_propagate(start, derive, enable) -> dict[ReducedEvent, frozenset[i
 
     minterms: dict[ReducedEvent, set[int]] = {}
     for node, antichain in reach.items():
-        for event, own in enable.get(node, ()):
+        for event, own, _ in enable.get(node, ()):
             kept = minterms.setdefault(event, set())
             for creds in antichain:
                 absorb(kept, creds | own)

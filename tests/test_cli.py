@@ -339,27 +339,30 @@ def test_undecodable_input_exits_2(tmp_path, capsys, where):
 def test_dangling_warning_names_a_user_the_system_lacks(tmp_path, capsys):
     """A policy user the model lacks is reported as such, in text, while an
     action no credentials reach from the user's start zone keeps its own
-    warning; JSON lists both as dangling."""
-    policy = tmp_path / "bob.rbac"
-    policy.write_text(
-        "role r { allow (run, IGS), (run, NOWHERE); users { Tom, Bob } }\n"
-    )
-    argv = ["verify", "--system", PLANT, "--policy", str(policy)]
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    warnings = [line for line in out.splitlines() if line.startswith("warning:")]
-    assert warnings == [
-        "warning: (Bob, run, IGS) names a user the system does not define",
-        "warning: (Bob, run, NOWHERE) names a user the system does not define",
-        "warning: (Tom, run, NOWHERE) names an action no credentials reach from zone O",
-    ]
-    code, out, _ = run(capsys, *argv, "--format", "json")
-    assert code == 0
-    assert json.loads(out)["dangling"] == [
-        {"user": "Bob", "operation": "run", "object": "IGS"},
-        {"user": "Bob", "operation": "run", "object": "NOWHERE"},
-        {"user": "Tom", "operation": "run", "object": "NOWHERE"},
-    ]
+    warning; JSON lists both as dangling.  Denied triples of such a user,
+    second role or not, are never forbidden: the user reaches nothing."""
+    allowed = "role r { allow (run, IGS), (run, NOWHERE); users { Tom, Bob } }\n"
+    denied = "role s { deny (admin, PLC), (fly, NOWHERE); users { Bob } }\n"
+    for text in (allowed, allowed + denied):
+        policy = tmp_path / "bob.rbac"
+        policy.write_text(text)
+        argv = ["verify", "--system", PLANT, "--policy", str(policy)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        warnings = [line for line in out.splitlines() if line.startswith("warning:")]
+        assert warnings == [
+            "warning: (Bob, run, IGS) names a user the system does not define",
+            "warning: (Bob, run, NOWHERE) names a user the system does not define",
+            "warning: (Tom, run, NOWHERE) names an action no credentials reach from zone O",
+        ]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["forbidden"] == []
+        assert json.loads(out)["dangling"] == [
+            {"user": "Bob", "operation": "run", "object": "IGS"},
+            {"user": "Bob", "operation": "run", "object": "NOWHERE"},
+            {"user": "Tom", "operation": "run", "object": "NOWHERE"},
+        ]
 
 
 def test_dangling_warning_for_an_action_the_system_defines(tmp_path, capsys):

@@ -4,7 +4,9 @@ from dataclasses import replace
 import pytest
 
 from accessfix import (
+    BecomesAccount,
     DoorRule,
+    LocAcc,
     Zone,
     lan_classes,
     parse_system,
@@ -20,6 +22,16 @@ def shares_a_class(model, src, dst) -> bool:
     """Whether two root devices have a network path: they share a class."""
     classes = lan_classes(model)
     return not classes.get(src, frozenset()).isdisjoint(classes.get(dst, ()))
+
+
+@pytest.mark.parametrize(
+    "one, other", [(LocAcc("PLC", "usr"), BecomesAccount("PLC", "usr")), (Zone("A"), ("A", False))]
+)
+def test_records_of_different_types_with_equal_fields_are_unequal(one, other):
+    """Equality is by type as well as value, as a record built on a plain
+    tuple would not keep it."""
+    assert one != other and other != one
+    assert len({one, other}) == 2
 
 
 def test_plant_validates_clean(plant):
