@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -106,12 +107,12 @@ def _json(value, newline: str) -> str:
     if kind is list:
         if not value:
             return "[]"
-        first = value[0]
-        if {*map(type, value)} == {str}:
+        kinds = {*map(type, value)}
+        if kinds == {str}:
             items = map(encode_basestring_ascii, value)
-        elif type(first) is dict and first and all(
-            type(item) is dict and item.keys() == first.keys() for item in value
-        ):
+        elif kinds == {dict} and value[0] and len({*map(tuple, value)}) == 1:
+            # One key order: records with equal keys inserted in another
+            # order take the generic path, which writes the same bytes.
             items = _records(value, inner)
         else:
             items = [_json(item, inner) for item in value]
@@ -139,9 +140,11 @@ def _json(value, newline: str) -> str:
 def _records(records: list[dict], newline: str) -> list[str]:
     """Dicts with one set of keys as indented JSON objects.  The keys are
     sorted and encoded once into a template, and each key's values are
-    written a column at a time: a column of strings, integers or booleans
-    in place, any other through `_json`."""
+    written a column at a time: a column of strings, integers, booleans or
+    lists of strings in place, any other through `_json`."""
     inner = newline + "  "
+    deeper = inner + "  "
+    sep, close = "," + deeper, inner + "]"
     keys = sorted(records[0])
     template = "{" + ",".join(
         inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
@@ -156,6 +159,11 @@ def _records(records: list[dict], newline: str) -> list[str]:
             columns.append(map(str, column))
         elif kinds == {bool}:
             columns.append(["true" if item else "false" for item in column])
+        elif kinds == {list} and {*map(type, chain.from_iterable(column))} <= {str}:
+            columns.append([
+                "[" + deeper + sep.join(map(encode_basestring_ascii, item)) + close if item else "[]"
+                for item in column
+            ])
         else:
             columns.append([_json(item, inner) for item in column])
     return [template % row for row in zip(*columns)]

@@ -38,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .automata import EPSILON, Automaton, ReducedEvent
 
@@ -100,13 +100,16 @@ def covers_any(mask: int, minterms: Iterable[int]) -> bool:
     return False
 
 
-def _minimal(candidates: Iterable[int]) -> list[int]:
+def _minimal(candidates: Collection[int]) -> list[int]:
     """The minimal credential bitmasks among `candidates`, smallest first.
 
     Taken in order of size, a set is kept unless a kept one is its subset;
     a later set is never smaller than a kept one, so no kept set is ever
-    displaced (Bayardo and Panda, SDM 2011).
+    displaced (Bayardo and Panda, SDM 2011).  Fewer than two candidates
+    are minimal as they are, unsorted.
     """
+    if len(candidates) < 2:
+        return list(candidates)
     kept: list[int] = []
     for creds in sorted(candidates, key=int.bit_count):
         for held in kept:  # covers_any inlined: a call costs more than the test

@@ -21,9 +21,9 @@ It is exact because a run enabling an action contains the one chain of
 steps that derives the action's premise, and that chain is itself a run.
 For fixed credential sets the same rules reduce to plain reachability, one
 bit per set (`reachable_each`): the verdict walks them once per start
-zone, one bit per user starting there, and repair once per user, to
-re-check all of the user's listed solutions; only the repair search
-saturates, once per start zone.
+zone, one bit per user starting there, and repair once more per start
+zone, to re-check the distinct listed solutions of all the users starting
+there; only the repair search saturates, once per start zone.
 
 `compile_rules` is the one reader of a model's doors, variants and
 preconditions, and it fixes the library's one credential index: the
@@ -50,6 +50,8 @@ each start zone, which raises on an ambiguous transition.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .automata import (
@@ -167,6 +169,35 @@ def saturate(rules: Rules, zone: str) -> Functions:
     return _propagate(("zone", zone), rules.derive, rules.enable)
 
 
+# _COLUMN[q] translates a byte to b"1" when its bit q is set and to b"0"
+# otherwise; _SET_BITS[v] pairs each set bit q of the byte v with _COLUMN[q].
+_COLUMN = [bytes(b"01"[v >> q & 1] for v in range(256)) for q in range(8)]
+_SET_BITS = [tuple((q, _COLUMN[q]) for q in range(8) if v >> q & 1) for v in range(256)]
+
+
+def _held(masks: Sequence[int]) -> dict[int, int]:
+    """Per own credential mask, the bitset of the sets of `masks` holding it,
+    bit j for `masks[j]`; mask 0, which every set holds, has all of them.
+
+    A transpose of the bit matrix `masks`, a byte column at a time (Warren,
+    *Hacker's Delight*, 2nd ed., 7-3): the masks are rows of `width`
+    little-endian bytes, last mask first, so that byte k of every row,
+    sliced with stride `width` and translated to 0s and 1s for one bit of
+    it, reads in base 2 as that credential's bitset.  Each step is a C call
+    per credential some mask holds, not a Python step per set bit.
+    """
+    held = {0: (1 << len(masks)) - 1}
+    union = reduce(or_, masks, 0)
+    width = (union.bit_length() + 7) // 8
+    rows = b"".join([mask.to_bytes(width, "little") for mask in reversed(masks)])
+    for k, byte in enumerate(union.to_bytes(width, "little")):
+        if byte:
+            column = rows[k::width]
+            for q, table in _SET_BITS[byte]:
+                held[1 << 8 * k + q] = int(column.translate(table), 2)
+    return held
+
+
 def reachable_each(rules: Rules, zone: str, masks: Sequence[int]) -> dict[ReducedEvent, int]:
     """For each action derivable from `zone` under some of `masks`, the
     bitset whose bit j is set when a user holding exactly the credentials of
@@ -180,14 +211,10 @@ def reachable_each(rules: Rules, zone: str, masks: Sequence[int]) -> dict[Reduce
     when it needs none.  A fact is pushed each time it gains sets and,
     popped, passes on its whole bitset: what it passed on before is already
     in its successors' bitsets, so only the sets it gained since add any.
+    The bitsets of the sets holding each credential are built a byte column
+    at a time (`_held`).
     """
-    held = {0: (1 << len(masks)) - 1}  # own credential -> the sets holding it
-    for j, mask in enumerate(masks):
-        while mask:
-            own = mask & -mask
-            held[own] = held.get(own, 0) | 1 << j
-            mask ^= own
-
+    held = _held(masks)
     start: Fact = ("zone", zone)
     derived_by = {start: held[0]}
     stack = [start]

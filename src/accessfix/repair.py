@@ -35,11 +35,15 @@ The list is in rank order, and a capped list is the best prefix of the
 full one.  Every reported solution is re-checked before being
 returned: a user holding exactly the solution's credentials must reach, by
 plain reachability over the same compiled rules, every allowed action of
-the user and no denied one.  One walk per user checks all of the user's
-listed solutions at once, one bit per solution (`facts.reachable_each`).
-The walk guards the provenance algebra and the search, not the compilation;
-`tests/test_differential.py` holds the compiled rules to the users' own
-automata.
+the user and no denied one.  The actions a set reaches from a zone do not
+depend on who holds it, so once every user of a start zone is searched,
+one walk checks the distinct sets they list, one bit per set in
+first-listed order (`facts.reachable_each`, which builds its per-credential
+bitsets a byte column at a time), each distinct set is decoded into names
+once, and each user's sets are tested against the user's own allowed and
+denied actions.  The walk guards the provenance algebra and the search,
+not the compilation; `tests/test_differential.py` holds the compiled rules
+to the users' own automata.
 
 The policy and the model enter through `analysis.prepare`, as they do for
 the verdict, so repair rejects what verify rejects.  `repair_users`, the
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
+from itertools import chain
 from typing import NamedTuple
 
 from .analysis import prepare, users_by_zone
@@ -175,7 +180,16 @@ def _unsat_core(user_id: str, conjuncts: list[Conjunct]) -> tuple[Triple, ...]:
     return tuple(sorted((user_id, perm.operation, perm.object) for perm, _, _ in core))
 
 
-def _repair(
+class _Search(NamedTuple):
+    user: User
+    current: int  # the user's credentials
+    ranked: list[int]  # the listed sets, in rank order
+    truncated: bool
+    minimal: set[int]  # the minimal repairs
+    blocking: tuple[Triple, ...]
+
+
+def _search(
     rules: Rules,
     functions: Functions,
     user: User,
@@ -183,31 +197,48 @@ def _repair(
     minus: set[Permission],
     pool: int | None,
     cap: int,
-) -> RepairResult:
+) -> _Search:
+    """The first `cap` repairs of one user in rank order, unchecked."""
     current = credential_mask(user.credentials, rules.credentials)
     pool = current if pool is None else pool
     conjuncts = _conjuncts(functions, plus, minus, pool)
     minimal, denied = _minimal_repairs(conjuncts)
     if not minimal:
-        return RepairResult((), False, _unsat_core(user.id, conjuncts))
+        return _Search(user, current, [], False, minimal, _unsat_core(user.id, conjuncts))
+    return _Search(user, current, *_ranked(minimal, denied, pool, current, cap), minimal, ())
 
-    ranked, truncated = _ranked(minimal, denied, pool, current, cap)
-    # One walk re-checks every listed set: bit j of `sound` is set when a
-    # user holding exactly `ranked[j]` reaches every allowed action and no
-    # denied one.
-    reached = reachable_each(rules, user.initial_zone, ranked)
-    sound = (1 << len(ranked)) - 1
-    for perm in plus:
-        sound &= reached.get(perm, 0)
-    for perm in minus:
-        sound &= ~reached.get(perm, 0)
-    solutions = []
-    for j, mask in enumerate(ranked):
-        creds = credential_names(mask, rules.credentials)
-        if not sound >> j & 1:
-            raise RuntimeError(f"search returned an unsound repair for {user.id}: {list(creds)}")
-        solutions.append(RepairSolution(creds, mask in minimal, (mask ^ current).bit_count()))
-    return RepairResult(tuple(solutions), truncated, ())
+
+def _rechecked(
+    rules: Rules, zone: str, searches: list[_Search], spec: dict
+) -> dict[str, RepairResult]:
+    """The results of the searches of users starting in `zone`, each listed
+    set decoded once and re-checked: a user holding exactly the set must
+    reach every allowed action of the user and no denied one.
+
+    One walk checks the distinct listed sets of all the users, in
+    first-listed order, bit j for the j-th: the actions a set reaches from
+    the zone do not depend on who holds it.
+    """
+    listed = dict.fromkeys(chain.from_iterable(search.ranked for search in searches))
+    index = {mask: j for j, mask in enumerate(listed)}
+    reached = reachable_each(rules, zone, list(index)) if index else {}
+    names = {mask: credential_names(mask, rules.credentials) for mask in index}
+    results = {}
+    for user, current, ranked, truncated, minimal, blocking in searches:
+        plus, minus = spec[user.id]
+        sound = (1 << len(index)) - 1  # bit j: the j-th set is sound for this user
+        for perm in plus:
+            sound &= reached.get(perm, 0)
+        for perm in minus:
+            sound &= ~reached.get(perm, 0)
+        solutions = []
+        for mask in ranked:
+            creds = names[mask]
+            if not sound >> index[mask] & 1:
+                raise RuntimeError(f"search returned an unsound repair for {user.id}: {list(creds)}")
+            solutions.append(RepairSolution(creds, mask in minimal, (mask ^ current).bit_count()))
+        results[user.id] = RepairResult(tuple(solutions), truncated, blocking)
+    return results
 
 
 def repair_users(
@@ -242,8 +273,8 @@ def repair_users(
     results = {}
     for zone, users in users_by_zone(model).items():
         functions = saturate(rules, zone)
-        for user in users:
-            results[user.id] = _repair(rules, functions, user, *spec[user.id], pool, cap)
+        searches = [_search(rules, functions, u, *spec[u.id], pool, cap) for u in users]
+        results.update(_rechecked(rules, zone, searches, spec))
     return dict(sorted(results.items()))
 
 

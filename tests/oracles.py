@@ -55,6 +55,10 @@ where each set is added as it arrives and displaces the supersets already
 kept.  The library takes sets smallest first instead, so a kept set is
 never displaced.
 
+The walks' bit-matrix transpose has its first construction here: one
+set bit at a time (`per_bit_held`), where the library transposes a byte
+column at a time.
+
 The verdict has a second route here: the minterm evaluation the library
 used before it walked the compiled rules (`minterm_verdict`), which tests
 every user's credential mask against every minterm of the enabling
@@ -997,6 +1001,18 @@ def absorbing_minimal_repairs(conjuncts) -> tuple[set[int], list[int]]:
                     absorb(step, s | m)
             minimal = step
     return {s for s in minimal if not any(d & s == d for d in denied)}, denied
+
+
+def per_bit_held(masks) -> dict[int, int]:
+    """`facts._held` one set bit at a time: for each mask j and each
+    credential bit of it, bit j joins that credential's bitset."""
+    held = {0: (1 << len(masks)) - 1}
+    for j, mask in enumerate(masks):
+        while mask:
+            own = mask & -mask
+            held[own] = held.get(own, 0) | 1 << j
+            mask ^= own
+    return held
 
 PUNCTUATION = ("<->", "->", "--", ";", ",", "{", "}", "(", ")", ".", "<", "/")
 

@@ -7,7 +7,9 @@ against the product route, the fact route's enabling functions
 against the automaton's and against those composed from enabling sets, the
 fact walk under the user's own credentials (the user's implementation set)
 and under several other sets in the same walk (as repair's re-check walks
-them) against the user's own automaton under each set,
+them) against the user's own automaton under each set, the walk's
+transpose of its sets, a byte column at a time, against the one that sets
+one bit at a time,
 `verify` (one walk per start zone) against a report built from those
 automata and against the verdict by minterm evaluation over the enabling
 functions, every listed repair against the user's own automaton under the
@@ -57,7 +59,7 @@ from accessfix import (
     verify,
 )
 from accessfix.cli import main
-from accessfix.facts import state_product
+from accessfix.facts import _held, state_product
 from accessfix.repair import repair_users
 from conftest import plant_cells
 from oracles import (
@@ -73,6 +75,7 @@ from oracles import (
     enabling_functions_from_sets,
     minterm_verdict,
     parallel_compose,
+    per_bit_held,
     ranked_by_levels,
     reachability_automaton,
     reachable_reduced_events,
@@ -369,6 +372,38 @@ def test_a_wide_walk_equals_its_one_set_walks():
             assert all(bits >> len(masks) == 0 for bits in each.values()), (where, zone)
             walks += 1
     assert walks >= 500
+
+
+def test_the_byte_column_transpose_equals_the_per_bit_one():
+    """`facts._held`, which transposes the walk's sets a byte column at a
+    time, against `per_bit_held`, one set bit at a time, on seeded lists of
+    0, 1, 2, 64 and 1 000 masks over 0 to 300 credentials (rows of 0 to 38
+    bytes): random masks with the empty set, every credential and a
+    duplicate among them, sparse masks, masks of one credential, and lists
+    whose masks are all empty."""
+    rng = random.Random(28)
+    widths = set()
+    for length in (0, 1, 2, 64, 1000):
+        # Every row width from 0 to 38 bytes, and both sides of a byte's end.
+        for credentials in sorted({0, 1, 7, 8, 9, 63, 64, 65, 300, *range(4, 300, 8)}):
+            everything = (1 << credentials) - 1
+            lists = [
+                [rng.getrandbits(credentials) for _ in range(length)],
+                [rng.getrandbits(credentials) & rng.getrandbits(credentials)
+                 & rng.getrandbits(credentials) for _ in range(length)],
+                [1 << rng.randrange(credentials) if credentials else 0 for _ in range(length)],
+                [0] * length,
+            ]
+            if length >= 2:
+                lists[0][:3] = [0, everything, rng.choice(lists[0])]
+                rng.shuffle(lists[0])
+            for masks in lists:
+                union = 0
+                for mask in masks:
+                    union |= mask
+                widths.add((union.bit_length() + 7) // 8)
+                assert _held(masks) == per_bit_held(masks), (length, credentials, masks[:4])
+    assert widths == set(range(39))
 
 
 FLAGGED_BUT_UNAMBIGUOUS = """

@@ -126,6 +126,16 @@ EDGE_CASES = [
     [{"v": "s"}, {"v": 1}, {"v": None}, {"v": ["s"]}],
     [{"%s": 1, "%%": "%d", "é": "日本"}, {"%s": 2, "%%": "%", "é": ""}],
     {"x": [{"user": "u", "operation": "o", "object": "d"}] * 3},
+    # Lists of records with a column of string lists, which the writer
+    # renders in place: empty lists, non-ASCII and `%` strings; a list
+    # holding a non-string, which falls back to the generic path; equal
+    # keys inserted in different orders.
+    [{"c": ["é", "%s"], "n": 1}, {"c": [], "n": 2}, {"c": ["%%", "日本", ""], "n": 3}],
+    [{"c": []}, {"c": []}],
+    [{"c": ["a", "b"]}, {"c": ["a", 1]}, {"c": []}],
+    [{"c": ["a"]}, {"c": [None]}],
+    [{"c": ["a"]}, {"c": [["b"]]}],
+    [{"credentials": ["k"], "minimal": True}, {"minimal": False, "credentials": ["l", "m"]}],
 ]
 
 
@@ -139,10 +149,12 @@ def test_edge_cases_are_written_as_json_dumps_writes_them(payload):
     [
         (1, 2), 1.5, {"a": (1,)}, {1: "a"}, {"a": 1, 2: "b"}, set(), object(), [b"bytes"],
         [{"a": 1}, {"a": (1,)}], [{"a": 1}, {"a": 1.5}], [{1: "a"}, {1: "b"}],
+        [{"c": ["a"]}, {"c": ("b",)}], [{"c": ["a"]}, {"c": [b"b"]}],
     ],
     ids=[
         "tuple", "float", "nested tuple", "int key", "mixed keys", "set", "object", "bytes",
         "tuple in a record", "float in a record", "int key in records",
+        "tuple in a string-list column", "bytes in a string-list column",
     ],
 )
 def test_other_types_are_a_type_error(payload):

@@ -5,7 +5,8 @@ automaton nor a formula over credential names (`Dnf`), and compiles the
 fact rules and computes the network classes once.  Both take the verdict
 from one walk of the rules per distinct start zone of the model's users;
 only repair saturates the rules, once per start zone, for its search, and
-it re-checks all listed solutions of a user in one walk of the same rules.
+it re-checks the distinct listed solutions of a zone's users in one walk
+of the same rules.
 The library's entries and `accessfix enabling` validate the model once
 each, and `repair_all` compiles and saturates as `accessfix repair` does.
 """
@@ -26,7 +27,7 @@ from accessfix import (
     verify,
 )
 from accessfix.cli import main
-from conftest import FIXTURES
+from conftest import C_TOM, FIXTURES, with_credentials
 
 TWO_ZONES_INS = """
 credential k;
@@ -195,36 +196,77 @@ def test_verify_builds_no_automaton_and_one_set_of_network_classes(monkeypatch, 
     assert len(classes) == 1
 
 
+def _recheck_walks(model, listed: dict) -> list:
+    """(start zone, sets) of repair's re-check walks, given each user's
+    listed sets by user id: one walk per start zone whose users list
+    anything, zones in the order of their first user by id, each walking
+    the distinct sets its users list, users in id order, each set where it
+    is first listed."""
+    walks: dict = {}
+    for uid in sorted(listed):
+        sets = walks.setdefault(model.users[uid].initial_zone, {})
+        sets.update(dict.fromkeys(tuple(creds) for creds in listed[uid]))
+    return [(zone, [list(creds) for creds in sets]) for zone, sets in walks.items() if sets]
+
+
 def test_repair_builds_no_automaton_and_compiles_once_for_its_rechecks(monkeypatch, capsys):
     """Repair compiles the rules and computes the network classes once, for
     the verdict and the enabling functions, and after the verdict's walk
     re-checks every listed solution of every user on that one compilation,
-    in one walk per user whose sets are exactly the user's listed solutions
-    in order."""
+    in one walk per start zone whose sets are exactly the distinct listed
+    solutions of the zone's users in first-listed order."""
+    model = parse_system((FIXTURES / "plant.ins").read_text(encoding="utf-8"))
     # With every credential eligible, Amy's missing actions become repairable.
     for eligibility, exit_code in (("current", 1), ("all", 0)):
         builds = _count(monkeypatch, "state_product")
         classes = _count(monkeypatch, "lan_classes")
         compiled = _count(monkeypatch, "compile_rules", lambda args, rules: rules)
-        walks = _count(monkeypatch, "reachable_each", lambda args, _: (args[0], list(args[2])))
+        walks = _count(
+            monkeypatch, "reachable_each", lambda args, _: (args[0], args[1], list(args[2]))
+        )
         code = main(["repair", *PLANT, "--eligibility", eligibility, "--format", "json"])
         assert code == exit_code, capsys.readouterr().err
         listed = json.loads(capsys.readouterr().out)["repairs"]
         assert builds == [], eligibility
         assert len(compiled) == len(classes) == 1, eligibility
-        assert all(rules is compiled[0] for rules, _ in walks), eligibility
+        assert all(rules is compiled[0] for rules, _, _ in walks), eligibility
         verdict = len(_verdict_walks(PLANT[1]))
         walked = [
-            [list(credential_names(mask, rules.credentials)) for mask in masks]
-            for rules, masks in walks[verdict:]
+            (zone, [list(credential_names(mask, rules.credentials)) for mask in masks])
+            for rules, zone, masks in walks[verdict:]
         ]
-        expected = [
-            [solution["credentials"] for solution in listed[uid]]
-            for uid in sorted(listed)
-            if listed[uid]
-        ]
+        expected = _recheck_walks(model, {
+            uid: [solution["credentials"] for solution in solutions]
+            for uid, solutions in listed.items()
+        })
         assert walked == expected and expected, eligibility
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("eligibility", ["current", "all"])
+def test_a_set_two_users_of_a_zone_list_is_rechecked_once(monkeypatch, plant, eligibility):
+    """Amy made an operator like Tom, holding Tom's credentials and
+    `c_PCAmy`: both start in O, and every set Tom lists Amy lists too, so
+    the zone's one re-check walk holds each of them once.  `repair_all`
+    has no verdict, so every walk is a re-check."""
+    text = (FIXTURES / "plant.rbac").read_text(encoding="utf-8")
+    policy = parse_policy(text.replace("users { Tom }", "users { Tom, Amy }")
+                          .replace("users { Amy }", "users { }"))
+    model = with_credentials(plant, "Amy", C_TOM | {"c_PCAmy"})
+    walks = _count(monkeypatch, "reachable_each", lambda args, _: (args[1], list(args[2])))
+    results = repair_all(model, policy, eligibility)
+    listed = {
+        uid: [solution.credentials for solution in result.solutions]
+        for uid, result in results.items()
+    }
+    assert set(listed["Tom"]) <= set(listed["Amy"]), eligibility
+    credentials = prepare(model, policy)[1].credentials
+    walked = [
+        (zone, [list(credential_names(mask, credentials)) for mask in masks])
+        for zone, masks in walks
+    ]
+    assert walked == _recheck_walks(model, listed), eligibility
+    assert len(walked[0][1]) == len(listed["Amy"]), eligibility
 
 
 def test_verify_and_repair_construct_no_formula_over_names(monkeypatch, capsys):
