@@ -14,6 +14,15 @@ a character that starts no token, so such a character is reported ahead of
 an earlier syntax error; otherwise the failing token's offset is read by its
 index, and turned into a line and column.  Both scans take time linear in
 the text.
+
+A parsed model holds each name and each set once.  Every spelling of a
+name is one string per file, and every distinct frozenset the parser builds
+(a credential or member set, a role's permissions, a link's endpoints, the
+model's own collections) is one object per file, kept in the parser's
+tables and dropped with them.  Every empty set, an absent `requires` and
+an absent role clause included, is the one module-level `_EMPTY`: CPython
+3.11 builds a new empty frozenset on every call.  Sets are immutable and
+are compared by value, so sharing changes no result.
 """
 
 from __future__ import annotations
@@ -57,6 +66,8 @@ _PUNCT = frozenset("<-> -> -- ; , { } ( ) . < /".split())
 # `\w` also admits non-letters such as `²`.
 _SKIP = r"(?:[ \t\r\n]+(?![ \t\r\n])|//[^\n]*(?![^\n]))*"
 _TOKEN = re.compile(_SKIP + r'([^\W\d]\w*|\d+|"[^"]*"|<->|->|--|[;,{}().</]|.|\Z)')
+
+_EMPTY: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -137,10 +148,12 @@ class _Parser:
         self.file = file
         self.tokens = _TOKEN.findall(text)
         self.pos = 0
-        # Each checked identifier's one string, so that a name's every
-        # occurrence in the model is the same object; `sys.intern` would
-        # keep them past the model's life.
+        # Each checked identifier's one string and each distinct set's one
+        # frozenset, `_EMPTY` for the empty one, so that equal values in the
+        # model are the same object; a table that outlived the parser, such
+        # as `sys.intern`'s, would keep them past the model's life.
         self.names: dict[str, str] = {}
+        self.sets: dict[frozenset, frozenset] = {_EMPTY: _EMPTY}
 
     def fail(self, expected: str, at: int | None = None, found: str | None = None):
         """Raises the error of the token at index `at`, the current one by
@@ -191,15 +204,20 @@ class _Parser:
         self.pos += 1
         return token[1:-1]
 
+    def shared(self, items) -> frozenset:
+        """The file's one frozenset equal to the set of `items`."""
+        found = frozenset(items)
+        return self.sets.setdefault(found, found)
+
     def name_set(self) -> frozenset[str]:
         self.expect("{")
-        items = []
-        if not self.accept("}"):
+        if self.accept("}"):
+            return _EMPTY
+        items = [self.expect_ident()]
+        while self.accept(","):
             items.append(self.expect_ident())
-            while self.accept(","):
-                items.append(self.expect_ident())
-            self.expect("}")
-        return frozenset(items)
+        self.expect("}")
+        return self.shared(items)
 
     def new_name(self, kind: str, seen) -> str:
         """An identifier that is not yet in `seen`."""
@@ -246,7 +264,7 @@ def parse_system(text: str, filename: str = "<string>") -> SystemModel:
             else:
                 p.fail('"->" or "<->"')
             dst = p.expect_ident()
-            required = p.name_set() if p.accept("requires") else frozenset()
+            required = p.name_set() if p.accept("requires") else _EMPTY
             p.expect(";")
             doors.add(DoorRule(door_id, src, dst, required))
             if both:
@@ -256,7 +274,7 @@ def parse_system(text: str, filename: str = "<string>") -> SystemModel:
             p.expect("--")
             b = p.expect_ident()
             p.expect(";")
-            links.add(Link(frozenset((a, b))))
+            links.add(Link(p.shared((a, b))))
         elif keyword == "user":
             at = p.pos
             name = p.expect_ident()
@@ -272,11 +290,11 @@ def parse_system(text: str, filename: str = "<string>") -> SystemModel:
             p.fail('a declaration ("credential", "zone", "door", "device", "link" or "user")', p.pos - 1)
 
     return SystemModel(
-        credentials=frozenset(credentials),
+        credentials=p.shared(credentials),
         zones=zones,
-        doors=frozenset(doors),
+        doors=p.shared(doors),
         devices=devices,
-        links=frozenset(links),
+        links=p.shared(links),
         users=users,
     )
 
@@ -360,7 +378,7 @@ def _parse_variant(p: _Parser, dev_id: str) -> OperationVariant:
         pre = RemAcc(proto, port)
     else:
         p.fail('"phy_acc", "loc_acc" or "rem_acc"', p.pos - 1)
-    required = p.name_set() if p.accept("requires") else frozenset()
+    required = p.name_set() if p.accept("requires") else _EMPTY
     effect = None
     if p.accept("becomes"):
         effect = BecomesAccount(dev_id, p.expect_ident())
@@ -378,9 +396,9 @@ def parse_policy(text: str, filename: str = "<string>") -> PolicySpec:
         if keyword == "role":
             rid = p.new_name("role", roles)
             p.expect("{")
-            allowed: frozenset[Permission] = frozenset()
-            denied: frozenset[Permission] = frozenset()
-            members: frozenset[str] = frozenset()
+            allowed: frozenset[Permission] = _EMPTY
+            denied: frozenset[Permission] = _EMPTY
+            members: frozenset[str] = _EMPTY
             if p.accept("allow"):
                 allowed = _parse_perm_list(p)
                 p.expect(";")
@@ -399,14 +417,14 @@ def parse_policy(text: str, filename: str = "<string>") -> PolicySpec:
             hierarchy.add((lo, hi))
         else:
             p.fail('"role" or "hierarchy"', p.pos - 1)
-    return PolicySpec(roles=roles, hierarchy=frozenset(hierarchy))
+    return PolicySpec(roles=roles, hierarchy=p.shared(hierarchy))
 
 
 def _parse_perm_list(p: _Parser) -> frozenset[Permission]:
     perms = [_parse_perm(p)]
     while p.accept(","):
         perms.append(_parse_perm(p))
-    return frozenset(perms)
+    return p.shared(perms)
 
 
 def _parse_perm(p: _Parser) -> Permission:

@@ -6,7 +6,10 @@ diagnostic list instead of raising so that every issue can be surfaced in
 one pass.  Each fact is held once: a port's id and owner are its key and
 the declaring device, and a hosted device's whole hosting chain is the
 `Location.hosts` its path gives, which `validate` checks against the
-direct host's.
+direct host's.  A parsed model also holds each name and each set once:
+each name is one string and each distinct set one frozenset per file, and
+every empty set is one object (see `dslparser`); nothing here reads a
+set's identity.
 """
 
 from __future__ import annotations

@@ -206,6 +206,69 @@ def test_a_credential_name_is_one_object_across_the_model(plant):
     assert all(name is declared[name] for name in held)
 
 
+def _frozensets(root) -> list[frozenset]:
+    """Every frozenset reachable from `root`, once per reference to it."""
+    found, stack = [], [root]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple, frozenset)):
+            if isinstance(value, frozenset):
+                found.append(value)
+            stack.extend(value)
+        elif is_dataclass(value):
+            stack.extend(getattr(value, f.name) for f in fields(value))
+    return found
+
+
+SHARED_SETS_INS = """
+credential k; credential j;
+zone O external; zone A;
+door d1 O -> A requires {k};
+door d2 A <-> O requires {k};
+door d3 O -> A;
+device D in A {
+    group g {}
+    group h {k}
+    operation run { when phy_acc requires {k}; when loc_acc(x) requires {k, j}; when rem_acc(tcp, 1); }
+}
+device E in A { group pair {D, E} operation run { when phy_acc requires {j, k}; } }
+link D -- E;
+user U at O credentials {};
+user V at O credentials {k};
+"""
+SHARED_SETS_RBAC = """
+role r { allow (run, D); users { U } }
+role s { allow (run, D); deny (run, D); users {} }
+role t { }
+"""
+
+
+def test_equal_credential_sets_are_one_object_per_file(plant, plant_policy):
+    """Within one parsed file every two equal frozensets, the empty ones
+    included, are one object; two parses of a text share no non-empty set."""
+    parsed = [plant, plant_policy, parse_system(SHARED_SETS_INS), parse_policy(SHARED_SETS_RBAC)]
+    for root in parsed:
+        found = _frozensets(root)
+        objects = {id(value): value for value in found}
+        assert len(objects) == len(set(found)), root
+    # The small texts repeat {k}, {j, k}, {(run, D)} and the empty set, and
+    # a group's accounts are spelled like a link's endpoints, so the sharing
+    # above is exercised.
+    for root, repeated in [
+        (parsed[2], [frozenset(), frozenset("k"), frozenset("jk"), frozenset("DE")]),
+        (parsed[3], [frozenset(), frozenset({accessfix.policy.Permission("run", "D")})]),
+    ]:
+        found = _frozensets(root)
+        assert all(found.count(value) >= 2 for value in repeated)
+    again = [parse_system(SHARED_SETS_INS), parse_policy(SHARED_SETS_RBAC)]
+    for first, second in zip(parsed[2:], again):
+        assert first == second
+        ids = {id(value) for value in _frozensets(first) if value}
+        assert ids and ids.isdisjoint(id(value) for value in _frozensets(second) if value)
+
+
 def test_model_records_have_no_instance_dict(plant, plant_policy):
     """Every record of a parsed model and policy, of their diagnostics and
     of the flattened policy is slotted."""
