@@ -3,12 +3,14 @@
 Every rule of a model has one premise: a door needs the user in one zone,
 `phy_acc` one zone, `loc_acc` one held session and `rem_acc` one held
 session on a host in the target's network class; and sessions are never
-lost.  So reachability is linear Datalog over three kinds of fact:
+lost.  So reachability is linear Datalog over three kinds of fact, each
+the value it names and told apart by its type, so a zone and a device of
+one name never meet as keys:
 
-  * ("zone", z): the user can stand in zone z;
-  * ("session", s): the user can hold session s (the automaton's `Session`);
-  * ("lan", i): the user holds a session on a device of network class i
-    (see `sysmodel.lan_classes`).
+  * a zone id (`str`): the user can stand in that zone;
+  * a `Session` (the automaton's): the user can hold that session;
+  * a class number (`int`): the user holds a session on a device of that
+    network class (see `sysmodel.lan_classes`).
 
 A derivation is a chain of rules from the start zone, and the credentials
 it uses are its rules' own credentials.  Keeping per fact the antichain of
@@ -70,13 +72,14 @@ from .sysmodel import (
     PhyAcc,
     RemAcc,
     SystemModel,
+    door_key,
     external_zone,
     lan_classes,
     root_device,
 )
 
 Functions = dict[ReducedEvent, frozenset[int]]  # action -> antichain of credential masks
-Fact = tuple  # ("zone", zone id), ("session", Session) or ("lan", class index)
+Fact = str | Session | int  # a zone id, a held session or a network class number
 
 
 class Rules(NamedTuple):
@@ -99,9 +102,10 @@ def compile_rules(model: SystemModel) -> Rules:
     operation variant, plus a credential-free rule from each session to
     each network class of its root device.
 
-    The rules come in one order: doors by (door, source, destination), the
-    sessions' rules, then the variants by device, operation and declaration;
-    within a door or variant, by premise and then credential alternative.
+    The rules come in one order: doors by `door_key` (door, source,
+    destination, then sorted credentials), the sessions' rules, then the
+    variants by device, operation and declaration; within a door or
+    variant, by premise and then credential alternative.
     Each rule goes straight into its lists; a session's steps to its
     network classes are only in `derive`.
     """
@@ -118,8 +122,8 @@ def compile_rules(model: SystemModel) -> Rules:
                 if fact is not None:
                     derive[premise].append((fact, own))
 
-    for door in sorted(model.doors, key=lambda r: (r.door, r.src, r.dst)):
-        rule([("zone", door.src)], ("zone", door.dst), ReducedEvent("enter", door.dst), door.required)
+    for door in sorted(model.doors, key=door_key):
+        rule([door.src], door.dst, ReducedEvent("enter", door.dst), door.required)
 
     devices = sorted((d for d in model.devices.values() if not d.switch), key=lambda d: d.id)
     variants = [
@@ -138,35 +142,31 @@ def compile_rules(model: SystemModel) -> Rules:
     )
     classes = lan_classes(model)
 
-    def lans(device_id: str) -> list[Fact]:
-        return [("lan", i) for i in sorted(classes.get(root_device(model, device_id).id, ()))]
+    def lans(device_id: str) -> list[int]:
+        return sorted(classes.get(root_device(model, device_id).id, ()))
 
     for session in sessions:
         for lan in lans(session.device):
-            derive[("session", session)].append((lan, 0))
+            derive[session].append((lan, 0))
     for dev, op_name, variant in variants:
         pre = variant.precondition
         if isinstance(pre, PhyAcc):
-            premises = [("zone", dev.location.zone)]
+            premises = [dev.location.zone]
         elif isinstance(pre, LocAcc):
-            premises = [
-                ("session", s) for s in sessions if s.device == pre.device and pre.group in s.groups
-            ]
+            premises = [s for s in sessions if s.device == pre.device and pre.group in s.groups]
         elif isinstance(pre, RemAcc):
             premises = lans(dev.id)
         else:
             raise TypeError(f"unknown precondition {pre!r}")
         effect = variant.effect
-        fact = None if effect is None else (
-            "session", _session_for_account(model, effect.device, effect.account)
-        )
+        fact = None if effect is None else _session_for_account(model, effect.device, effect.account)
         rule(premises, fact, ReducedEvent(op_name, dev.id), variant.required)
     return Rules(credentials, dict(derive), dict(enable))
 
 
 def saturate(rules: Rules, zone: str) -> Functions:
     """Enabling function of every action derivable from `zone`, sorted."""
-    return _propagate(("zone", zone), rules.derive, rules.enable)
+    return _propagate(zone, rules.derive, rules.enable)
 
 
 # _COLUMN[q] translates a byte to b"1" when its bit q is set and to b"0"
@@ -215,9 +215,8 @@ def reachable_each(rules: Rules, zone: str, masks: Sequence[int]) -> dict[Reduce
     at a time (`_held`).
     """
     held = _held(masks)
-    start: Fact = ("zone", zone)
-    derived_by = {start: held[0]}
-    stack = [start]
+    derived_by = {zone: held[0]}
+    stack = [zone]
     while stack:
         fact = stack.pop()
         bits = derived_by[fact]
@@ -240,11 +239,12 @@ def state_product(rules: Rules, zone: str) -> Automaton:
     `zone`: the breadth-first product of the rules over (zone, held sessions)
     states.
 
-    A state holds its zone, its sessions and the network classes they reach,
+    A state holds its zone, its sessions and the class numbers they reach,
     read off the sessions' steps in `derive`.  Every action of `enable`
     whose premise it holds is an edge, labelled with the action and the
-    name of its own credential, to the state with its fact added (the state
-    itself when it has none).  A label with two targets raises `ModelError`;
+    name of its own credential, to the state moved to its fact when that is
+    a zone id, with its fact added when that is a session, and the state
+    itself when it has none.  A label with two targets raises `ModelError`;
     states are walked breadth first, and in each the premises in `enable`'s
     order, never a set's, which fixes the conflict reported.
     """
@@ -258,21 +258,19 @@ def state_product(rules: Rules, zone: str) -> Automaton:
             continue
         row: dict[ExtendedEvent, SuperState] = {}
         table[state] = row
-        held = {("zone", state.zone)}
+        held = {state.zone, *state.sessions}
         for session in state.sessions:
-            holds = ("session", session)
-            held.add(holds)
-            held.update(lan for lan, _ in rules.derive.get(holds, ()) if lan[0] == "lan")
+            held.update(lan for lan, _ in rules.derive.get(session, ()) if type(lan) is int)
         for premise, entries in rules.enable.items():
             if premise not in held:
                 continue
             for action, own, fact in entries:
                 if fact is None:
                     target = state
-                elif fact[0] == "zone":
-                    target = SuperState(fact[1], state.sessions)
+                elif type(fact) is str:
+                    target = SuperState(fact, state.sessions)
                 else:
-                    target = SuperState(state.zone, state.sessions | {fact[1]})
+                    target = SuperState(state.zone, state.sessions | {fact})
                 event = ExtendedEvent(*action, names[own])
                 if row.setdefault(event, target) != target:
                     raise ModelError(f"ambiguous transition {event} from state '{state.label()}'")

@@ -40,6 +40,13 @@ class DoorRule:
     required: frozenset[str] = frozenset()
 
 
+def door_key(rule: DoorRule) -> tuple:
+    """The one order doors are read in: by door, source and destination,
+    and one door declared twice between the same zones by its sorted
+    credentials, never by a set's hash."""
+    return (rule.door, rule.src, rule.dst, sorted(rule.required))
+
+
 @dataclass(frozen=True, slots=True)
 class Port:
     """A network port; its id is its key in the declaring device's ports."""
@@ -190,7 +197,7 @@ def validate(model: SystemModel) -> list[Diagnostic]:
         if not zid:
             error("zone", "zone id must be nonempty")
 
-    for rule in sorted(model.doors, key=lambda r: (r.door, r.src, r.dst)):
+    for rule in sorted(model.doors, key=door_key):
         loc = f"door {rule.door} ({rule.src} -> {rule.dst})"
         if rule.src == rule.dst:
             error(loc, "door must connect two distinct zones")

@@ -103,6 +103,7 @@ from accessfix import (
     saturate,
     users_by_zone,
 )
+from accessfix.sysmodel import door_key
 
 TokenSet = frozenset
 
@@ -242,7 +243,7 @@ def reachability_automaton(model, initial_zone) -> Automaton:
     from the model's doors and variants, evaluating each precondition in
     each state: the reference the library's state product over the compiled
     rules is held to, the text of an ambiguous-transition error included."""
-    doors = sorted(model.doors, key=lambda r: (r.door, r.src, r.dst))
+    doors = sorted(model.doors, key=door_key)
     classes = lan_classes(model)
     start = SuperState(initial_zone, frozenset())
     table = {}
@@ -454,7 +455,7 @@ def build_movement_automaton(model) -> Automaton:
     gates those operations on being in the right room.
     """
     edges = []
-    for rule in sorted(model.doors, key=lambda r: (r.door, r.src, r.dst)):
+    for rule in sorted(model.doors, key=door_key):
         for cred in _alternatives(rule.required):
             edges.append((rule.src, ExtendedEvent("enter", rule.dst, cred), rule.dst))
     for dev, op_name, variant in _variants(model):
@@ -985,7 +986,7 @@ def absorbing_propagate(start, derive, enable) -> dict[ReducedEvent, frozenset[i
 
 def absorbing_saturate(rules, zone: str) -> dict[ReducedEvent, frozenset[int]]:
     """`facts.saturate` by absorption."""
-    return absorbing_propagate(("zone", zone), rules.derive, rules.enable)
+    return absorbing_propagate(zone, rules.derive, rules.enable)
 
 
 def absorbing_minimal_repairs(conjuncts) -> tuple[set[int], list[int]]:

@@ -9,6 +9,7 @@ use them to write the models `randgen` and `conftest` build as `.ins` and
 from __future__ import annotations
 
 from accessfix import Device, LocAcc, OperationVariant, PhyAcc, PolicySpec, RemAcc, SystemModel
+from accessfix.sysmodel import door_key
 
 
 def _fmt_cred_set(creds: frozenset[str]) -> str:
@@ -27,7 +28,7 @@ def print_system(model: SystemModel) -> str:
         out.append(f"zone {zid} external;" if zone.external else f"zone {zid};")
     if model.zones:
         out.append("")
-    for rule in sorted(model.doors, key=lambda r: (r.door, r.src, r.dst)):
+    for rule in sorted(model.doors, key=door_key):
         req = f" requires {_fmt_cred_set(rule.required)}" if rule.required else ""
         out.append(f"door {rule.door} {rule.src} -> {rule.dst}{req};")
     if model.doors:

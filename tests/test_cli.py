@@ -383,6 +383,17 @@ def test_dangling_warning_for_an_action_the_system_defines(tmp_path, capsys):
     )
 
 
+def _under_hash_seed(seed: str, argv: list[str]) -> tuple[int, bytes]:
+    """Exit code and output of the command line in a fresh process under
+    `PYTHONHASHSEED=seed`."""
+    src = str(Path(accessfix.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "accessfix.cli", *argv],
+                          capture_output=True, env=env, timeout=60)
+    return done.returncode, done.stdout
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -393,19 +404,33 @@ def test_dangling_warning_for_an_action_the_system_defines(tmp_path, capsys):
     ids=["enabling", "verify", "repair"],
 )
 def test_output_does_not_depend_on_the_hash_seed(command):
-    src = str(Path(accessfix.__file__).resolve().parent.parent)
-    results = set()
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-m", "accessfix.cli", *command, "--system", PLANT, "--format", "json"],
-            capture_output=True, env=env, timeout=60,
-        )
-        results.add((done.returncode, done.stdout))
+    argv = [*command, "--system", PLANT, "--format", "json"]
+    results = {_under_hash_seed(seed, argv) for seed in ("0", "1")}
     assert len(results) == 1
     code, out = results.pop()
     assert code in (0, 1) and json.loads(out)
+
+
+# One door declared four times between the same zones, each time with an
+# undeclared credential: the rules are alternatives, tied on (door, source,
+# destination), so only their credentials can order the diagnostics.
+TIED_DOORS = "zone O external;\nzone A;\n" + "".join(
+    f"door d O -> A requires {{{c}}};\n" for c in "xyzw"
+)
+
+
+def test_tied_door_rules_are_read_in_credential_order(tmp_path):
+    system, empty = tmp_path / "tied.ins", tmp_path / "empty.rbac"
+    system.write_text(TIED_DOORS)
+    empty.write_text("")
+    argv = ["validate", "--system", str(system), "--policy", str(empty), "--format", "json"]
+    outputs = {_under_hash_seed(seed, argv) for seed in ("0", "1", "2", "3")}
+    assert len(outputs) == 1
+    code, out = outputs.pop()
+    assert code == 3
+    assert [d["message"] for d in json.loads(out)["diagnostics"]] == [
+        f"unknown credential '{c}'" for c in "wxyz"
+    ]
 
 
 def run_or_exit(capsys, argv):

@@ -21,7 +21,10 @@ product, built smallest first, against those built by absorption.  Models
 on which an automaton is ambiguous (two variants of one operation with one
 label but different sessions, a known fault) are kept: every route must
 then reject them with the same `ModelError`, and the static check
-`may_be_ambiguous` must flag them.
+`may_be_ambiguous` must flag them.  A model that gives one name to a zone,
+a door, a device, a group, an account, a credential, a user and a role goes
+through the same routes, since the compiled facts carry no tag of their
+kind.
 """
 
 import random
@@ -39,6 +42,7 @@ from accessfix import (
     OperationVariant,
     PhyAcc,
     ReducedEvent,
+    Session,
     SystemModel,
     Zone,
     build_super_automaton,
@@ -55,6 +59,7 @@ from accessfix import (
     repair_all,
     saturate,
     spec_sets,
+    to_dot,
     validate,
     verify,
 )
@@ -272,6 +277,79 @@ def test_a_chain_two_hosts_deep_agrees_with_the_reference(plant_text, policy_tex
     # Tom polls through his PC session, and Amy logs in to the VM from hers.
     assert ("Tom", "poll", "VM") not in report.missing | report.dangling
     assert ("Amy", "login", "VM") in report.forbidden
+
+
+# A zone, a door, a device, a group, an account, a credential, a user and
+# a role all named PLC.  The compiled rules tell a zone from a session by
+# the fact's type alone, so the zone PLC and the session on device PLC
+# must stay two facts; the `enter` operation shares the door's action but
+# not its label, which needs the credential PLC.
+ONE_NAME = """
+credential PLC;
+credential j;
+credential k;
+zone O external;
+zone PLC;
+door PLC O -> PLC requires {PLC};
+door PLC PLC -> O;
+device PLC in PLC {
+    port p_PLC mac "MAC_PLC" ip "IP_PLC";
+    group PLC { PLC }
+    operation login { when phy_acc requires {PLC} becomes PLC; }
+    operation enter { when loc_acc(PLC); }
+    operation run { when rem_acc(tcp, 22) requires {k}; }
+    operation stop { when loc_acc(PLC) requires {j}; }
+}
+device SW in O switch {
+    port s_1 mac "MAC_SW" ip "IP_SW";
+}
+link p_PLC -- s_1;
+user PLC at O credentials {PLC, j};
+"""
+ONE_NAME_POLICY = """
+role PLC { allow (login, PLC), (enter, PLC), (run, PLC); deny (stop, PLC); users { PLC } }
+"""
+
+
+def test_one_name_in_every_namespace_agrees_with_the_oracles():
+    """The state product and the enabling functions from every zone, the
+    automaton, the verdict and the repair lists under `all` and `current`
+    on `ONE_NAME`, against the oracles, which key states by zone and
+    session set and never mix the two."""
+    model, policy = parse_system(ONE_NAME), parse_policy(ONE_NAME_POLICY)
+    assert validate(model) == []
+    rules = compile_rules(model)
+    assert {"PLC", Session("PLC", frozenset({"PLC"}))} <= rules.enable.keys()
+    for zone in sorted(model.zones):
+        automaton = reachability_automaton(model, zone)
+        assert state_product(rules, zone) == automaton, zone
+        functions = decoded(saturate(rules, zone), rules.credentials)
+        assert functions == enabling_functions(automaton), zone
+        assert functions == enabling_functions_from_sets(automaton), zone
+    assert to_dot(build_super_automaton(model)) == to_dot(reachability_automaton(model, "O"))
+    assert _check_product_route(model) == "same language"
+
+    report = verify(model, policy)
+    assert report == _automata_verdict(model, policy, _all_credential_automata(model))
+    assert report == minterm_verdict(model, policy)
+    assert report == AnomalyReport(
+        frozenset({("PLC", "run", "PLC")}), frozenset({("PLC", "stop", "PLC")}), frozenset()
+    )
+
+    user = model.users["PLC"]
+    functions = decoded(saturate(rules, user.initial_zone), rules.credentials)
+    results = {}
+    for eligibility, pool in (("all", model.credentials), ("current", user.credentials)):
+        result = results[eligibility] = repair_all(model, policy, eligibility, 10**6)["PLC"]
+        constraint = build_constraint(functions, spec_sets(policy), user, pool)
+        assert [(s.credentials, s.minimal) for s in result.solutions] == [
+            (tuple(sorted(creds)), minimal)
+            for creds, minimal in brute_force_repairs(constraint, user.credentials)
+        ], eligibility
+        assert result.blocking == (() if result.solutions else dpll_unsat_core(constraint))
+    # Only k opens `run`, and the user does not hold it.
+    assert [s.credentials for s in results["all"].solutions] == [("PLC", "k")]
+    assert results["current"].solutions == ()
 
 
 def test_enabling_functions_equal_the_event_level_definition(plant, plant_automaton):

@@ -18,6 +18,14 @@ slow:
     sets, to the original ones.  The bijections reverse the sorted order,
     which flips the index, and rotate it by one place, which no reflection
     of the index commutes with.
+  * pools: a user's `current` pool is the user's credentials, a subset of
+    the `all` pool, so every `current` repair is in the user's `all` list,
+    with its `minimal` and `distance`, and the `all` list's minimal
+    repairs inside the user's credentials are the `current` minimal ones.
+  * monotonicity: the rules are monotone in the credentials, so giving one
+    user one more credential can only shrink that user's missing triples
+    and grow that user's forbidden ones; it changes no other user's rows,
+    and no dangling triple, which no credentials reach either way.
 """
 
 from __future__ import annotations
@@ -25,13 +33,14 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from accessfix import ModelError, build_super_automaton, repair_all, to_dot, verify
+from accessfix import ModelError, build_super_automaton, repair_all, to_dot, validate, verify
 from accessfix.cli import main
-from conftest import plant_cells
+from conftest import plant_cells, with_credentials
 from printers import print_policy, print_system
 from randgen import random_model, random_policy
 
@@ -148,3 +157,73 @@ def test_renaming_the_credentials_maps_every_output_back(bijection):
 
         expected = _readings(model, policy, eligibilities, dot, restore)
         assert _readings(_renamed(model, names), policy, eligibilities, dot, restore) == expected, where
+
+
+def _random_cases():
+    """The randgen models of seeds 0-299 that `validate` accepts, with their
+    policies."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        if not any(d.severity == "error" for d in validate(model)):
+            yield f"seed {seed}", model, random_policy(rng, model)
+
+
+def test_current_repairs_are_the_all_repairs_inside_the_users_credentials():
+    """Pools, on randgen seeds 0-299 and the plant in 1 cell at cap 10**6."""
+    counts = Counter()
+    for where, model, policy in [*_random_cases(), ("plant in 1 cell", *plant_cells(1))]:
+        try:
+            every = repair_all(model, policy, "all", 10**6)
+        except ModelError:
+            with pytest.raises(ModelError):
+                repair_all(model, policy, "current", 10**6)
+            counts["ambiguous"] += 1
+            continue
+        current = repair_all(model, policy, "current", 10**6)
+        for uid, user in sorted(model.users.items()):
+            assert not every[uid].truncated and not current[uid].truncated, (where, uid)
+            listed, mine = set(every[uid].solutions), current[uid].solutions
+            assert listed.issuperset(mine), (where, uid)
+            inside = {s for s in listed if s.minimal and user.credentials.issuperset(s.credentials)}
+            assert inside == {s for s in mine if s.minimal}, (where, uid)
+            counts["current repairs" if mine else "no current repair"] += 1
+            counts["all repairs outside the credentials"] += len(listed) > len(mine)
+    print(dict(counts))
+    assert counts["current repairs"] >= 300 and counts["no current repair"] >= 80
+    assert counts["all repairs outside the credentials"] >= 200 and counts["ambiguous"]
+
+
+def _rows_of(report, uid: str) -> tuple:
+    """The user's (missing, forbidden) triples, and every other user's."""
+    kinds = (report.missing, report.forbidden)
+    return tuple(
+        tuple(frozenset(t for t in rows if (t[0] == uid) == mine) for rows in kinds)
+        for mine in (True, False)
+    )
+
+
+def test_a_credential_more_shrinks_missing_and_grows_forbidden():
+    """Monotonicity, for every user and every credential the user lacks, on
+    randgen seeds 0-299 and the plant in 8 cells."""
+    counts = Counter()
+    for where, model, policy in [*_random_cases(), ("plant in 8 cells", *plant_cells(8))]:
+        try:
+            before = verify(model, policy)
+        except ModelError:
+            counts["ambiguous"] += 1
+            continue
+        for uid, user in sorted(model.users.items()):
+            (missing, forbidden), others = _rows_of(before, uid)
+            for credential in sorted(model.credentials - user.credentials):
+                after = verify(with_credentials(model, uid, user.credentials | {credential}), policy)
+                (now_missing, now_forbidden), now_others = _rows_of(after, uid)
+                assert now_missing <= missing and now_forbidden >= forbidden, (where, uid, credential)
+                assert now_others == others, (where, uid, credential)
+                assert after.dangling == before.dangling, (where, uid, credential)
+                counts["missing shrank"] += now_missing < missing
+                counts["forbidden grew"] += now_forbidden > forbidden
+                counts["granted"] += 1
+    print(dict(counts))
+    assert counts["missing shrank"] >= 20 and counts["forbidden grew"] >= 30
+    assert counts["granted"] >= 1400 and counts["ambiguous"]
