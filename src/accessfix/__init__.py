@@ -11,13 +11,15 @@ The pipeline is parse -> validate -> verify -> repair:
   `facts.guarded_rules` is the one way from a model to them: it validates
   the model, compiles it and runs the ambiguity guard.
   Under fixed credential sets the rules give the reachable actions in one
-  walk, one bit per set, for the verdict and for repair's re-checks, and
-  the repair search saturates them into one monotone credential formula
-  per action, its enabling function, kept as an antichain of bitmasks over
-  the rules' one credential index.  The paper's credential-labelled
-  reachability automaton of a user holding every credential is read off
-  the same rules as their state product (`build_super_automaton`), which
-  `accessfix automaton` prints and the ambiguity guard builds; the tests
+  walk, one bit per (start zone, set) pair, for the verdict and for
+  repair's re-checks, and the repair search saturates them, once per
+  (start zone, pool) of its users, into one monotone credential formula
+  per action it reads, its enabling function, kept as an antichain of
+  bitmasks over the rules' one credential index.  The paper's
+  credential-labelled reachability automaton of a user holding every
+  credential is read off the same rules as their state product
+  (`build_super_automaton`), which `accessfix automaton` prints and the
+  ambiguity guard builds; the tests
   hold it to a reference builder that evaluates every precondition in
   every state, and restrict that to each user's credentials, the paper's
   per-user automaton, as the independent route that holds the compiled
@@ -35,9 +37,9 @@ The pipeline is parse -> validate -> verify -> repair:
   runs the two in turn;
 * `repair` holds the third, `repair_users`, which searches credential
   assignments that remove every anomaly, saturating the prepared rules once
-  per start zone, and lists each user's best ones as `RepairSolution`
-  named tuples (credentials, a tuple of names in name order; minimal;
-  distance) in a `RepairResult` named tuple; `repair_all` runs `prepare`
+  per (start zone, pool) of the users, and lists each user's best ones as
+  `RepairSolution` named tuples (credentials, a tuple of names in name
+  order; minimal; distance) in a `RepairResult` named tuple; `repair_all` runs `prepare`
   and then `repair_users`;
 * `dslparser` parses the textual formats, and `cli` is the command line.
 """

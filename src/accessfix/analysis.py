@@ -8,9 +8,10 @@ enabling functions.  `prepare` is the one way a policy enters the
 library: it validates the policy, flattens it, and has `facts.guarded_rules`
 validate the model, run the ambiguity guard and compile the rules, once
 each; verify and repair both start from it.  `anomalies` walks the rules
-once per start zone of the users, one bit per user starting there plus one
-for every credential (`facts.reachable_each`), and tests each policy triple
-on its user's bit and on that one.  `verify` is `prepare` and `anomalies`.
+once per call, one bit per user from the user's start zone plus one for
+every credential from each distinct start zone (`facts.reachable_each`),
+and tests each policy triple on its user's bit and on the every-credential
+bit of the user's zone.  `verify` is `prepare` and `anomalies`.
 
 `missing` are allowed actions the system does not enable, `forbidden` are
 denied actions the system enables anyway, and a missing triple whose action
@@ -64,21 +65,26 @@ def prepare(model: SystemModel, policy: PolicySpec) -> tuple[SpecSets, Rules]:
 def anomalies(model: SystemModel, sets: SpecSets, rules: Rules) -> AnomalyReport:
     """Test each triple of the flattened policy on its user's actions.
 
-    One walk per start zone: bit j is the zone's j-th user, and the highest
-    bit the set of every credential, which reaches every action some
+    One walk for the whole call: bit j is the j-th user by id, from the
+    user's start zone, and after the users, one bit per distinct start zone
+    for the set of every credential, which reaches every action some
     credentials reach from that zone.  A user the model lacks reaches none.
     """
+    users = [model.users[uid] for uid in sorted(model.users)]
+    zones = list(dict.fromkeys(u.initial_zone for u in users))
+    masks = [credential_mask(u.credentials, rules.credentials) for u in users]
     everything = (1 << len(rules.credentials)) - 1
-    walks = {}  # user id -> (the zone's reached bitsets, the user's bit, every credential's bit)
-    for zone, users in users_by_zone(model).items():
-        masks = [credential_mask(u.credentials, rules.credentials) for u in users]
-        reached = reachable_each(rules, zone, [*masks, everything])
-        walks.update((u.id, (reached, 1 << j, 1 << len(users))) for j, u in enumerate(users))
+    reached = reachable_each(
+        rules, [u.initial_zone for u in users] + zones, masks + [everything] * len(zones)
+    )
+    every = {zone: 1 << (len(users) + k) for k, zone in enumerate(zones)}
+    # user id -> (the user's bit, the bit of every credential from the user's zone)
+    bits = {u.id: (1 << j, every[u.initial_zone]) for j, u in enumerate(users)}
     found = {}  # policy triple -> (its user reaches its action, every credential does)
     for triple in sets.s_plus | sets.s_minus:
-        reached, user, every = walks.get(triple[0], ({}, 0, 0))
-        bits = reached.get(ReducedEvent(*triple[1:]), 0)
-        found[triple] = (bits & user, bits & every)
+        user_bit, every_bit = bits.get(triple[0], (0, 0))
+        reached_by = reached.get(ReducedEvent(*triple[1:]), 0)
+        found[triple] = (reached_by & user_bit, reached_by & every_bit)
     missing = frozenset(t for t in sets.s_plus if not found[t][0])
     dangling = frozenset(t for t in missing if not found[t][1])
     forbidden = frozenset(t for t in sets.s_minus if found[t][0])

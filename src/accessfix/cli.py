@@ -246,7 +246,8 @@ def cmd_repair(args: argparse.Namespace) -> int:
     model = _load_system(args)
     policy = _load_policy(args)
     # One rule compilation serves the verdict, the repairs and their
-    # re-checks; only the repair search saturates, once per start zone.
+    # re-checks; only the repair search saturates, once per (start zone,
+    # pool) of the users.
     sets, rules = analysis.prepare(model, policy)
     report = analysis.anomalies(model, sets, rules)
     eligibility = _resolve_eligibility(args.eligibility)

@@ -57,15 +57,17 @@ KEYWORDS = frozenset(
 )
 _PUNCT = frozenset("<-> -> -- ; , { } ( ) . < /".split())
 
-# Blanks and comments, each matched in exactly one way: a run of blanks is
-# maximal, and a comment ends only at a newline or the end of the text.  The
-# token group's last two alternatives, any one character and the end of the
-# text, make every match succeed right after the maximal skip, so the engine
-# never backtracks into it, and `findall`, which searches, never passes over
-# a character.  An identifier's first character is checked when it is read:
-# `\w` also admits non-letters such as `²`.
-_SKIP = r"(?:[ \t\r\n]+(?![ \t\r\n])|//[^\n]*(?![^\n]))*"
-_TOKEN = re.compile(_SKIP + r'([^\W\d]\w*|\d+|"[^"]*"|<->|->|--|[;,{}().</]|.|\Z)')
+# Blanks and comments as an unrolled loop (Friedl, *Mastering Regular
+# Expressions*, ch. 6): a run of blanks, then each comment with the run of
+# blanks after it.  The token group always matches right after the maximal
+# skip, its last two alternatives being any one character and the end of
+# the text, so the engine never backtracks into the skip or re-enters it,
+# and `findall`, which searches, never passes over a character.  An
+# identifier that starts with an ASCII letter or `_` is read by the first
+# alternative; any other first character is checked when it is read: `\w`
+# also admits non-letters such as `²`.
+_SKIP = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
+_TOKEN = re.compile(_SKIP + r'([A-Za-z_]\w*|[^\W\d]\w*|\d+|"[^"]*"|<->|->|--|[;,{}().</]|.|\Z)')
 
 _EMPTY: frozenset = frozenset()
 

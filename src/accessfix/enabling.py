@@ -120,7 +120,9 @@ def _minimal(candidates: Collection[int]) -> list[int]:
     return kept
 
 
-def _propagate(start, derive, enable) -> dict[ReducedEvent, frozenset[int]]:
+def _propagate(
+    start, derive, enable, wanted: Collection | None = None, pool: int | None = None
+) -> dict[ReducedEvent, frozenset[int]]:
     """Enabling functions read off a graph whose edges carry credentials.
 
     One pass keeps, for every node reached from `start`, the antichain of
@@ -134,8 +136,20 @@ def _propagate(start, derive, enable) -> dict[ReducedEvent, frozenset[int]]:
     the list being walked grows while it is walked.  Then every action in
     `enable[node]`, a (reduced event, own mask, target) triple, takes the
     node's sets with its own credentials, and `_minimal` keeps the minimal
-    ones.  The functions come out sorted by action.
+    ones.  An action with one alternative whose own credentials lie in none
+    of its node's sets needs no `_minimal`: the node's antichain, each set
+    with the same credentials added, is still one.  The functions come out
+    sorted by action.
+
+    Both restrictions are exact.  With `pool`, every step and action whose
+    own credentials lie outside that mask is skipped, which leaves each
+    function exactly its minterms inside the pool: a path using only the
+    pool's credentials has a minimal subset among the full minterms, and
+    that subset is itself such a path.  With `wanted`, only those actions
+    get functions: demand on the actions, not on the nodes (the demand half
+    of magic sets: Bancilhon, Maier, Sagiv and Ullman, PODS 1986).
     """
+    outside = 0 if pool is None else ~pool
     reach: dict = defaultdict(list)
     pending: dict[int, list] = defaultdict(list)
     pending[0].append((start, 0))
@@ -152,14 +166,24 @@ def _propagate(start, derive, enable) -> dict[ReducedEvent, frozenset[int]]:
                     grown = creds | own
                     if grown == creds:
                         queue.append((target, creds))
-                    else:
+                    elif not own & outside:  # a set holds only the pool's credentials
                         pending[grown.bit_count()].append((target, grown))
 
-    candidates: dict[ReducedEvent, set[int]] = defaultdict(set)
+    alternatives: dict[ReducedEvent, list] = defaultdict(list)
     for node, antichain in reach.items():
         for event, own, _ in enable.get(node, ()):
-            candidates[event].update([creds | own for creds in antichain])
-    return {r: frozenset(_minimal(candidates[r])) for r in sorted(candidates)}
+            if not own & outside:
+                alternatives[event].append((antichain, own))
+    functions = {}
+    for event in sorted(alternatives if wanted is None else alternatives.keys() & wanted):
+        pairs = alternatives[event]
+        antichain, own = pairs[0]
+        if len(pairs) > 1 or own and any(creds & own for creds in antichain):
+            candidates = {creds | own for antichain, own in pairs for creds in antichain}
+            functions[event] = frozenset(_minimal(candidates))
+        else:
+            functions[event] = frozenset([creds | own for creds in antichain])
+    return functions
 
 
 def enabling_functions(a: Automaton) -> dict[ReducedEvent, Dnf]:

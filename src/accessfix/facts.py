@@ -22,10 +22,11 @@ product of zones and session sets.
 It is exact because a run enabling an action contains the one chain of
 steps that derives the action's premise, and that chain is itself a run.
 For fixed credential sets the same rules reduce to plain reachability, one
-bit per set (`reachable_each`): the verdict walks them once per start
-zone, one bit per user starting there, and repair once more per start
-zone, to re-check the distinct listed solutions of all the users starting
-there; only the repair search saturates, once per start zone.
+bit per (start zone, set) pair (`reachable_each`): the verdict walks them
+once per call, one bit per user from the user's start zone, and repair
+once more, to re-check the distinct listed (start zone, solution) pairs of
+all its users; only the repair search saturates, once per (start zone,
+pool) of its users, and only for the actions they name (`saturate`).
 
 `compile_rules` is the one reader of a model's doors, variants and
 preconditions, and it fixes the library's one credential index: the
@@ -53,8 +54,9 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from functools import reduce
+from itertools import groupby
 from operator import or_
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .automata import (
     EPSILON,
@@ -91,12 +93,6 @@ class Rules(NamedTuple):
     enable: dict[Fact, list[tuple[ReducedEvent, int, Fact | None]]]  # -> (action, own, fact)
 
 
-def _session_for_account(model: SystemModel, device_id: str, account: str) -> Session:
-    dev = model.devices[device_id]
-    groups = frozenset(g for g, members in dev.groups.items() if account in members)
-    return Session(device_id, groups)
-
-
 def compile_rules(model: SystemModel) -> Rules:
     """One rule per premise and credential alternative of every door and
     operation variant, plus a credential-free rule from each session to
@@ -107,15 +103,19 @@ def compile_rules(model: SystemModel) -> Rules:
     variants by device, operation and declaration; within a door or
     variant, by premise and then credential alternative.
     Each rule goes straight into its lists; a session's steps to its
-    network classes are only in `derive`.
+    network classes are only in `derive`.  Per call, each credential's bit,
+    each (device, account)'s session, each device's network classes and
+    each (device, group)'s sessions are looked up once.
     """
     credentials = tuple(sorted(model.credentials))
+    bit = {c: 1 << i for i, c in enumerate(reversed(credentials))}
     derive: dict[Fact, list] = defaultdict(list)
     enable: dict[Fact, list] = defaultdict(list)
 
     def rule(premises, fact, action, required):
-        # One alternative per required credential; none required is mask 0.
-        owns = [credential_mask((c,), credentials) for c in sorted(required)] or [0]
+        # One alternative per required credential; none required is mask 0,
+        # and so is a name outside the index.
+        owns = [bit.get(c, 0) for c in sorted(required)] or [0]
         for premise in premises:
             for own in owns:
                 enable[premise].append((action, own, fact))
@@ -132,41 +132,62 @@ def compile_rules(model: SystemModel) -> Rules:
         for op_name in sorted(dev.operations)
         for variant in dev.operations[op_name]
     ]
+    session_of: dict[tuple[str, str], Session] = {}
+
+    def session(device_id: str, account: str) -> Session:
+        key = (device_id, account)
+        if key not in session_of:
+            dev = model.devices[device_id]
+            groups = frozenset(g for g, members in dev.groups.items() if account in members)
+            session_of[key] = Session(device_id, groups)
+        return session_of[key]
+
+    effects = [v.effect for _, _, v in variants if v.effect is not None]
     sessions = sorted(
-        {
-            _session_for_account(model, v.effect.device, v.effect.account)
-            for _, _, v in variants
-            if v.effect is not None
-        },
+        {session(effect.device, effect.account) for effect in effects},
         key=lambda s: (s.device, sorted(s.groups)),
     )
+    in_group: dict[tuple[str, str], list[Session]] = defaultdict(list)
+    for s in sessions:
+        for group in s.groups:
+            in_group[s.device, group].append(s)
     classes = lan_classes(model)
+    lans_of: dict[str, list[int]] = {}
 
     def lans(device_id: str) -> list[int]:
-        return sorted(classes.get(root_device(model, device_id).id, ()))
+        if device_id not in lans_of:
+            lans_of[device_id] = sorted(classes.get(root_device(model, device_id).id, ()))
+        return lans_of[device_id]
 
-    for session in sessions:
-        for lan in lans(session.device):
-            derive[session].append((lan, 0))
+    for s in sessions:
+        for lan in lans(s.device):
+            derive[s].append((lan, 0))
     for dev, op_name, variant in variants:
         pre = variant.precondition
         if isinstance(pre, PhyAcc):
             premises = [dev.location.zone]
         elif isinstance(pre, LocAcc):
-            premises = [s for s in sessions if s.device == pre.device and pre.group in s.groups]
+            premises = in_group.get((pre.device, pre.group), [])
         elif isinstance(pre, RemAcc):
             premises = lans(dev.id)
         else:
             raise TypeError(f"unknown precondition {pre!r}")
         effect = variant.effect
-        fact = None if effect is None else _session_for_account(model, effect.device, effect.account)
+        fact = None if effect is None else session(effect.device, effect.account)
         rule(premises, fact, ReducedEvent(op_name, dev.id), variant.required)
     return Rules(credentials, dict(derive), dict(enable))
 
 
-def saturate(rules: Rules, zone: str) -> Functions:
-    """Enabling function of every action derivable from `zone`, sorted."""
-    return _propagate(zone, rules.derive, rules.enable)
+def saturate(
+    rules: Rules, zone: str, wanted: Collection[ReducedEvent] | None = None, pool: int | None = None
+) -> Functions:
+    """Enabling function of every action derivable from `zone`, sorted.
+
+    With `wanted`, only the functions of those actions; with `pool`, only
+    each function's minterms inside that credential mask, read off the
+    rules whose own credential lies in it (see `enabling._propagate`).
+    """
+    return _propagate(zone, rules.derive, rules.enable, wanted, pool)
 
 
 # _COLUMN[q] translates a byte to b"1" when its bit q is set and to b"0"
@@ -175,60 +196,99 @@ _COLUMN = [bytes(b"01"[v >> q & 1] for v in range(256)) for q in range(8)]
 _SET_BITS = [tuple((q, _COLUMN[q]) for q in range(8) if v >> q & 1) for v in range(256)]
 
 
-def _held(masks: Sequence[int]) -> dict[int, int]:
-    """Per own credential mask, the bitset of the sets of `masks` holding it,
-    bit j for `masks[j]`; mask 0, which every set holds, has all of them.
+def _held(masks: Sequence[int], size: int) -> list[int]:
+    """Per credential of an index of `size`, the bitset of the sets of
+    `masks` holding it, bit j for `masks[j]`, at the bit length of the
+    credential's mask: entry 0, mask 0, which every set holds, has all of
+    them.  A list and not a dict: the hashes of the masks 1 << i repeat
+    every 61 bits, so a dict keyed by them collides on a large index.
 
-    A transpose of the bit matrix `masks`, a byte column at a time (Warren,
-    *Hacker's Delight*, 2nd ed., 7-3): the masks are rows of `width`
-    little-endian bytes, last mask first, so that byte k of every row,
-    sliced with stride `width` and translated to 0s and 1s for one bit of
-    it, reads in base 2 as that credential's bitset.  Each step is a C call
-    per credential some mask holds, not a Python step per set bit.
+    A transpose of the bit matrix `masks`, by whichever of two routes reads
+    less.  Dense masks go a byte column at a time (Warren, *Hacker's
+    Delight*, 2nd ed., 7-3): the masks are rows of `width` little-endian
+    bytes, last mask first, so that byte k of every row, sliced with stride
+    `width` and translated to 0s and 1s for one bit of it, reads in base 2
+    as that credential's bitset; each step is a C call per credential some
+    mask holds, but it reads every row.  Sparse masks, such as the users'
+    own credentials on a large plant, go one set bit at a time, and every
+    mask equal to the union of all, such as every credential's, joins every
+    credential's bitset at once.
     """
-    held = {0: (1 << len(masks)) - 1}
+    held = [0] * (size + 1)
+    held[0] = (1 << len(masks)) - 1
     union = reduce(or_, masks, 0)
+    # The set bits of the masks other than the union's, against the bytes
+    # the columns read; a Python step costs about 32 C steps.
+    set_bits = sum(map(int.bit_count, masks)) - masks.count(union) * union.bit_count()
+    if 32 * set_bits < union.bit_count() * len(masks):
+        everywhere = 0  # the sets equal to the union
+        for j, mask in enumerate(masks):
+            if mask == union:
+                everywhere |= 1 << j
+                continue
+            while mask:
+                top = mask.bit_length()
+                held[top] |= 1 << j
+                mask ^= 1 << top - 1
+        while everywhere and union:
+            top = union.bit_length()
+            held[top] |= everywhere
+            union ^= 1 << top - 1
+        return held
     width = (union.bit_length() + 7) // 8
     rows = b"".join([mask.to_bytes(width, "little") for mask in reversed(masks)])
     for k, byte in enumerate(union.to_bytes(width, "little")):
         if byte:
             column = rows[k::width]
             for q, table in _SET_BITS[byte]:
-                held[1 << 8 * k + q] = int(column.translate(table), 2)
+                held[8 * k + q + 1] = int(column.translate(table), 2)
     return held
 
 
-def reachable_each(rules: Rules, zone: str, masks: Sequence[int]) -> dict[ReducedEvent, int]:
-    """For each action derivable from `zone` under some of `masks`, the
-    bitset whose bit j is set when a user holding exactly the credentials of
-    `masks[j]` derives it.
+def reachable_each(
+    rules: Rules, starts: Sequence[str], masks: Sequence[int]
+) -> dict[ReducedEvent, int]:
+    """For each action derivable under some of `masks`, the bitset whose bit
+    j is set when a user starting in `starts[j]` and holding exactly the
+    credentials of `masks[j]` derives it.
 
     With the credentials fixed there is no provenance to keep, only whether
-    a fact is derivable, so one walk checks every set at once (multi-source
-    traversal: Then et al., VLDB 2014): each fact keeps the bitset of the
-    sets that derive it, and a rule passes its premise's bitset on, masked
-    by the bitset of the sets that hold its own credential, all of them
-    when it needs none.  A fact is pushed each time it gains sets and,
-    popped, passes on its whole bitset: what it passed on before is already
-    in its successors' bitsets, so only the sets it gained since add any.
-    The bitsets of the sets holding each credential are built a byte column
-    at a time (`_held`).
+    a fact is derivable, so one walk checks every (start zone, set) pair at
+    once (multi-source traversal, one source per bit: Then et al., VLDB
+    2014): each fact keeps the bitset of the pairs that derive it, each
+    start zone starts with the bits of the pairs starting there, and a rule
+    passes its premise's bitset on, masked by the bitset of the sets that
+    hold its own credential, all of them when it needs none.  Each bit
+    stays its own walk, so the result is exact.  A FIFO queue holds each
+    fact at most once: a fact that gains bits while queued waits in its
+    place, and popped, passes on its whole bitset, of which only the bits
+    gained since its last pop add any.  The bitsets of the sets holding
+    each credential are built once, by `_held`.
     """
-    held = _held(masks)
-    derived_by = {zone: held[0]}
-    stack = [zone]
-    while stack:
-        fact = stack.pop()
+    held = _held(masks, len(rules.credentials))
+    derived_by: dict[Fact, int] = {}
+    j = 0
+    for zone, run in groupby(starts):  # bits j to k - 1 start in zone
+        k = j + len(list(run))
+        derived_by[zone] = derived_by.get(zone, 0) | (1 << k) - (1 << j)
+        j = k
+    queue = deque(derived_by)
+    queued = set(derived_by)
+    while queue:
+        fact = queue.popleft()
+        queued.discard(fact)
         bits = derived_by[fact]
         for derived, own in rules.derive.get(fact, ()):
-            new = bits & held.get(own, 0) & ~derived_by.get(derived, 0)
+            new = bits & held[own.bit_length()] & ~derived_by.get(derived, 0)
             if new:
                 derived_by[derived] = derived_by.get(derived, 0) | new
-                stack.append(derived)
+                if derived not in queued:
+                    queued.add(derived)
+                    queue.append(derived)
     actions: dict[ReducedEvent, int] = defaultdict(int)
     for fact, bits in derived_by.items():
         for event, own, _ in rules.enable.get(fact, ()):
-            reached = bits & held.get(own, 0)
+            reached = bits & held[own.bit_length()]
             if reached:
                 actions[event] |= reached
     return dict(actions)

@@ -36,23 +36,26 @@ full one.  Every reported solution is re-checked before being
 returned: a user holding exactly the solution's credentials must reach, by
 plain reachability over the same compiled rules, every allowed action of
 the user and no denied one.  The actions a set reaches from a zone do not
-depend on who holds it, so once every user of a start zone is searched,
-one walk checks the distinct sets they list, one bit per set in
-first-listed order (`facts.reachable_each`, which builds its per-credential
-bitsets a byte column at a time), each distinct set is decoded into names
-once, and each user's sets are tested against the user's own allowed and
-denied actions.  The walk guards the provenance algebra and the search,
-not the compilation; `tests/test_differential.py` holds the compiled rules
-to the users' own automata.
+depend on who holds it, so once every user is searched, one walk checks
+the distinct (start zone, set) pairs they list, one bit per pair, each
+started at its own zone (`facts.reachable_each`), each distinct set is
+decoded into names once, and each user's sets are tested against the
+user's own allowed and denied actions.  The walk guards the provenance
+algebra and the search, not the compilation; `tests/test_differential.py`
+holds the compiled rules to the users' own automata.
 
 The policy and the model enter through `analysis.prepare`, as they do for
 the verdict, so repair rejects what verify rejects.  `repair_users`, the
 last stage, resolves the eligible pool and reads every user's allowed and
-denied actions off the flattened policy once per call, then saturates the
-prepared rules once per start zone and shares the enabling functions among
-every user starting there;
-`repair_all` is `prepare` and `repair_users`, and the command line passes
-`repair_users` the rules the verdict walked.
+denied actions off the flattened policy once per call.  It groups the
+users by (start zone, pool), the pool being each user's own credentials
+under "current" and the one eligible pool otherwise, and saturates the
+prepared rules once per group, skipping every rule whose own credential
+lies outside the pool and computing only the functions of the actions the
+group's users name: a user's search reads nothing else, so both
+restrictions are exact, and every minterm a search reads lies inside its
+pool.  `repair_all` is `prepare` and `repair_users`, and the command line
+passes `repair_users` the rules the verdict walked.
 """
 
 from __future__ import annotations
@@ -62,14 +65,15 @@ from collections import defaultdict
 from itertools import chain
 from typing import NamedTuple
 
-from .analysis import prepare, users_by_zone
+from .analysis import prepare
 from .enabling import _minimal, covers_any, credential_mask, credential_names
 from .facts import Functions, Rules, reachable_each, saturate
 from .policy import Permission, PolicySpec, SpecSets, Triple
 from .sysmodel import SystemModel, User
 
 # One allowed (negated false) or denied (negated true) action of a user,
-# with the minterms of its enabling function that lie inside the pool.
+# with the minterms of its enabling function, which a saturation restricted
+# to the user's pool holds inside the pool.
 Conjunct = tuple[Permission, list[int], bool]
 
 
@@ -86,12 +90,12 @@ class RepairResult(NamedTuple):
 
 
 def _conjuncts(
-    functions: Functions, plus: set[Permission], minus: set[Permission], pool: int
+    functions: Functions, plus: set[Permission], minus: set[Permission]
 ) -> list[Conjunct]:
     """The allowed actions `plus`, then the denied ones `minus`, each in
     sorted order."""
     return [
-        (perm, [m for m in functions.get(perm, ()) if m & pool == m], negated)
+        (perm, list(functions.get(perm, ())), negated)
         for perms, negated in ((plus, False), (minus, True))
         for perm in sorted(perms)
     ]
@@ -124,7 +128,11 @@ def _buckets(minimal: set[int], denied: list[int], pool: int, current: int):
         by_rank[s.bit_count()][(s ^ current).bit_count()].append(s)
     # A repair covers no denied minterm, so a set it gains by one credential
     # can only cover a denied minterm that holds that credential.
-    singles = [1 << i for i in range(pool.bit_length()) if pool >> i & 1]
+    singles = []
+    rest = pool
+    while rest:
+        singles.append(rest & -rest)  # the lowest set bit
+        rest &= rest - 1
     lacking = [(b, [d for d in denied if d & b]) for b in singles if not b & current]
     held = [(b, [d for d in denied if d & b]) for b in singles if b & current]
     size, largest = min(by_rank), max(by_rank)
@@ -190,51 +198,58 @@ class _Search(NamedTuple):
 
 
 def _search(
-    rules: Rules,
     functions: Functions,
     user: User,
+    current: int,
     plus: set[Permission],
     minus: set[Permission],
-    pool: int | None,
+    pool: int,
     cap: int,
 ) -> _Search:
     """The first `cap` repairs of one user in rank order, unchecked."""
-    current = credential_mask(user.credentials, rules.credentials)
-    pool = current if pool is None else pool
-    conjuncts = _conjuncts(functions, plus, minus, pool)
+    conjuncts = _conjuncts(functions, plus, minus)
     minimal, denied = _minimal_repairs(conjuncts)
     if not minimal:
         return _Search(user, current, [], False, minimal, _unsat_core(user.id, conjuncts))
     return _Search(user, current, *_ranked(minimal, denied, pool, current, cap), minimal, ())
 
 
-def _rechecked(
-    rules: Rules, zone: str, searches: list[_Search], spec: dict
-) -> dict[str, RepairResult]:
-    """The results of the searches of users starting in `zone`, each listed
-    set decoded once and re-checked: a user holding exactly the set must
-    reach every allowed action of the user and no denied one.
+def _rechecked(rules: Rules, searches: list[_Search], spec: dict) -> dict[str, RepairResult]:
+    """The results of the searches, each listed set decoded once and
+    re-checked: a user holding exactly the set must reach, from the user's
+    start zone, every allowed action of the user and no denied one.
 
-    One walk checks the distinct listed sets of all the users, in
-    first-listed order, bit j for the j-th: the actions a set reaches from
-    the zone do not depend on who holds it.
+    One walk checks the distinct (start zone, set) pairs of all the users:
+    the zones in the order of their first user, and a zone's sets in the
+    order its users, in the searches' order, first list them.  The actions
+    a set reaches from a zone do not depend on who holds it.
     """
-    listed = dict.fromkeys(chain.from_iterable(search.ranked for search in searches))
-    index = {mask: j for j, mask in enumerate(listed)}
-    reached = reachable_each(rules, zone, list(index)) if index else {}
-    names = {mask: credential_names(mask, rules.credentials) for mask in index}
+    by_zone: dict[str, list[_Search]] = defaultdict(list)
+    for search in searches:
+        by_zone[search.user.initial_zone].append(search)
+    index: dict[str, dict[int, int]] = {}  # start zone -> listed set -> its bit
+    starts: list[str] = []
+    masks: list[int] = []
+    for zone, group in by_zone.items():
+        listed = dict.fromkeys(chain.from_iterable(search.ranked for search in group))
+        index[zone] = {mask: j for j, mask in enumerate(listed, len(masks))}
+        starts += [zone] * len(listed)
+        masks += listed
+    reached = reachable_each(rules, starts, masks) if masks else {}
+    names = {mask: credential_names(mask, rules.credentials) for mask in set(masks)}
     results = {}
     for user, current, ranked, truncated, minimal, blocking in searches:
         plus, minus = spec[user.id]
-        sound = (1 << len(index)) - 1  # bit j: the j-th set is sound for this user
+        sound = (1 << len(masks)) - 1  # bit j: the j-th pair is sound for this user
         for perm in plus:
             sound &= reached.get(perm, 0)
         for perm in minus:
             sound &= ~reached.get(perm, 0)
+        bit = index[user.initial_zone]
         solutions = []
         for mask in ranked:
             creds = names[mask]
-            if not sound >> index[mask] & 1:
+            if not sound >> bit[mask] & 1:
                 raise RuntimeError(f"search returned an unsound repair for {user.id}: {list(creds)}")
             solutions.append(RepairSolution(creds, mask in minimal, (mask ^ current).bit_count()))
         results[user.id] = RepairResult(tuple(solutions), truncated, blocking)
@@ -245,8 +260,8 @@ def repair_users(
     model: SystemModel, sets: SpecSets, rules: Rules, eligibility, cap: int
 ) -> dict[str, RepairResult]:
     """Independent per-user repair over prepared rules (`analysis.prepare`),
-    saturated once per start zone; the same rules re-check every user's
-    solutions.
+    saturated once per (start zone, pool); one walk of the same rules
+    re-checks every user's solutions.
 
     `eligibility` is "current" (each user's own credentials), "all" or a
     collection of credential names; it is resolved once, before any user.
@@ -270,12 +285,20 @@ def repair_users(
     for side, triples in enumerate((sets.s_plus, sets.s_minus)):
         for user_id, operation, obj in triples:
             spec[user_id][side].add(Permission(operation, obj))
-    results = {}
-    for zone, users in users_by_zone(model).items():
-        functions = saturate(rules, zone)
-        searches = [_search(rules, functions, u, *spec[u.id], pool, cap) for u in users]
-        results.update(_rechecked(rules, zone, searches, spec))
-    return dict(sorted(results.items()))
+    # The users in id order, grouped by (start zone, pool): under "current"
+    # each user's pool is the user's own credentials.
+    groups: dict[tuple[str, int], list[tuple[User, int]]] = defaultdict(list)
+    for uid in sorted(model.users):
+        user = model.users[uid]
+        current = credential_mask(user.credentials, rules.credentials)
+        groups[user.initial_zone, current if pool is None else pool].append((user, current))
+    searches = {}
+    for (zone, group_pool), members in groups.items():
+        wanted = {perm for user, _ in members for side in spec[user.id] for perm in side}
+        functions = saturate(rules, zone, wanted, group_pool)
+        for user, current in members:
+            searches[user.id] = _search(functions, user, current, *spec[user.id], group_pool, cap)
+    return _rechecked(rules, [searches[uid] for uid in sorted(searches)], spec)
 
 
 def repair_all(

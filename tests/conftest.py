@@ -104,7 +104,7 @@ def implemented(model: SystemModel, user_id: str) -> frozenset:
     held = credential_mask(user.credentials, rules.credentials)
     return frozenset(
         (user_id, event.operation, event.object)
-        for event in reachable_each(rules, user.initial_zone, [held])
+        for event in reachable_each(rules, [user.initial_zone], [held])
     )
 
 
@@ -191,3 +191,12 @@ def make_toy_automaton() -> Automaton:
 @pytest.fixture
 def toy():
     return make_toy_automaton()
+
+
+def z_plant_cells(cells: int) -> tuple[SystemModel, PolicySpec]:
+    """`plant_cells` with every user starting in the user's own cell's zone
+    A<i> instead of the shared external zone O, so each cell is a start
+    zone of its own."""
+    model, policy = plant_cells(cells)
+    users = {uid: replace(u, initial_zone="A" + uid.lstrip("TomAy")) for uid, u in model.users.items()}
+    return replace(model, users=users), policy

@@ -1004,14 +1004,15 @@ def absorbing_minimal_repairs(conjuncts) -> tuple[set[int], list[int]]:
     return {s for s in minimal if not any(d & s == d for d in denied)}, denied
 
 
-def per_bit_held(masks) -> dict[int, int]:
+def per_bit_held(masks, size: int) -> list[int]:
     """`facts._held` one set bit at a time: for each mask j and each
-    credential bit of it, bit j joins that credential's bitset."""
-    held = {0: (1 << len(masks)) - 1}
+    credential bit of it, bit j joins that credential's bitset, at the bit
+    length of the credential's mask."""
+    held = [(1 << len(masks)) - 1] + [0] * size
     for j, mask in enumerate(masks):
         while mask:
             own = mask & -mask
-            held[own] = held.get(own, 0) | 1 << j
+            held[own.bit_length()] |= 1 << j
             mask ^= own
     return held
 

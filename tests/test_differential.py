@@ -7,10 +7,11 @@ against the product route, the fact route's enabling functions
 against the automaton's and against those composed from enabling sets, the
 fact walk under the user's own credentials (the user's implementation set)
 and under several other sets in the same walk (as repair's re-check walks
-them) against the user's own automaton under each set, the walk's
-transpose of its sets, a byte column at a time, against the one that sets
-one bit at a time,
-`verify` (one walk per start zone) against a report built from those
+them) against the user's own automaton under each set, a walk from many
+start zones against its one-zone walks, the walk's transpose of its sets
+against the one that sets one bit at a time, the saturation restricted to
+a pool and to wanted actions against the full one restricted,
+`verify` (one walk per call) against a report built from those
 automata and against the verdict by minterm evaluation over the enabling
 functions, every listed repair against the user's own automaton under the
 repaired credentials, the ranked repairs against a brute force over the
@@ -66,7 +67,7 @@ from accessfix import (
 from accessfix.cli import main
 from accessfix.facts import _held, state_product
 from accessfix.repair import repair_users
-from conftest import plant_cells
+from conftest import plant_cells, z_plant_cells
 from oracles import (
     absorbing_minimal_repairs,
     absorbing_saturate,
@@ -233,7 +234,7 @@ def test_routes_agree_on_random_models():
 
 
 def test_the_plants_verdict_equals_the_minterm_verdict_and_the_users_automata():
-    """`verify`, one walk per start zone, against the verdict by minterm
+    """`verify`, one walk per call, against the verdict by minterm
     evaluation and the verdict read off the users' own automata, on the
     plant in one to four cells (`test_routes_agree_on_random_models` does
     the same on the random models)."""
@@ -404,7 +405,7 @@ def test_the_fact_walk_equals_the_users_automaton():
             subsets = [frozenset(c for c in pool if rng.random() < 0.5) for _ in range(4)]
             sets = [user.credentials, *subsets]
             masks = [credential_mask(creds, rules.credentials) for creds in sets]
-            each = reachable_each(rules, user.initial_zone, masks)
+            each = reachable_each(rules, [user.initial_zone] * len(masks), masks)
             for j, creds in enumerate(sets):
                 everything = by_zone[user.initial_zone]
                 if isinstance(everything, ModelError):
@@ -441,9 +442,9 @@ def test_a_wide_walk_equals_its_one_set_walks():
             masks = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(61)]
             masks.append(rng.choice(masks))
             rng.shuffle(masks)
-            each = reachable_each(rules, zone, masks)
+            each = reachable_each(rules, [zone] * len(masks), masks)
             for j, mask in enumerate(masks):
-                alone = set(reachable_each(rules, zone, [mask]))
+                alone = set(reachable_each(rules, [zone], [mask]))
                 assert {event for event, bits in each.items() if bits >> j & 1} == alone, (
                     where, zone, j, mask,
                 )
@@ -452,12 +453,134 @@ def test_a_wide_walk_equals_its_one_set_walks():
     assert walks >= 500
 
 
+def _plants_and_random_models() -> list:
+    """(where, model, policy) for the plant and the z-plant in one to three
+    cells and for every random model of `SEEDS` that `validate` accepts."""
+    cases = [
+        (f"{name} in {cells} cells", *make(cells))
+        for name, make in (("plant", plant_cells), ("z-plant", z_plant_cells))
+        for cells in range(1, 4)
+    ]
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        model = random_model(rng)
+        if not any(d.severity == "error" for d in validate(model)):
+            cases.append((f"randgen seed {seed}", model, random_policy(rng, model)))
+    return cases
+
+
+def test_a_walk_from_many_zones_equals_its_one_zone_walks():
+    """`reachable_each` with one start zone per set, as the verdict and the
+    re-check walk them, against one walk per (start zone, set) pair: bit j
+    of the wide walk holds the actions that `masks[j]` alone derives from
+    `starts[j]` alone.  The pairs are every user's zone and credentials and
+    every zone under seeded random masks, the empty set and every
+    credential, shuffled, so that sets of one zone are not adjacent, on the
+    plant and the z-plant in one to three cells and on every random model
+    `validate` accepts."""
+    rng = random.Random(11)
+    walks = 0
+    for where, model, _ in _plants_and_random_models():
+        rules = compile_rules(model)
+        width = len(rules.credentials)
+        pairs = [
+            (user.initial_zone, credential_mask(user.credentials, rules.credentials))
+            for _, user in sorted(model.users.items())
+        ]
+        for zone in sorted(model.zones):
+            pairs += [(zone, 0), (zone, (1 << width) - 1), (zone, rng.getrandbits(width))]
+        rng.shuffle(pairs)
+        starts, masks = [zone for zone, _ in pairs], [mask for _, mask in pairs]
+        each = reachable_each(rules, starts, masks)
+        for j, (zone, mask) in enumerate(pairs):
+            alone = set(reachable_each(rules, [zone], [mask]))
+            assert {event for event, bits in each.items() if bits >> j & 1} == alone, (where, j)
+        assert all(bits >> len(pairs) == 0 for bits in each.values()), where
+        walks += 1
+    assert walks >= 250
+
+
+def _restrictions(rng, model, policy, rules):
+    """(start zone, wanted actions, pool) of the restricted saturations to
+    check: from every zone of the model, under each user's credentials,
+    every credential and a seeded random subset, each wanting the actions
+    the policy names for the users starting there, a seeded random subset
+    of every action derivable from the zone, and an action none derives."""
+    width = len(rules.credentials)
+    pools = [credential_mask(u.credentials, rules.credentials) for _, u in sorted(model.users.items())]
+    pools += [(1 << width) - 1, rng.getrandbits(width)]
+    triples = spec_sets(policy).s_plus | spec_sets(policy).s_minus
+    for zone in sorted(model.zones):
+        named = {
+            ReducedEvent(operation, obj)
+            for uid, operation, obj in triples
+            if uid in model.users and model.users[uid].initial_zone == zone
+        }
+        actions = sorted(saturate(rules, zone))
+        for pool in pools:
+            wanted = named | set(rng.sample(actions, rng.randint(0, len(actions))))
+            yield zone, wanted | {ReducedEvent("none", "derives this")}, pool
+
+
+def _restricted(functions, wanted, pool) -> dict:
+    """`functions` restricted to the actions of `wanted` and to the minterms
+    inside `pool`, an action with none left out, in the same order."""
+    restricted = {}
+    for event, function in functions.items():
+        inside = frozenset(m for m in function if m & pool == m)
+        if event in wanted and inside:
+            restricted[event] = inside
+    return restricted
+
+
+def test_a_restricted_saturation_is_the_full_one_restricted():
+    """`saturate(rules, zone, wanted, pool)`, which skips every rule whose own
+    credential lies outside the pool and builds functions only for the
+    wanted actions, against `saturate(rules, zone)` restricted to `wanted`
+    and to the minterms inside `pool`, the action order too, on the plant
+    and the z-plant in one to three cells and on every random model
+    `validate` accepts."""
+    rng = random.Random(12)
+    checked = 0
+    for where, model, policy in _plants_and_random_models():
+        rules = compile_rules(model)
+        for zone, wanted, pool in _restrictions(rng, model, policy, rules):
+            expected = _restricted(saturate(rules, zone), wanted, pool)
+            got = saturate(rules, zone, wanted, pool)
+            assert list(got.items()) == list(expected.items()), (where, zone, pool)
+            checked += 1
+    assert checked >= 2500
+
+
+def test_every_restricted_function_is_the_absorbing_antichain():
+    """Every function of a restricted saturation is an antichain and equals
+    `oracles.absorbing_saturate`'s function, which absorbs each set as it
+    arrives, restricted the same way: the single-alternative shortcut, which
+    adds an action's own credential to each set of its premise without
+    `_minimal`, must keep only minimal sets."""
+    rng = random.Random(13)
+    checked = 0
+    for where, model, policy in _plants_and_random_models():
+        rules = compile_rules(model)
+        for zone, wanted, pool in _restrictions(rng, model, policy, rules):
+            got = saturate(rules, zone, wanted, pool)
+            for event, function in got.items():
+                assert not [(a, b) for a in function for b in function if a != b and a & b == a], (
+                    where, zone, event,
+                )
+            assert got == _restricted(absorbing_saturate(rules, zone), wanted, pool), (where, zone)
+            checked += len(got)
+    assert checked >= 3000
+
+
 def test_the_byte_column_transpose_equals_the_per_bit_one():
     """`facts._held`, which transposes the walk's sets a byte column at a
-    time, against `per_bit_held`, one set bit at a time, on seeded lists of
-    0, 1, 2, 64 and 1 000 masks over 0 to 300 credentials (rows of 0 to 38
-    bytes): random masks with the empty set, every credential and a
-    duplicate among them, sparse masks, masks of one credential, and lists
+    time or, when they are sparse, a set bit at a time with the sets equal
+    to their union joined at once, against `per_bit_held`, one set bit at a
+    time, on seeded lists of 0, 1, 2, 64 and 1 000 masks over 0 to 300
+    credentials (rows of 0 to 38 bytes): random masks with the empty set,
+    every credential and a duplicate among them, sparse masks, masks of one
+    credential with and without every credential among them, and lists
     whose masks are all empty."""
     rng = random.Random(28)
     widths = set()
@@ -475,12 +598,16 @@ def test_the_byte_column_transpose_equals_the_per_bit_one():
             if length >= 2:
                 lists[0][:3] = [0, everything, rng.choice(lists[0])]
                 rng.shuffle(lists[0])
+                lists.append([*lists[2][: length // 2], everything, everything])
+                rng.shuffle(lists[-1])
             for masks in lists:
                 union = 0
                 for mask in masks:
                     union |= mask
                 widths.add((union.bit_length() + 7) // 8)
-                assert _held(masks) == per_bit_held(masks), (length, credentials, masks[:4])
+                assert _held(masks, credentials) == per_bit_held(masks, credentials), (
+                    length, credentials, masks[:4],
+                )
     assert widths == set(range(39))
 
 

@@ -9,9 +9,13 @@ slow:
     gives Tom0 and Amy0, with the cell suffix renamed: the missing,
     forbidden and dangling rows of `verify`, and the repair list of
     `repair --eligibility current` with its order, `minimal` and
-    `distance`.  It does not hold under `all`, where other cells'
-    credentials open routes through the shared zone O and the chained
-    switches.
+    `distance`.  So does the z-plant (`conftest.z_plant_cells`), whose
+    users start in their own cell's zone.  It does not hold under `all`,
+    where other cells' credentials open routes through the shared zone O
+    and the chained switches.
+  * independence: a user's repairs do not depend on the other users, so
+    each user's result equals that of the model with that user alone,
+    however the users share start zones and pools.
   * renaming: a bijection on the credential names of the model moves every
     credential to another bit of the index.  `verify` is unchanged, and
     each user's repair list and the automaton's DOT lines map back, as
@@ -40,16 +44,17 @@ import pytest
 
 from accessfix import ModelError, build_super_automaton, repair_all, to_dot, validate, verify
 from accessfix.cli import main
-from conftest import plant_cells, with_credentials
+from conftest import plant_cells, with_credentials, z_plant_cells
 from printers import print_policy, print_system
 from randgen import random_model, random_policy
 
 KINDS = ("missing", "forbidden", "dangling")
 
 
-def _report(capsys, tmp_path, cells: int, command: list[str]) -> tuple[int, dict]:
-    """Exit code and JSON report of `command` on the plant in `cells` cells."""
-    model, policy = plant_cells(cells)
+def _report(capsys, tmp_path, cells: int, command: list[str], make=plant_cells) -> tuple[int, dict]:
+    """Exit code and JSON report of `command` on the plant `make` copies into
+    `cells` cells."""
+    model, policy = make(cells)
     system, rbac = tmp_path / f"plant{cells}.ins", tmp_path / f"plant{cells}.rbac"
     system.write_text(print_system(model))
     rbac.write_text(print_policy(policy))
@@ -70,17 +75,30 @@ def _in_cell(rows: dict, cell: int) -> dict:
     return json.loads(re.sub(r'0"', f'{cell}"', json.dumps(rows)))
 
 
-@pytest.mark.parametrize("cells", [8, 32])
-@pytest.mark.parametrize("command", [["verify"], ["repair", "--eligibility", "current"]])
-def test_every_cell_gets_the_one_cell_rows(capsys, tmp_path, cells, command):
-    one_code, one = _report(capsys, tmp_path, 1, command)
-    code, report = _report(capsys, tmp_path, cells, command)
+def _assert_replicated(capsys, tmp_path, cells: int, command: list[str], make) -> None:
+    one_code, one = _report(capsys, tmp_path, 1, command, make)
+    code, report = _report(capsys, tmp_path, cells, command, make)
     assert (code, report["verdict"]) == (one_code, one["verdict"])
     for kind in KINDS:
         assert len(report[kind]) == cells * len(one[kind]), kind
     for cell in range(cells):
         for user in ("Tom", "Amy"):
             assert _rows(report, f"{user}{cell}") == _in_cell(_rows(one, f"{user}0"), cell)
+
+
+@pytest.mark.parametrize("cells", [8, 32])
+@pytest.mark.parametrize("command", [["verify"], ["repair", "--eligibility", "current"]])
+def test_every_cell_gets_the_one_cell_rows(capsys, tmp_path, cells, command):
+    _assert_replicated(capsys, tmp_path, cells, command, plant_cells)
+
+
+@pytest.mark.parametrize("cells", [8, 32])
+@pytest.mark.parametrize("command", [["verify"], ["repair", "--eligibility", "current"]])
+def test_every_z_plant_cell_gets_the_one_cell_rows(capsys, tmp_path, cells, command):
+    """Replication on the z-plant, where each cell's users start in the
+    cell's own zone A<i>: one start zone, one verdict bit for every
+    credential and one saturation per cell."""
+    _assert_replicated(capsys, tmp_path, cells, command, z_plant_cells)
 
 
 def _renamed(model, names: dict[str, str]):
@@ -192,6 +210,33 @@ def test_current_repairs_are_the_all_repairs_inside_the_users_credentials():
     print(dict(counts))
     assert counts["current repairs"] >= 300 and counts["no current repair"] >= 80
     assert counts["all repairs outside the credentials"] >= 200 and counts["ambiguous"]
+
+
+def test_each_user_is_repaired_as_if_alone():
+    """Independence, under `all` and `current` at cap 100, on randgen seeds
+    0-299 and on the plant and the z-plant in one to three cells: users
+    who share a start zone and a pool share one saturation, which must
+    hold the functions every one of them reads."""
+    counts = Counter()
+    cases = [
+        *_random_cases(),
+        *((f"plant in {cells} cells", *plant_cells(cells)) for cells in range(1, 4)),
+        *((f"z-plant in {cells} cells", *z_plant_cells(cells)) for cells in range(1, 4)),
+    ]
+    for where, model, policy in cases:
+        for eligibility in ("all", "current"):
+            try:
+                together = repair_all(model, policy, eligibility)
+            except ModelError:
+                counts["ambiguous"] += 1
+                continue
+            for uid, user in sorted(model.users.items()):
+                alone = repair_all(replace(model, users={uid: user}), policy, eligibility)
+                assert alone == {uid: together[uid]}, (where, eligibility, uid)
+                counts["users"] += 1
+            counts["shared a zone"] += len(model.users) > len({u.initial_zone for u in model.users.values()})
+    print(dict(counts))
+    assert counts["users"] >= 500 and counts["shared a zone"] >= 100 and counts["ambiguous"]
 
 
 def _rows_of(report, uid: str) -> tuple:

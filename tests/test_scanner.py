@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ import pytest
 
 import accessfix
 from accessfix import ParseError, SourceSpan, parse_policy, parse_system
-from accessfix.dslparser import _token_span, _tokenize
+from accessfix.dslparser import _TOKEN, _token_span, _tokenize
 from conftest import FIXTURES, plant_cells
 from oracles import char_tokenize
 from printers import print_policy, print_system
@@ -145,6 +146,33 @@ def test_scanner_agrees_with_per_character_lexer(corpus):
 )
 def test_scanner_agrees_on_edge_cases(text):
     assert_same_tokens(text)
+
+
+# The scanner's pattern before its skip was unrolled and its identifiers
+# got an ASCII-first branch: each match of the new pattern must start, take
+# its token and end where this one does.
+_OLD_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+(?![ \t\r\n])|//[^\n]*(?![^\n]))*"
+    r'([^\W\d]\w*|\d+|"[^"]*"|<->|->|--|[;,{}().</]|.|\Z)'
+)
+FUZZ_ALPHABET = ["a", "Z", "_", "7", "²", "٣", "é", "½", '"', "//", "/", "<->", "->", "--", "<",
+                 "-", ">", " ", "\t", "\n", "\r", "\f", "\xa0", ";", "{", ")", ".", "@"]
+
+
+def _spans(pattern, text):
+    return [(m.start(), m.start(1), m.end(1), m.end()) for m in pattern.finditer(text)]
+
+
+def test_the_unrolled_pattern_takes_the_old_patterns_spans():
+    """`finditer` spans of `dslparser._TOKEN` against `_OLD_TOKEN` on every
+    corpus text and on 30 000 seeded strings over `FUZZ_ALPHABET`, which
+    holds a non-decimal digit, Unicode letters and digits, a quote, comment
+    starts, arrows and carriage returns."""
+    texts = [text for corpus in CORPORA.values() for text in corpus]
+    rng = random.Random(31)
+    texts += ["".join(rng.choices(FUZZ_ALPHABET, k=rng.randrange(24))) for _ in range(30_000)]
+    for text in texts:
+        assert _spans(_TOKEN, text) == _spans(_OLD_TOKEN, text), repr(text)
 
 
 def _parse_digest(corpus):

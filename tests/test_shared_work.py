@@ -3,10 +3,11 @@
 A verify or repair call validates the model once, builds neither an
 automaton nor a formula over credential names (`Dnf`), and compiles the
 fact rules and computes the network classes once.  Both take the verdict
-from one walk of the rules per distinct start zone of the model's users;
-only repair saturates the rules, once per start zone, for its search, and
-it re-checks the distinct listed solutions of a zone's users in one walk
-of the same rules.
+from one walk of the rules, one bit per user from the user's start zone
+and one for every credential per distinct start zone; only repair
+saturates the rules, once per distinct (start zone, pool) of its users, for
+its search, and it re-checks the distinct listed (start zone, solution)
+pairs of all its users in one more walk of the same rules.
 The library's entries and `accessfix enabling` validate the model once
 each, and `repair_all` compiles and saturates as `accessfix repair` does.
 """
@@ -95,49 +96,83 @@ def _count(monkeypatch, name, record=lambda args, result: args[0]) -> list:
     return calls
 
 
+def _saturations(system: str, policy: str, eligibility: str) -> list:
+    """(start zone, pool, wanted actions) of repair's saturations, sorted:
+    one per distinct (start zone, pool) of the users, the pool being the
+    user's own credentials under "current" and every credential under
+    "all", wanting the actions every user of that key names in the policy."""
+    from accessfix import compile_rules, credential_mask, spec_sets
+
+    model, policy = _load(system, policy)
+    credentials = compile_rules(model).credentials
+    sets = spec_sets(policy)
+    named: dict = {}
+    for user_id, operation, obj in sets.s_plus | sets.s_minus:
+        named.setdefault(user_id, set()).add((operation, obj))
+    wanted: dict = {}
+    for user in model.users.values():
+        pool = credential_mask(user.credentials, credentials)
+        if eligibility == "all":
+            pool = (1 << len(credentials)) - 1
+        wanted.setdefault((user.initial_zone, pool), set()).update(named.get(user.id, ()))
+    return sorted((zone, pool, frozenset(actions)) for (zone, pool), actions in wanted.items())
+
+
+def _saturated(args, _) -> tuple:
+    """(start zone, pool, wanted actions as (operation, object) pairs) of a
+    `saturate` call."""
+    return args[1], args[3], frozenset(tuple(action) for action in args[2])
+
+
 @pytest.mark.parametrize("command", ["verify", "repair"])
 def test_one_enabling_computation_per_start_zone(monkeypatch, capsys, case, command):
-    """Only the repair search computes enabling functions, once per start
-    zone; verify computes none and tests no minterm."""
+    """Only the repair search computes enabling functions, exactly once per
+    distinct (start zone, pool) of the users, for the actions those users
+    name; verify computes none and tests no minterm.  On the plant, Tom
+    and Amy both start in O with different credentials, so `current`
+    saturates twice from O."""
     system, policy, zones = case
-    calls = _count(monkeypatch, "saturate", lambda args, _: args[1])
+    calls = _count(monkeypatch, "saturate", _saturated)
     minterm_tests = _count(monkeypatch, "covers_any")
     code = main(_argv(command, system, policy))
     assert code in (0, 1), capsys.readouterr().err
-    assert sorted(calls) == (zones if command == "repair" else [])
+    expected = _saturations(system, policy, "current") if command == "repair" else []
+    assert sorted(calls) == expected
+    assert sorted({zone for zone, _, _ in expected}) == (zones if command == "repair" else [])
     if command == "verify":
         assert minterm_tests == []
 
 
-def _verdict_walks(system: str) -> list:
-    """(start zone, masks) of the verdict's walks: per distinct start zone,
-    in the order of its first user by id, the masks of the zone's users in
-    id order and then the mask of every credential."""
+def _verdict_walk(system: str) -> tuple:
+    """(start zones, masks) of the verdict's one walk: the users in id
+    order, each from the user's start zone with the user's credentials,
+    then per distinct start zone, in the order of its first user by id, the
+    set of every credential from that zone."""
     from accessfix import compile_rules, credential_mask, parse_system
 
     model = parse_system(Path(system).read_text(encoding="utf-8"))
     credentials = compile_rules(model).credentials
-    walks = {}
-    for uid in sorted(model.users):
-        user = model.users[uid]
-        walks.setdefault(user.initial_zone, []).append(credential_mask(user.credentials, credentials))
-    return [(zone, [*masks, (1 << len(credentials)) - 1]) for zone, masks in walks.items()]
+    users = [model.users[uid] for uid in sorted(model.users)]
+    zones = list(dict.fromkeys(user.initial_zone for user in users))
+    masks = [credential_mask(user.credentials, credentials) for user in users]
+    everything = (1 << len(credentials)) - 1
+    return [user.initial_zone for user in users] + zones, masks + [everything] * len(zones)
 
 
 @pytest.mark.parametrize("command", ["verify", "repair"])
 def test_the_verdict_walks_once_per_start_zone(monkeypatch, capsys, case, command):
-    """The verdict comes from one `reachable_each` walk per start zone, whose
-    sets are the zone's users' credentials and every credential; repair's
-    further walks are its re-checks."""
+    """The verdict comes from exactly one `reachable_each` walk for the
+    whole call, each set walked from its own start zone: every user's
+    credentials and, per distinct start zone, every credential; repair's
+    one further walk is its re-check."""
     system, policy, zones = case
-    walks = _count(monkeypatch, "reachable_each", lambda args, _: (args[1], list(args[2])))
+    walks = _count(monkeypatch, "reachable_each", lambda args, _: (list(args[1]), list(args[2])))
     code = main(_argv(command, system, policy))
     assert code in (0, 1), capsys.readouterr().err
-    expected = _verdict_walks(system)
-    assert sorted(zone for zone, _ in expected) == zones
-    assert walks[: len(expected)] == expected
-    if command == "verify":
-        assert len(walks) == len(expected)
+    starts, masks = _verdict_walk(system)
+    assert sorted(set(starts)) == zones
+    assert walks[0] == (starts, masks)
+    assert len(walks) == (1 if command == "verify" else 2)
 
 
 @pytest.mark.parametrize("command", ["verify", "repair"])
@@ -174,14 +209,17 @@ def test_accessfix_enabling_validates_the_model_once(monkeypatch, capsys, case):
 
 
 def test_repair_all_compiles_once_and_saturates_once_per_start_zone(monkeypatch, case):
-    """As `accessfix repair` does."""
-    system, policy, zones = case
-    model, policy = _load(system, policy)
-    compiled = _count(monkeypatch, "compile_rules")
-    saturated = _count(monkeypatch, "saturate", lambda args, _: args[1])
-    repair_all(model, policy, "current")
-    assert len(compiled) == 1
-    assert sorted(saturated) == zones
+    """As `accessfix repair` does: exactly one saturation per distinct
+    (start zone, pool) of the users, under `current` and under `all`."""
+    system, policy, _ = case
+    model, policy_spec = _load(system, policy)
+    for eligibility in ("current", "all"):
+        compiled = _count(monkeypatch, "compile_rules")
+        saturated = _count(monkeypatch, "saturate", _saturated)
+        repair_all(model, policy_spec, eligibility)
+        assert len(compiled) == 1, eligibility
+        assert sorted(saturated) == _saturations(system, policy, eligibility), eligibility
+        monkeypatch.undo()
 
 
 PLANT = ["--system", str(FIXTURES / "plant.ins"), "--policy", str(FIXTURES / "plant.rbac")]
@@ -197,24 +235,25 @@ def test_verify_builds_no_automaton_and_one_set_of_network_classes(monkeypatch, 
 
 
 def _recheck_walks(model, listed: dict) -> list:
-    """(start zone, sets) of repair's re-check walks, given each user's
-    listed sets by user id: one walk per start zone whose users list
-    anything, zones in the order of their first user by id, each walking
-    the distinct sets its users list, users in id order, each set where it
-    is first listed."""
-    walks: dict = {}
+    """(start zones, sets) of repair's re-check walks, given each user's
+    listed sets by user id: one walk for the whole call when any user lists
+    anything, over the distinct (start zone, set) pairs, the zones in the
+    order of their first user by id, and a zone's sets in the order its
+    users, in id order, first list them."""
+    by_zone: dict = {}
     for uid in sorted(listed):
-        sets = walks.setdefault(model.users[uid].initial_zone, {})
+        sets = by_zone.setdefault(model.users[uid].initial_zone, {})
         sets.update(dict.fromkeys(tuple(creds) for creds in listed[uid]))
-    return [(zone, [list(creds) for creds in sets]) for zone, sets in walks.items() if sets]
+    pairs = [(zone, creds) for zone, sets in by_zone.items() for creds in sets]
+    return [([zone for zone, _ in pairs], [list(creds) for _, creds in pairs])] if pairs else []
 
 
 def test_repair_builds_no_automaton_and_compiles_once_for_its_rechecks(monkeypatch, capsys):
     """Repair compiles the rules and computes the network classes once, for
     the verdict and the enabling functions, and after the verdict's walk
     re-checks every listed solution of every user on that one compilation,
-    in one walk per start zone whose sets are exactly the distinct listed
-    solutions of the zone's users in first-listed order."""
+    in one walk whose (start zone, set) pairs are exactly the distinct
+    listed ones, zone by zone, each in first-listed order."""
     model = parse_system((FIXTURES / "plant.ins").read_text(encoding="utf-8"))
     # With every credential eligible, Amy's missing actions become repairable.
     for eligibility, exit_code in (("current", 1), ("all", 0)):
@@ -230,10 +269,9 @@ def test_repair_builds_no_automaton_and_compiles_once_for_its_rechecks(monkeypat
         assert builds == [], eligibility
         assert len(compiled) == len(classes) == 1, eligibility
         assert all(rules is compiled[0] for rules, _, _ in walks), eligibility
-        verdict = len(_verdict_walks(PLANT[1]))
         walked = [
-            (zone, [list(credential_names(mask, rules.credentials)) for mask in masks])
-            for rules, zone, masks in walks[verdict:]
+            (list(zones), [list(credential_names(mask, rules.credentials)) for mask in masks])
+            for rules, zones, masks in walks[1:]
         ]
         expected = _recheck_walks(model, {
             uid: [solution["credentials"] for solution in solutions]
@@ -247,13 +285,13 @@ def test_repair_builds_no_automaton_and_compiles_once_for_its_rechecks(monkeypat
 def test_a_set_two_users_of_a_zone_list_is_rechecked_once(monkeypatch, plant, eligibility):
     """Amy made an operator like Tom, holding Tom's credentials and
     `c_PCAmy`: both start in O, and every set Tom lists Amy lists too, so
-    the zone's one re-check walk holds each of them once.  `repair_all`
-    has no verdict, so every walk is a re-check."""
+    the one re-check walk holds each of them once.  `repair_all` has no
+    verdict, so every walk is a re-check."""
     text = (FIXTURES / "plant.rbac").read_text(encoding="utf-8")
     policy = parse_policy(text.replace("users { Tom }", "users { Tom, Amy }")
                           .replace("users { Amy }", "users { }"))
     model = with_credentials(plant, "Amy", C_TOM | {"c_PCAmy"})
-    walks = _count(monkeypatch, "reachable_each", lambda args, _: (args[1], list(args[2])))
+    walks = _count(monkeypatch, "reachable_each", lambda args, _: (list(args[1]), list(args[2])))
     results = repair_all(model, policy, eligibility)
     listed = {
         uid: [solution.credentials for solution in result.solutions]
@@ -262,8 +300,8 @@ def test_a_set_two_users_of_a_zone_list_is_rechecked_once(monkeypatch, plant, el
     assert set(listed["Tom"]) <= set(listed["Amy"]), eligibility
     credentials = prepare(model, policy)[1].credentials
     walked = [
-        (zone, [list(credential_names(mask, credentials)) for mask in masks])
-        for zone, masks in walks
+        (zones, [list(credential_names(mask, credentials)) for mask in masks])
+        for zones, masks in walks
     ]
     assert walked == _recheck_walks(model, listed), eligibility
     assert len(walked[0][1]) == len(listed["Amy"]), eligibility
