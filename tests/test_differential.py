@@ -509,7 +509,8 @@ def _restrictions(rng, model, policy, rules):
     width = len(rules.credentials)
     pools = [credential_mask(u.credentials, rules.credentials) for _, u in sorted(model.users.items())]
     pools += [(1 << width) - 1, rng.getrandbits(width)]
-    triples = spec_sets(policy).s_plus | spec_sets(policy).s_minus
+    sets = spec_sets(policy)
+    triples = sets.s_plus | sets.s_minus
     for zone in sorted(model.zones):
         named = {
             ReducedEvent(operation, obj)
