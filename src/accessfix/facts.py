@@ -53,8 +53,7 @@ each start zone, which raises on an ambiguous transition.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from functools import reduce
-from itertools import groupby
+from functools import cache, reduce
 from operator import or_
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
@@ -132,15 +131,11 @@ def compile_rules(model: SystemModel) -> Rules:
         for op_name in sorted(dev.operations)
         for variant in dev.operations[op_name]
     ]
-    session_of: dict[tuple[str, str], Session] = {}
 
+    @cache
     def session(device_id: str, account: str) -> Session:
-        key = (device_id, account)
-        if key not in session_of:
-            dev = model.devices[device_id]
-            groups = frozenset(g for g, members in dev.groups.items() if account in members)
-            session_of[key] = Session(device_id, groups)
-        return session_of[key]
+        groups = model.devices[device_id].groups
+        return Session(device_id, frozenset(g for g, members in groups.items() if account in members))
 
     effects = [v.effect for _, _, v in variants if v.effect is not None]
     sessions = sorted(
@@ -152,12 +147,10 @@ def compile_rules(model: SystemModel) -> Rules:
         for group in s.groups:
             in_group[s.device, group].append(s)
     classes = lan_classes(model)
-    lans_of: dict[str, list[int]] = {}
 
+    @cache
     def lans(device_id: str) -> list[int]:
-        if device_id not in lans_of:
-            lans_of[device_id] = sorted(classes.get(root_device(model, device_id).id, ()))
-        return lans_of[device_id]
+        return sorted(classes.get(root_device(model, device_id).id, ()))
 
     for s in sessions:
         for lan in lans(s.device):
@@ -203,38 +196,16 @@ def _held(masks: Sequence[int], size: int) -> list[int]:
     them.  A list and not a dict: the hashes of the masks 1 << i repeat
     every 61 bits, so a dict keyed by them collides on a large index.
 
-    A transpose of the bit matrix `masks`, by whichever of two routes reads
-    less.  Dense masks go a byte column at a time (Warren, *Hacker's
-    Delight*, 2nd ed., 7-3): the masks are rows of `width` little-endian
-    bytes, last mask first, so that byte k of every row, sliced with stride
-    `width` and translated to 0s and 1s for one bit of it, reads in base 2
-    as that credential's bitset; each step is a C call per credential some
-    mask holds, but it reads every row.  Sparse masks, such as the users'
-    own credentials on a large plant, go one set bit at a time, and every
-    mask equal to the union of all, such as every credential's, joins every
-    credential's bitset at once.
+    A transpose of the bit matrix `masks`, a byte column at a time (Warren,
+    *Hacker's Delight*, 2nd ed., 7-3): the masks are rows of `width`
+    little-endian bytes, last mask first, so that byte k of every row,
+    sliced with stride `width` and translated to 0s and 1s for one bit of
+    it, reads in base 2 as that credential's bitset.  Each step is a C call
+    per credential some mask holds, not a Python step per set bit.
     """
     held = [0] * (size + 1)
     held[0] = (1 << len(masks)) - 1
     union = reduce(or_, masks, 0)
-    # The set bits of the masks other than the union's, against the bytes
-    # the columns read; a Python step costs about 32 C steps.
-    set_bits = sum(map(int.bit_count, masks)) - masks.count(union) * union.bit_count()
-    if 32 * set_bits < union.bit_count() * len(masks):
-        everywhere = 0  # the sets equal to the union
-        for j, mask in enumerate(masks):
-            if mask == union:
-                everywhere |= 1 << j
-                continue
-            while mask:
-                top = mask.bit_length()
-                held[top] |= 1 << j
-                mask ^= 1 << top - 1
-        while everywhere and union:
-            top = union.bit_length()
-            held[top] |= everywhere
-            union ^= 1 << top - 1
-        return held
     width = (union.bit_length() + 7) // 8
     rows = b"".join([mask.to_bytes(width, "little") for mask in reversed(masks)])
     for k, byte in enumerate(union.to_bytes(width, "little")):
@@ -267,11 +238,8 @@ def reachable_each(
     """
     held = _held(masks, len(rules.credentials))
     derived_by: dict[Fact, int] = {}
-    j = 0
-    for zone, run in groupby(starts):  # bits j to k - 1 start in zone
-        k = j + len(list(run))
-        derived_by[zone] = derived_by.get(zone, 0) | (1 << k) - (1 << j)
-        j = k
+    for j, zone in enumerate(starts):
+        derived_by[zone] = derived_by.get(zone, 0) | 1 << j
     queue = deque(derived_by)
     queued = set(derived_by)
     while queue:

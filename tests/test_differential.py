@@ -576,9 +576,7 @@ def test_every_restricted_function_is_the_absorbing_antichain():
 
 def test_the_byte_column_transpose_equals_the_per_bit_one():
     """`facts._held`, which transposes the walk's sets a byte column at a
-    time or, when they are sparse, a set bit at a time with the sets equal
-    to their union joined at once, against `per_bit_held`, one set bit at a
-    time, on seeded lists of 0, 1, 2, 64 and 1 000 masks over 0 to 300
+    time, against `per_bit_held`, one set bit at a time, on seeded lists of 0, 1, 2, 64 and 1 000 masks over 0 to 300
     credentials (rows of 0 to 38 bytes): random masks with the empty set,
     every credential and a duplicate among them, sparse masks, masks of one
     credential with and without every credential among them, and lists
