@@ -48,7 +48,6 @@ from .analysis import (
     AnomalyReport,
     anomalies,
     prepare,
-    users_by_zone,
     verify,
 )
 from .automata import (

@@ -21,14 +21,13 @@ credentials, so it is reported as dangling instead.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .automata import ReducedEvent
 from .enabling import credential_mask
 from .facts import Rules, guarded_rules, reachable_each
 from .policy import PolicyError, PolicySpec, SpecSets, Triple, spec_sets, validate_policy
-from .sysmodel import SystemModel, User
+from .sysmodel import SystemModel
 
 
 @dataclass(frozen=True)
@@ -42,23 +41,17 @@ class AnomalyReport:
         return "correct" if not self.missing and not self.forbidden else "anomalous"
 
 
-def users_by_zone(model: SystemModel) -> dict[str, list[User]]:
-    """The users in id order, grouped by start zone in the order of each
-    zone's first user."""
-    groups: dict[str, list[User]] = defaultdict(list)
-    for uid in sorted(model.users):
-        groups[model.users[uid].initial_zone].append(model.users[uid])
-    return groups
-
-
 def prepare(model: SystemModel, policy: PolicySpec) -> tuple[SpecSets, Rules]:
-    """Validate the policy, then the model, run the ambiguity guard from each
-    start zone of the users, compile the rules and flatten the policy: the
-    work verify and repair share."""
+    """Validate the policy, then the model, run the ambiguity guard from the
+    users' start zones (in the order of each zone's first user by id),
+    compile the rules and flatten the policy: the work verify and repair share."""
     problems = [d for d in validate_policy(policy) if d.severity == "error"]
     if problems:
         raise PolicyError("policy does not validate: " + "; ".join(str(d) for d in problems))
-    rules = guarded_rules(model, users_by_zone)
+    rules = guarded_rules(
+        model,
+        lambda valid: dict.fromkeys(valid.users[uid].initial_zone for uid in sorted(valid.users)),
+    )
     return spec_sets(policy), rules
 
 

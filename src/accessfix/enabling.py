@@ -172,10 +172,10 @@ def _propagate(
     alternatives: dict[ReducedEvent, list] = defaultdict(list)
     for node, antichain in reach.items():
         for event, own, _ in enable.get(node, ()):
-            if not own & outside:
+            if not own & outside and (wanted is None or event in wanted):
                 alternatives[event].append((antichain, own))
     functions = {}
-    for event in sorted(alternatives if wanted is None else alternatives.keys() & wanted):
+    for event in sorted(alternatives):
         pairs = alternatives[event]
         antichain, own = pairs[0]
         if len(pairs) > 1 or own and any(creds & own for creds in antichain):

@@ -37,32 +37,32 @@ returned: a user holding exactly the solution's credentials must reach, by
 plain reachability over the same compiled rules, every allowed action of
 the user and no denied one.  The actions a set reaches from a zone do not
 depend on who holds it, so once every user is searched, one walk checks
-the distinct (start zone, set) pairs they list, one bit per pair, each
-started at its own zone (`facts.reachable_each`), each distinct set is
-decoded into names once, and each user's sets are tested against the
-user's own allowed and denied actions.  The walk guards the provenance
-algebra and the search, not the compilation; `tests/test_differential.py`
-holds the compiled rules to the users' own automata.
+each distinct (start zone, set) pair the users list, one bit per pair in
+first-listed order over the users by id, each started at its own zone
+(`facts.reachable_each`); each distinct set is decoded into names once,
+and each user's sets are tested against the user's own allowed and denied
+actions.  The walk guards the provenance algebra and the search, not the
+compilation; `tests/test_differential.py` holds the compiled rules to the
+users' own automata.
 
 The policy and the model enter through `analysis.prepare`, as they do for
 the verdict, so repair rejects what verify rejects.  `repair_users`, the
 last stage, resolves the eligible pool and reads every user's allowed and
-denied actions off the flattened policy once per call.  It groups the
-users by (start zone, pool), the pool being each user's own credentials
-under "current" and the one eligible pool otherwise, and saturates the
-prepared rules once per group, skipping every rule whose own credential
-lies outside the pool and computing only the functions of the actions the
-group's users name: a user's search reads nothing else, so both
-restrictions are exact, and every minterm a search reads lies inside its
-pool.  `repair_all` is `prepare` and `repair_users`, and the command line
-passes `repair_users` the rules the verdict walked.
+denied actions off the flattened policy once per call, and its users once,
+in id order.  It saturates the prepared rules once per distinct (start
+zone, pool) of the users, the pool being a user's own credentials under
+"current" and the one eligible pool otherwise, skipping every rule whose
+own credential lies outside the pool and computing only the functions of
+the actions its users name: a user's search reads nothing else, so
+both restrictions are exact, and every minterm a search reads lies inside
+its pool.  `repair_all` is `prepare` and `repair_users`, and the command
+line passes `repair_users` the rules the verdict walked.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from itertools import chain
 from typing import NamedTuple
 
 from .analysis import prepare
@@ -219,37 +219,29 @@ def _rechecked(rules: Rules, searches: list[_Search], spec: dict) -> dict[str, R
     re-checked: a user holding exactly the set must reach, from the user's
     start zone, every allowed action of the user and no denied one.
 
-    One walk checks the distinct (start zone, set) pairs of all the users:
-    the zones in the order of their first user, and a zone's sets in the
-    order its users, in the searches' order, first list them.  The actions
-    a set reaches from a zone do not depend on who holds it.
+    One walk checks the distinct (start zone, set) pairs of all the users,
+    bit j the j-th pair in first-listed order over the searches, which are
+    in user id order.  The actions a set reaches from a zone do not depend
+    on who holds it.
     """
-    by_zone: dict[str, list[_Search]] = defaultdict(list)
+    bits: dict[tuple[str, int], int] = {}  # (start zone, listed set) -> its bit
     for search in searches:
-        by_zone[search.user.initial_zone].append(search)
-    index: dict[str, dict[int, int]] = {}  # start zone -> listed set -> its bit
-    starts: list[str] = []
-    masks: list[int] = []
-    for zone, group in by_zone.items():
-        listed = dict.fromkeys(chain.from_iterable(search.ranked for search in group))
-        index[zone] = {mask: j for j, mask in enumerate(listed, len(masks))}
-        starts += [zone] * len(listed)
-        masks += listed
-    reached = reachable_each(rules, starts, masks) if masks else {}
-    names = {mask: credential_names(mask, rules.credentials) for mask in set(masks)}
+        for mask in search.ranked:
+            bits.setdefault((search.user.initial_zone, mask), len(bits))
+    reached = reachable_each(rules, [z for z, _ in bits], [m for _, m in bits]) if bits else {}
+    names = {mask: credential_names(mask, rules.credentials) for mask in {m for _, m in bits}}
     results = {}
     for user, current, ranked, truncated, minimal, blocking in searches:
         plus, minus = spec[user.id]
-        sound = (1 << len(masks)) - 1  # bit j: the j-th pair is sound for this user
+        sound = (1 << len(bits)) - 1  # bit j: the j-th pair is sound for this user
         for perm in plus:
             sound &= reached.get(perm, 0)
         for perm in minus:
             sound &= ~reached.get(perm, 0)
-        bit = index[user.initial_zone]
         solutions = []
         for mask in ranked:
             creds = names[mask]
-            if not sound >> bit[mask] & 1:
+            if not sound >> bits[user.initial_zone, mask] & 1:
                 raise RuntimeError(f"search returned an unsound repair for {user.id}: {list(creds)}")
             solutions.append(RepairSolution(creds, mask in minimal, (mask ^ current).bit_count()))
         results[user.id] = RepairResult(tuple(solutions), truncated, blocking)
@@ -260,8 +252,8 @@ def repair_users(
     model: SystemModel, sets: SpecSets, rules: Rules, eligibility, cap: int
 ) -> dict[str, RepairResult]:
     """Independent per-user repair over prepared rules (`analysis.prepare`),
-    saturated once per (start zone, pool); one walk of the same rules
-    re-checks every user's solutions.
+    saturated once per (start zone, pool), the users searched in id order;
+    one walk of the same rules re-checks every user's solutions.
 
     `eligibility` is "current" (each user's own credentials), "all" or a
     collection of credential names; it is resolved once, before any user.
@@ -285,20 +277,20 @@ def repair_users(
     for side, triples in enumerate((sets.s_plus, sets.s_minus)):
         for user_id, operation, obj in triples:
             spec[user_id][side].add(Permission(operation, obj))
-    # The users in id order, grouped by (start zone, pool): under "current"
-    # each user's pool is the user's own credentials.
-    groups: dict[tuple[str, int], list[tuple[User, int]]] = defaultdict(list)
-    for uid in sorted(model.users):
-        user = model.users[uid]
-        current = credential_mask(user.credentials, rules.credentials)
-        groups[user.initial_zone, current if pool is None else pool].append((user, current))
-    searches = {}
-    for (zone, group_pool), members in groups.items():
-        wanted = {perm for user, _ in members for side in spec[user.id] for perm in side}
-        functions = saturate(rules, zone, wanted, group_pool)
-        for user, current in members:
-            searches[user.id] = _search(functions, user, current, *spec[user.id], group_pool, cap)
-    return _rechecked(rules, [searches[uid] for uid in sorted(searches)], spec)
+    # One saturation per (start zone, pool) key, wanting every action its
+    # users name: under "current" each user's pool is the user's own credentials.
+    users = [model.users[uid] for uid in sorted(model.users)]
+    currents = [credential_mask(user.credentials, rules.credentials) for user in users]
+    keys = [(user.initial_zone, c if pool is None else pool) for user, c in zip(users, currents)]
+    wanted: dict[tuple[str, int], set[Permission]] = defaultdict(set)
+    for user, key in zip(users, keys):
+        wanted[key].update(*spec[user.id])
+    functions = {key: saturate(rules, key[0], actions, key[1]) for key, actions in wanted.items()}
+    searches = [
+        _search(functions[key], user, current, *spec[user.id], key[1], cap)
+        for user, current, key in zip(users, currents, keys)
+    ]
+    return _rechecked(rules, searches, spec)
 
 
 def repair_all(

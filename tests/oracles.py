@@ -101,7 +101,6 @@ from accessfix import (
     lan_classes,
     prepare,
     saturate,
-    users_by_zone,
 )
 from accessfix.sysmodel import door_key
 
@@ -620,7 +619,8 @@ def minterm_verdict(model, policy) -> AnomalyReport:
     when that zone has no function for its action (or the model no such
     user)."""
     sets, rules = prepare(model, policy)
-    by_zone = {zone: saturate(rules, zone) for zone in users_by_zone(model)}
+    zones = {user.initial_zone for user in model.users.values()}
+    by_zone = {zone: saturate(rules, zone) for zone in zones}
     masks = {uid: credential_mask(u.credentials, rules.credentials) for uid, u in model.users.items()}
     implemented = frozenset(
         (uid, event.operation, event.object)

@@ -433,6 +433,42 @@ def test_tied_door_rules_are_read_in_credential_order(tmp_path):
     ]
 
 
+TWO_AMBIGUOUS_ZONES = """
+zone O external;
+zone Z;
+zone A;
+door dz O -> Z;
+door dz Z -> O;
+door da O -> A;
+door da A -> O;
+device D in Z {
+    group g { a }
+    group h { b }
+    operation op { when phy_acc becomes a; when phy_acc becomes b; }
+}
+device E in A {
+    group g { a }
+    group h { b }
+    operation op { when phy_acc becomes a; when phy_acc becomes b; }
+}
+user u2 at A credentials {};
+user u1 at Z credentials {};
+"""
+
+
+def test_the_ambiguity_guard_reports_the_first_user_by_id(tmp_path, capsys):
+    """Both devices' `op` steps are ambiguous, each from its own zone.  The
+    guard walks the users' start zones in the order of each zone's first
+    user by id, so u1's zone Z is walked first: neither the zones' sorted
+    order nor the users' declaration order, both of which put A first."""
+    system, policy = tmp_path / "ambiguous.ins", tmp_path / "ambiguous.rbac"
+    system.write_text(TWO_AMBIGUOUS_ZONES)
+    policy.write_text("role r { allow (op, D); users { u1, u2 } }\n")
+    code, _, err = run(capsys, "verify", "--system", str(system), "--policy", str(policy))
+    assert code == 3
+    assert "ambiguous transition (op,D,ε) from state 'Z'" in err
+
+
 def run_or_exit(capsys, argv):
     """`run`, with a usage exit's code in place of the return value."""
     try:

@@ -237,14 +237,13 @@ def test_verify_builds_no_automaton_and_one_set_of_network_classes(monkeypatch, 
 def _recheck_walks(model, listed: dict) -> list:
     """(start zones, sets) of repair's re-check walks, given each user's
     listed sets by user id: one walk for the whole call when any user lists
-    anything, over the distinct (start zone, set) pairs, the zones in the
-    order of their first user by id, and a zone's sets in the order its
+    anything, over the distinct (start zone, set) pairs in the order the
     users, in id order, first list them."""
-    by_zone: dict = {}
-    for uid in sorted(listed):
-        sets = by_zone.setdefault(model.users[uid].initial_zone, {})
-        sets.update(dict.fromkeys(tuple(creds) for creds in listed[uid]))
-    pairs = [(zone, creds) for zone, sets in by_zone.items() for creds in sets]
+    pairs = dict.fromkeys(
+        (model.users[uid].initial_zone, tuple(creds))
+        for uid in sorted(listed)
+        for creds in listed[uid]
+    )
     return [([zone for zone, _ in pairs], [list(creds) for _, creds in pairs])] if pairs else []
 
 
@@ -253,7 +252,7 @@ def test_repair_builds_no_automaton_and_compiles_once_for_its_rechecks(monkeypat
     the verdict and the enabling functions, and after the verdict's walk
     re-checks every listed solution of every user on that one compilation,
     in one walk whose (start zone, set) pairs are exactly the distinct
-    listed ones, zone by zone, each in first-listed order."""
+    listed ones, in first-listed order over the users by id."""
     model = parse_system((FIXTURES / "plant.ins").read_text(encoding="utf-8"))
     # With every credential eligible, Amy's missing actions become repairable.
     for eligibility, exit_code in (("current", 1), ("all", 0)):
@@ -305,6 +304,54 @@ def test_a_set_two_users_of_a_zone_list_is_rechecked_once(monkeypatch, plant, el
     ]
     assert walked == _recheck_walks(model, listed), eligibility
     assert len(walked[0][1]) == len(listed["Amy"]), eligibility
+
+
+ACROSS_ZONES_INS = """
+credential k;
+credential c;
+zone O external;
+zone A;
+door d O -> A requires {k};
+door d A -> O;
+device D in A {
+    group g { acct }
+    operation login { when phy_acc requires {c} becomes acct; }
+    operation run { when loc_acc(g); }
+}
+user u1 at O credentials {k, c};
+user u2 at A credentials {c};
+user u3 at O credentials {k};
+"""
+
+ACROSS_ZONES_RBAC = """
+role runner { allow (run, D); users { u1, u2 } }
+role barred { deny (run, D); users { u3 } }
+"""
+
+
+def test_the_recheck_walk_follows_the_users_across_zones(monkeypatch):
+    """u1 and u3 start in O, u2 in A.  With every credential eligible, u3
+    lists sets no earlier user lists, so its pairs come after u2's and not
+    with u1's; and u2 lists from A sets u1 or u3 list from O, so each of
+    those is walked once per zone."""
+    model, policy = parse_system(ACROSS_ZONES_INS), parse_policy(ACROSS_ZONES_RBAC)
+    walks = _count(monkeypatch, "reachable_each", lambda args, _: (list(args[1]), list(args[2])))
+    results = repair_all(model, policy, "all")
+    listed = {
+        uid: [list(solution.credentials) for solution in result.solutions]
+        for uid, result in results.items()
+    }
+    assert listed == {"u1": [["c", "k"]], "u2": [["c"], ["c", "k"]], "u3": [[], ["k"], ["c"]]}
+    credentials = prepare(model, policy)[1].credentials
+    walked = [
+        (zones, [list(credential_names(mask, credentials)) for mask in masks])
+        for zones, masks in walks
+    ]
+    assert walked == [(
+        ["O", "A", "A", "O", "O", "O"],
+        [["c", "k"], ["c"], ["c", "k"], [], ["k"], ["c"]],
+    )]
+    assert walked == _recheck_walks(model, listed)
 
 
 def test_verify_and_repair_construct_no_formula_over_names(monkeypatch, capsys):
